@@ -5,8 +5,8 @@
 // Usage:
 //
 //	honeynet [-seed N] [-days N] [-experiment id] [-resamples N]
-//	         [-shards N] [-scale K] [-stream=bool] [-dirty-tracking=bool]
-//	         [-setup-seed N] [-checkpoint file] [-resume file]
+//	         [-shards N] [-scale K] [-setup-seed N]
+//	         [-checkpoint file] [-resume file]
 //	         [-cpuprofile file] [-memprofile file]
 //	honeynet -scenario <name|file> [-out dir] [...]
 //	honeynet -matrix <name|file>[,<name|file>...] [-out dir] [-workers N]
@@ -23,25 +23,20 @@
 // count. A shard count larger than the deployment's account count is
 // rejected up front with a non-zero exit. -cpuprofile/-memprofile
 // write pprof profiles of the run (the heap profile is taken post-GC
-// at exit, so it shows live fleet state, not transient garbage). -scale replicates the Table 1 plan K×, simulating 100·K
-// honey accounts. -stream (default true) classifies accesses on the
-// fly inside each shard and reports from merged per-shard aggregates;
-// -stream=false selects the legacy path that merges every access
-// record into one dataset before analysing. Both render byte-identical
-// reports for the same seed. -dirty-tracking (default true)
-// version-gates the activity-page scraper so quiet accounts are
-// skipped without a login; -dirty-tracking=false restores the
-// scrape-everything behaviour (identical reports, much slower at
-// scale).
+// at exit, so it shows live fleet state, not transient garbage).
+// -scale replicates the Table 1 plan K×, simulating 100·K honey
+// accounts. Every shard classifies its accesses on the fly, and the
+// report renders from the merged per-shard aggregates through the
+// same section table the -scenario report uses.
 //
 // -checkpoint freezes the experiment at its post-setup boundary
 // (accounts created, mailboxes seeded, monitoring armed, nothing run)
 // into a deterministic snapshot file, then continues the run.
 // -resume loads such a snapshot instead of re-simulating setup; the
-// post-fork flags (-seed, -days, -shards, -stream, -dirty-tracking)
-// may be re-specified to diverge from the checkpointed run —
-// -setup-seed N gives setup its own seed stream so different -seed
-// values can fork the same accounts. A resumed run renders
+// post-fork flags (-seed, -days, -shards, -defender-cadence,
+// -c3-bucket-bits, -c3-variants) may be re-specified to diverge from
+// the checkpointed run — -setup-seed N gives setup its own seed
+// stream so different -seed values can fork the same accounts. A resumed run renders
 // byte-identically to an uninterrupted one (TestSnapshotInvariance).
 //
 // -scenario runs one declarative experiment variant (an embedded
@@ -69,7 +64,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/honeynet"
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -84,8 +78,6 @@ func main() {
 		resamples    = flag.Int("resamples", 2000, "Cramér–von Mises permutation resamples")
 		shards       = flag.Int("shards", 1, "parallel shard schedulers (0 = one per CPU; output is shard-count invariant)")
 		scale        = flag.Int("scale", 1, "replicate the deployment plan K× (simulates 100·K accounts for Table 1)")
-		stream       = flag.Bool("stream", true, "classify accesses on the fly per shard and report from merged aggregates (false = legacy full-dataset merge)")
-		dirty        = flag.Bool("dirty-tracking", true, "version-gate the activity-page scraper so quiet accounts cost ~zero per tick (false = log into every account every tick; identical reports)")
 		scen         = flag.String("scenario", "", "run one scenario (preset name or TOML/JSON file) and print its full report")
 		matrix       = flag.String("matrix", "", "comma-separated scenarios to run concurrently and compare (first is the baseline column)")
 		outDir       = flag.String("out", "", "directory for per-scenario JSON aggregate artifacts")
@@ -167,10 +159,6 @@ func main() {
 	}
 
 	var exp *honeynet.Experiment
-	mode := "streaming"
-	if !*stream {
-		mode = "batch"
-	}
 	start := time.Now()
 	if *resumeFile != "" {
 		if *checkpoint != "" {
@@ -207,10 +195,6 @@ func main() {
 				cfg.Shards = *shards
 			case "scale":
 				cfg.ScaleFactor = *scale
-			case "stream":
-				cfg.DisableStreaming = !*stream
-			case "dirty-tracking":
-				cfg.DisableDirtyTracking = !*dirty
 			case "defender-cadence":
 				cfg.DefenderCadence = *defCadence
 			case "c3-bucket-bits":
@@ -226,34 +210,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The snapshot (possibly flag-overridden) decides the engine
-		// mode from here on, not the -stream flag default.
-		if cfg.DisableStreaming {
-			mode = "batch"
-		} else {
-			mode = "streaming"
-		}
-		fmt.Fprintf(os.Stderr, "resumed %d accounts from %s (seed %d, %d shard(s), %s)...\n",
-			len(st.Accounts), *resumeFile, cfg.Seed, exp.Shards(), mode)
-		if err := exp.Leak(); err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.Run(); err != nil {
-			log.Fatal(err)
-		}
+		fmt.Fprintf(os.Stderr, "resumed %d accounts from %s (seed %d, %d shard(s))...\n",
+			len(st.Accounts), *resumeFile, cfg.Seed, exp.Shards())
 	} else {
 		cfg := honeynet.Config{
-			Seed:                 *seed,
-			SetupSeed:            *setupSeed,
-			SetupWorkers:         *setupWorkers,
-			Duration:             time.Duration(*days) * 24 * time.Hour,
-			Shards:               *shards,
-			ScaleFactor:          *scale,
-			DisableStreaming:     !*stream,
-			DisableDirtyTracking: !*dirty,
-			DefenderCadence:      *defCadence,
-			C3BucketBits:         *c3Bits,
-			C3Variants:           *c3Variants,
+			Seed:            *seed,
+			SetupSeed:       *setupSeed,
+			SetupWorkers:    *setupWorkers,
+			Duration:        time.Duration(*days) * 24 * time.Hour,
+			Shards:          *shards,
+			ScaleFactor:     *scale,
+			DefenderCadence: *defCadence,
+			C3BucketBits:    *c3Bits,
+			C3Variants:      *c3Variants,
 		}
 		if err := validateShards(*shards, honeynet.PlannedAccounts(cfg)); err != nil {
 			log.Fatal(err)
@@ -263,8 +232,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "running %d-day deployment (seed %d, %d shard(s), scale %d×, %s)...\n",
-			*days, *seed, exp.Shards(), *scale, mode)
+		fmt.Fprintf(os.Stderr, "running %d-day deployment (seed %d, %d shard(s), scale %d×)...\n",
+			*days, *seed, exp.Shards(), *scale)
 		if err := exp.Setup(); err != nil {
 			log.Fatal(err)
 		}
@@ -277,128 +246,39 @@ func main() {
 			fmt.Fprintf(os.Stderr, "post-setup checkpoint written to %s (%d accounts)\n",
 				*checkpoint, len(exp.Assignments()))
 		}
-		if err := exp.Leak(); err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.Run(); err != nil {
-			log.Fatal(err)
-		}
+	}
+	if err := exp.Leak(); err != nil {
+		log.Fatal(err)
+	}
+	if err := exp.Run(); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "done in %v (%d events)\n\n",
 		time.Since(start).Round(time.Millisecond), exp.ShardSet().Fired())
 
-	table1 := func() string {
-		counts := map[int]int{}
-		for _, a := range exp.Assignments() {
-			counts[a.Group.ID]++
-		}
-		var rows []report.Table1Row
-		for id := 1; id <= 5; id++ {
-			if counts[id] > 0 {
-				rows = append(rows, report.Table1Row{Group: id, Count: counts[id], Label: honeynet.PaperGroupLabel(id)})
-			}
-		}
-		return report.Table1(rows)
-	}
-	cases := func(draftCopies int) string {
-		return report.CaseStudies(exp.Blackmailers(), draftCopies, len(exp.AllInquiries()))
-	}
-
 	// Render from the experiment's effective config: a resumed run's
-	// engine mode and seed come from the snapshot (determinism
-	// guarantee #5 — the resumed report must byte-match the
-	// uninterrupted run), not from this process's flag defaults.
-	runCfg := exp.Config()
-	sigSeed := runCfg.Seed
-
-	var sections map[string]func() string
-	if !runCfg.DisableStreaming {
-		// Streaming: every shard classified its accesses as the run
-		// advanced; merge the per-shard aggregates (O(shards)) and
-		// render from them — no merged dataset is ever materialised.
-		agg, err := exp.Aggregates()
-		if err != nil {
-			log.Fatal(err)
-		}
-		sections = map[string]func() string{
-			"overview":  func() string { return report.Overview(agg.Overview()) },
-			"table1":    table1,
-			"fig1":      func() string { return report.Figure1Sketches(agg.Durations) },
-			"fig2":      func() string { return report.Figure2(agg.PerOutlet) },
-			"fig3":      func() string { return report.Figure3Sketches(agg.TimeToAccess) },
-			"fig4":      func() string { return report.Figure4Buckets(agg.Timeline, agg.TimelineMax) },
-			"fig5a":     func() string { return report.Figure5("UK/London", agg.MedianRadii(analysis.HintUK)) },
-			"fig5b":     func() string { return report.Figure5("US/Pontiac", agg.MedianRadii(analysis.HintUS)) },
-			"cvm":       func() string { return report.Significance(agg.LocationSignificance(*resamples, sigSeed)) },
-			"sysconfig": func() string { return report.SystemConfig(agg.ConfigRows()) },
-			"table2": func() string {
-				r := agg.KeywordInference(exp.SeededContents(), exp.DropWords())
-				return report.Table2(r.TopSearched(10), r.TopCorpus(10))
-			},
-			"cases": func() string { return cases(len(agg.Drafts)) },
-			"sophistication": func() string {
-				return report.Sophistication(agg.ConfigRows(), agg.LocationSignificance(*resamples, sigSeed))
-			},
-		}
-	} else {
-		ds := exp.Dataset()
-		cs := analysis.Classify(ds, analysis.ClassifyOptions{})
-		sections = map[string]func() string{
-			"overview":  func() string { return report.Overview(analysis.Summarize(ds)) },
-			"table1":    table1,
-			"fig1":      func() string { return report.Figure1(analysis.DurationsByClass(cs)) },
-			"fig2":      func() string { return report.Figure2(analysis.ByOutlet(cs)) },
-			"fig3":      func() string { return report.Figure3(analysis.TimeToFirstAccess(ds)) },
-			"fig4":      func() string { return report.Figure4(analysis.Timeline(ds)) },
-			"fig5a":     func() string { return report.Figure5("UK/London", analysis.MedianRadii(ds, analysis.HintUK)) },
-			"fig5b":     func() string { return report.Figure5("US/Pontiac", analysis.MedianRadii(ds, analysis.HintUS)) },
-			"cvm":       func() string { return report.Significance(analysis.LocationSignificance(ds, *resamples, sigSeed)) },
-			"sysconfig": func() string { return report.SystemConfig(analysis.SystemConfiguration(ds)) },
-			"table2": func() string {
-				r := analysis.KeywordInference(ds, exp.DropWords())
-				return report.Table2(r.TopSearched(10), r.TopCorpus(10))
-			},
-			"cases": func() string {
-				drafts := 0
-				for _, a := range ds.Actions {
-					if a.Kind == analysis.ActionDraft {
-						drafts++
-					}
-				}
-				return cases(drafts)
-			},
-			"sophistication": func() string {
-				return report.Sophistication(
-					analysis.SystemConfiguration(ds),
-					analysis.LocationSignificance(ds, *resamples, sigSeed))
-			},
-		}
+	// seed comes from the snapshot (determinism guarantee #5 — the
+	// resumed report must byte-match the uninterrupted run), not from
+	// this process's flag defaults.
+	res, err := scenario.FromExperiment(exp)
+	if err != nil {
+		log.Fatal(err)
 	}
-	order := []string{
-		"overview", "table1", "fig1", "fig2", "fig3", "fig4",
-		"sysconfig", "fig5a", "fig5b", "cvm", "table2", "cases", "sophistication",
-	}
-	// The defender section exists only when the loop is armed, so a
-	// defender-free run prints exactly the pre-C3 report bytes.
-	if exp.DefenderEnabled() {
-		sections["defender"] = func() string {
-			return report.Defender(scenario.DefenderRows(exp.DefenderOutcomes()))
-		}
-		order = append(order, "defender")
-	}
-
 	want := strings.ToLower(*experiment)
 	if want == "all" {
-		for _, id := range order {
-			fmt.Printf("===== %s =====\n%s\n", id, sections[id]())
-		}
+		fmt.Print(scenario.RenderSections(res, *resamples))
 		return
 	}
-	section, ok := sections[want]
-	if !ok {
-		log.Fatalf("unknown experiment %q (have: %s, all)", want, strings.Join(order, ", "))
+	sections := scenario.Sections(res)
+	ids := make([]string, 0, len(sections))
+	for _, s := range sections {
+		if s.ID == want {
+			fmt.Println(s.Render(res, *resamples))
+			return
+		}
+		ids = append(ids, s.ID)
 	}
-	fmt.Println(section())
+	log.Fatalf("unknown experiment %q (have: %s, all)", want, strings.Join(ids, ", "))
 }
 
 // runScenario executes one declarative variant and prints its full

@@ -1,8 +1,7 @@
 // Defender-loop invariance: the C3 detection race (time-to-detection
 // vs. time-to-exploit) is a new reported axis, so it inherits every
 // determinism guarantee the rest of the report carries — byte-
-// identical at any shard count, in stream or batch mode, and across a
-// snapshot/resume boundary. And when the defender is disabled, the
+// identical at any shard count and across a snapshot/resume boundary. And when the defender is disabled, the
 // subsystem must be invisible: no outcomes, no section, no change to
 // any existing byte (the golden corpus pins the latter).
 package repro
@@ -39,13 +38,10 @@ func defenderSection(t *testing.T, exp *honeynet.Experiment) string {
 }
 
 // TestDefenderInvariance: detection outcomes and the rendered section
-// are identical at shards=1 and shards=4, and identical with the
-// streaming pipeline on or off.
+// are identical at shards=1 and shards=4.
 func TestDefenderInvariance(t *testing.T) {
-	run := func(shards int, batch bool) (*honeynet.Experiment, string) {
-		cfg := defenderTestConfig(11, shards)
-		cfg.DisableStreaming = batch
-		exp, err := honeynet.New(cfg)
+	run := func(shards int) (*honeynet.Experiment, string) {
+		exp, err := honeynet.New(defenderTestConfig(11, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,14 +50,10 @@ func TestDefenderInvariance(t *testing.T) {
 		}
 		return exp, defenderSection(t, exp)
 	}
-	expOne, one := run(1, false)
-	_, four := run(4, false)
-	_, batch := run(2, true)
+	expOne, one := run(1)
+	_, four := run(4)
 	if one != four {
 		t.Errorf("defender section differs between shards=1 and shards=4:\n%s", firstDiff(one, four))
-	}
-	if one != batch {
-		t.Errorf("defender section differs between stream and batch:\n%s", firstDiff(one, batch))
 	}
 	outcomes := expOne.DefenderOutcomes()
 	if len(outcomes) != len(expOne.Assignments()) {

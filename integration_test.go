@@ -13,12 +13,11 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/attacker"
-	"repro/internal/core"
 	"repro/internal/honeynet"
 )
 
-func mediumConfig(seed int64) core.Config {
-	return core.Config{
+func mediumConfig(seed int64) honeynet.Config {
+	return honeynet.Config{
 		Seed: seed,
 		Plan: []honeynet.GroupSpec{
 			{ID: 1, Count: 8, Channel: analysis.OutletPaste, Hint: analysis.HintNone, Label: "paste"},
@@ -33,9 +32,9 @@ func mediumConfig(seed int64) core.Config {
 	}
 }
 
-func runMedium(t *testing.T, seed int64) (*core.Experiment, *analysis.Dataset) {
+func runMedium(t *testing.T, seed int64) (*honeynet.Experiment, *analysis.Dataset) {
 	t.Helper()
-	exp, err := core.NewExperiment(mediumConfig(seed))
+	exp, err := honeynet.New(mediumConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,19 +9,22 @@ import (
 	"repro/internal/stats"
 )
 
-// Streaming classification: instead of merging every shard's access
-// records into one in-memory Dataset and classifying post hoc, each
-// shard feeds its monitor's observations through a StreamClassifier
-// as simulated time advances. At the end of the run the classifier
-// folds its accesses into Aggregates — class tallies, CDF sketches,
-// timeline buckets, distance vectors and keyword events — and the
-// experiment merges one Aggregates per shard: O(shards) merge work
-// instead of an O(records) merge-sort-classify pass.
+// Streaming classification: each shard feeds its monitor's
+// observations through a StreamClassifier as simulated time advances.
+// At the end of the run the classifier folds its accesses into
+// Aggregates — class tallies, CDF sketches, timeline buckets, distance
+// vectors and keyword events — and the experiment merges one
+// Aggregates per shard: O(shards) merge work instead of an
+// O(records) merge-sort-classify pass. The classifier also hands its
+// retained observations out (Observations), which is how the engine
+// rebuilds a record-level Dataset without keeping a second copy.
 //
-// Equality with the batch path is by construction, not coincidence:
+// The record-level functions over a Dataset (Classify, Summarize,
+// TimeToFirstAccess, …) are the reference the aggregates must match,
+// and they match by construction, not coincidence:
 //   - accounts live on exactly one shard, and Classify's attribution
 //     is per-account and per-action independent, so running the shared
-//     classifyAccount core shard-by-shard reproduces the batch classes;
+//     classifyAccount core shard-by-shard reproduces Classify's classes;
 //   - every aggregate is a sum, set union, probe-sketch or sorted
 //     vector, all order-independent, so shard interleaving cannot leak
 //     into the result.
@@ -146,18 +149,35 @@ func (sc *StreamClassifier) ObservePasswordChange(pc PasswordChange) {
 	st.changes = append(st.changes, pc)
 }
 
-// Accounts reports how many accounts have observations so far.
-func (sc *StreamClassifier) Accounts() int {
+// Observations returns copies of everything the classifier retains:
+// each account's latest access row per cookie (with the annotations
+// they were ingested with), its actions in arrival order and its
+// password changes. Accounts come in ascending order; callers that
+// merge several classifiers sort the result themselves.
+func (sc *StreamClassifier) Observations() (accesses []Access, actions []Action, changes []PasswordChange) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return len(sc.accounts)
+	names := make([]string, 0, len(sc.accounts))
+	for account := range sc.accounts {
+		names = append(names, account)
+	}
+	sort.Strings(names)
+	for _, account := range names {
+		st := sc.accounts[account]
+		for i := range st.accesses.cookie {
+			accesses = append(accesses, st.accesses.materialize(int32(i), account))
+		}
+		actions = append(actions, st.actions...)
+		changes = append(changes, st.changes...)
+	}
+	return accesses, actions, changes
 }
 
 // Finalize classifies every observed account against its final access
 // windows and folds the results into fresh Aggregates. facts, when
-// non-nil, supplies the plan annotations per account (the streaming
+// non-nil, supplies the plan annotations per account (the engine's
 // path); when nil the annotations already on the ingested accesses
-// are used (the batch-conversion path). blacklisted, when non-nil,
+// are used (the AggregatesFromDataset path). blacklisted, when non-nil,
 // marks which source IPs are on the §4.5 blacklist. Finalize does not
 // consume the classifier state, so it can be re-run (benchmarks do).
 func (sc *StreamClassifier) Finalize(facts func(account string) Facts, blacklisted func(ip string) bool) *Aggregates {

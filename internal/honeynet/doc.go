@@ -22,10 +22,10 @@
 // shard executing it. Config.ScaleFactor replicates the plan K× to
 // simulate 100·K-account deployments.
 //
-// Two analysis exports exist. Dataset merges every shard's records
-// into one analysis.Dataset (O(records) merge + sort — the paper's
-// post-hoc shape). Aggregates, the default streaming path (stream.go),
-// lets each shard classify accesses while simulated time advances and
-// merges one aggregate per shard — O(shards) — rendering reports
-// byte-identical to the batch path.
+// Every shard classifies its accesses while simulated time advances
+// (stream.go). Aggregates merges one aggregate per shard — O(shards) —
+// and is what every report renders from. Dataset rebuilds the merged
+// record-level analysis.Dataset (the paper's post-hoc shape) from the
+// observations the same classifiers retain, for examples and as the
+// tests' reference; both render byte-identical reports.
 package honeynet

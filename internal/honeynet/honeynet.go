@@ -60,20 +60,6 @@ type Config struct {
 	// simulating ScaleFactor·100 accounts for the Table 1 plan. Each
 	// replica draws fresh, independent randomness.
 	ScaleFactor int
-	// DisableStreaming turns off the streaming classification
-	// pipeline (see stream.go). By default every shard classifies its
-	// accesses on the fly and Aggregates() merges per-shard aggregates
-	// in O(shards); with streaming disabled only the batch Dataset()
-	// path is available. For a fixed seed both paths render
-	// byte-identical reports.
-	DisableStreaming bool
-	// DisableDirtyTracking turns off the monitor's version-gated
-	// scraper: every scrape tick then logs into every tracked account
-	// and copies the full activity page, whether or not anything
-	// changed (the pre-dirty-tracking behaviour). The observed dataset
-	// and every report are identical either way; the flag exists as an
-	// escape hatch and to measure what dirty tracking saves.
-	DisableDirtyTracking bool
 	// Sites overrides the outlet catalogue credentials are leaked
 	// through (nil selects outlets.DefaultSites, the paper's venues).
 	// The scenario layer uses this to vary leak-exposure dynamics
@@ -126,6 +112,12 @@ type Config struct {
 	// worker count — the knob trades goroutines for cold-start
 	// wall-clock only.
 	SetupWorkers int
+
+	// disableVersionGate makes every scrape tick log into every
+	// tracked account, changed or not (monitor.Config's
+	// DisableVersionGate). Unexported: it exists only so the package's
+	// tests can check the gated scraper against the ungated oracle.
+	disableVersionGate bool
 }
 
 // DefaultStart is the paper's leak date, 2015-06-25 (§3.2) — the
@@ -756,44 +748,31 @@ func (e *Experiment) RunAll() error {
 	return e.Run()
 }
 
-// Dataset exports the analysis-ready dataset by merging every shard's
-// monitoring pipeline, annotated with the plan facts (outlet, hint,
-// leak time). The merge orders records by stable keys (account,
-// cookie, time) rather than arrival, so the result is identical
-// whatever the shard count or goroutine interleaving.
+// Dataset exports the analysis-ready dataset, rebuilt from the
+// observations every shard's streaming classifier retains (the
+// self-filtered accesses, actions and password changes) and annotated
+// with the plan facts (outlet, hint, leak time). The merge orders
+// records by stable keys (account, cookie, time) rather than arrival,
+// so the result is identical whatever the shard count or goroutine
+// interleaving. Each call builds a fresh copy; the engine keeps none.
 func (e *Experiment) Dataset() *analysis.Dataset {
-	planByAccount := make(map[string]GroupSpec, len(e.assignments))
-	for _, a := range e.assignments {
-		planByAccount[a.Account] = a.Group
-	}
 	ds := &analysis.Dataset{
 		Blacklisted:       make(map[string]bool),
 		SuspendedAccounts: e.svc.SuspendedCount(),
 		Contents:          e.seededView(),
 	}
 	for _, sh := range e.shards {
-		for _, rec := range sh.mon.Dataset() {
-			g := planByAccount[rec.Account]
-			a := analysis.Access{
-				Account:   rec.Account,
-				Cookie:    rec.Cookie,
-				First:     rec.First,
-				Last:      rec.Last,
-				Outlet:    g.Channel,
-				Hint:      g.Hint,
-				LeakTime:  e.leakTimes[rec.Account],
-				IP:        rec.IP,
-				City:      rec.City,
-				Country:   rec.Country,
-				HasPoint:  rec.HasPoint,
-				UserAgent: rec.UserAgent,
-			}
-			a.Point = geo.Point{Lat: rec.Lat, Lon: rec.Lon}
-			if _, listed := e.bl.LookupString(rec.IP); listed {
-				ds.Blacklisted[rec.IP] = true
+		accesses, actions, changes := sh.sc.Observations()
+		for _, a := range accesses {
+			f := e.facts(a.Account)
+			a.Outlet, a.Hint, a.LeakTime = f.Outlet, f.Hint, f.LeakTime
+			if e.listed(a.IP) {
+				ds.Blacklisted[a.IP] = true
 			}
 			ds.Accesses = append(ds.Accesses, a)
 		}
+		ds.Actions = append(ds.Actions, actions...)
+		ds.PasswordChanges = append(ds.PasswordChanges, changes...)
 	}
 	sort.Slice(ds.Accesses, func(i, j int) bool {
 		if ds.Accesses[i].Account != ds.Accesses[j].Account {
@@ -801,22 +780,6 @@ func (e *Experiment) Dataset() *analysis.Dataset {
 		}
 		return ds.Accesses[i].Cookie < ds.Accesses[j].Cookie
 	})
-
-	for _, sh := range e.shards {
-		for _, n := range sh.store.Notifications() {
-			kind, ok := actionKind(n.Kind)
-			if !ok {
-				continue // heartbeats/quota are liveness, not actions
-			}
-			ds.Actions = append(ds.Actions, analysis.Action{
-				Time:    n.Time,
-				Account: n.Account,
-				Kind:    kind,
-				Message: int64(n.Message),
-				Body:    n.Body,
-			})
-		}
-	}
 	sort.Slice(ds.Actions, func(i, j int) bool {
 		ai, aj := ds.Actions[i], ds.Actions[j]
 		if !ai.Time.Equal(aj.Time) {
@@ -830,14 +793,6 @@ func (e *Experiment) Dataset() *analysis.Dataset {
 		}
 		return ai.Kind < aj.Kind
 	})
-
-	for _, sh := range e.shards {
-		for _, f := range sh.store.Failures() {
-			if f.Reason == "password-changed" {
-				ds.PasswordChanges = append(ds.PasswordChanges, analysis.PasswordChange{Account: f.Account, Time: f.Time})
-			}
-		}
-	}
 	sort.Slice(ds.PasswordChanges, func(i, j int) bool {
 		pi, pj := ds.PasswordChanges[i], ds.PasswordChanges[j]
 		if !pi.Time.Equal(pj.Time) {

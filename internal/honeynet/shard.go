@@ -54,8 +54,7 @@ type shard struct {
 	store   *monitor.Store
 	runtime *appscript.Runtime
 	mon     *monitor.Monitor
-	// sc classifies this shard's accesses as the simulation runs
-	// (nil when Config.DisableStreaming is set).
+	// sc classifies this shard's accesses as the simulation runs.
 	sc *analysis.StreamClassifier
 	// c3 is this shard's C3 index fragment, fed at pickup/exfil time
 	// by the shard's own blocks; def is the detection loop over it.
@@ -97,7 +96,9 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			wheel: simtime.NewTriggerWheel(sched),
 			sink:  sinkhole.NewStore(clock.Now),
 			store: monitor.NewStore(),
+			sc:    analysis.NewStreamClassifier(analysis.StreamConfig{}),
 		}
+		sh.store.SetSink(&streamSink{sc: sh.sc})
 		if err := svc.ConfigurePartition(i, clock.Now, sh.sink); err != nil {
 			return nil, nil, fmt.Errorf("honeynet: bind partition %d: %w", i, err)
 		}
@@ -108,10 +109,6 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			}
 			sh.c3 = frag
 		}
-		if !cfg.DisableStreaming {
-			sh.sc = analysis.NewStreamClassifier(analysis.StreamConfig{})
-			sh.store.SetSink(&streamSink{sc: sh.sc})
-		}
 		sh.runtime = appscript.NewRuntime(svc, sh.sched, sh.store)
 		sh.runtime.UseWheel(sh.wheel)
 		sh.mon = monitor.New(monitor.Config{
@@ -121,7 +118,7 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			Endpoint:           monEP,
 			Cookies:            netsim.NewCookieJarPrefixed(fmt.Sprintf("mon%d", i)),
 			Wheel:              sh.wheel,
-			DisableVersionGate: cfg.DisableDirtyTracking,
+			DisableVersionGate: cfg.disableVersionGate,
 		})
 		shards[i] = sh
 		set.Add(sh.sched)

@@ -186,7 +186,7 @@ func TestShardedLifecycleGuards(t *testing.T) {
 
 // TestDirtyTrackingInvariance is the dirty-tracking contract at the
 // experiment level: the version-gated scraper (skip quiet accounts,
-// pull row deltas) and the scrape-everything escape hatch produce the
+// pull row deltas) and the scrape-everything oracle produce the
 // identical merged dataset — the gate only skips work that would have
 // produced no observation, never an observation itself.
 func TestDirtyTrackingInvariance(t *testing.T) {
@@ -194,7 +194,7 @@ func TestDirtyTrackingInvariance(t *testing.T) {
 	cfg.Shards = 2
 	run := func(disable bool) *analysis.Dataset {
 		c := cfg
-		c.DisableDirtyTracking = disable
+		c.disableVersionGate = disable
 		e, err := New(c)
 		if err != nil {
 			t.Fatal(err)

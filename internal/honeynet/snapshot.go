@@ -225,10 +225,8 @@ func (e *Experiment) snapshotMeta() (*snapshot.State, error) {
 			Shards:           len(e.shards),
 			Scale:            cfg.ScaleFactor,
 
-			VisibleScripts:       cfg.VisibleScripts,
-			DisableCaseStudies:   cfg.DisableCaseStudies,
-			DisableStreaming:     cfg.DisableStreaming,
-			DisableDirtyTracking: cfg.DisableDirtyTracking,
+			VisibleScripts:     cfg.VisibleScripts,
+			DisableCaseStudies: cfg.DisableCaseStudies,
 
 			LoginRisk: snapshot.LoginRisk{
 				Enabled:       cfg.LoginRisk.Enabled,
@@ -255,22 +253,27 @@ func (e *Experiment) snapshotMeta() (*snapshot.State, error) {
 		})
 	}
 	for _, sh := range e.shards {
-		ss := snapshot.Shard{
-			NowNS:   sh.clock.Now().UnixNano(),
-			Seq:     sh.sched.Seq(),
-			Fired:   sh.sched.Fired(),
-			Pending: sh.sched.Len(),
-		}
-		for _, c := range sh.wheel.Chains() {
-			ss.Chains = append(ss.Chains, snapshot.Chain{
-				IntervalNS: c.IntervalNS, PhaseNS: c.PhaseNS, Entries: c.Entries,
-			})
-		}
-		st.Shards = append(st.Shards, ss)
+		st.Shards = append(st.Shards, sh.descriptor())
 	}
 	st.Cursors = e.cursorStates()
 	st.Defender = e.defenderCursors()
 	return st, nil
+}
+
+// descriptor records the shard's scheduler and trigger-wheel state —
+// what a snapshot stores and what Resume checks the re-armed shard
+// against.
+func (sh *shard) descriptor() snapshot.Shard {
+	d := snapshot.Shard{
+		NowNS:   sh.clock.Now().UnixNano(),
+		Seq:     sh.sched.Seq(),
+		Fired:   sh.sched.Fired(),
+		Pending: sh.sched.Len(),
+	}
+	for _, c := range sh.wheel.Chains() {
+		d.Chains = append(d.Chains, snapshot.Chain{IntervalNS: c.IntervalNS, PhaseNS: c.PhaseNS, Entries: c.Entries})
+	}
+	return d
 }
 
 // defenderCursors freezes the defender's detection state. At the
@@ -337,23 +340,21 @@ func Resume(st *snapshot.State) (*Experiment, error) {
 
 // ConfigFromSnapshot rebuilds the runnable core configuration a
 // snapshot records. Callers may override the post-fork fields (Seed,
-// Duration, Shards, engine toggles) before passing the result to
+// Duration, Shards, defender knobs) before passing the result to
 // ResumeWith; setup-relevant fields are pinned by the fingerprint.
 func ConfigFromSnapshot(st *snapshot.State) (Config, error) {
 	cfg := Config{
-		Seed:                 st.Config.Seed,
-		SetupSeed:            st.Config.SetupSeed,
-		Start:                time.Unix(0, st.Config.StartNS).UTC(),
-		Duration:             time.Duration(st.Config.DurationNS),
-		MailboxSize:          st.Config.MailboxSize,
-		ScanInterval:         time.Duration(st.Config.ScanIntervalNS),
-		ScrapeInterval:       time.Duration(st.Config.ScrapeIntervalNS),
-		Shards:               st.Config.Shards,
-		ScaleFactor:          st.Config.Scale,
-		VisibleScripts:       st.Config.VisibleScripts,
-		DisableCaseStudies:   st.Config.DisableCaseStudies,
-		DisableStreaming:     st.Config.DisableStreaming,
-		DisableDirtyTracking: st.Config.DisableDirtyTracking,
+		Seed:               st.Config.Seed,
+		SetupSeed:          st.Config.SetupSeed,
+		Start:              time.Unix(0, st.Config.StartNS).UTC(),
+		Duration:           time.Duration(st.Config.DurationNS),
+		MailboxSize:        st.Config.MailboxSize,
+		ScanInterval:       time.Duration(st.Config.ScanIntervalNS),
+		ScrapeInterval:     time.Duration(st.Config.ScrapeIntervalNS),
+		Shards:             st.Config.Shards,
+		ScaleFactor:        st.Config.Scale,
+		VisibleScripts:     st.Config.VisibleScripts,
+		DisableCaseStudies: st.Config.DisableCaseStudies,
 		LoginRisk: webmail.LoginRiskConfig{
 			Enabled:       st.Config.LoginRisk.Enabled,
 			BlockTor:      st.Config.LoginRisk.BlockTor,
@@ -381,7 +382,7 @@ func ConfigFromSnapshot(st *snapshot.State) (Config, error) {
 // passes its own compiled config, sharing the snapshot's setup). The
 // config's setup-relevant fields must fingerprint-match the snapshot;
 // everything post-fork — Seed, Duration, shard count, outlet
-// catalogue, attacker populations, engine toggles — may differ
+// catalogue, attacker populations, defender knobs — may differ
 // freely, which is exactly how one shared setup forks into divergent
 // scenario variants or longer-horizon continuation runs.
 func ResumeWith(st *snapshot.State, cfg Config) (*Experiment, error) {
@@ -487,16 +488,7 @@ func (e *Experiment) verifyRestored(st *snapshot.State) error {
 	}
 	for i, sh := range e.shards {
 		want := st.Shards[i]
-		got := snapshot.Shard{
-			NowNS:   sh.clock.Now().UnixNano(),
-			Seq:     sh.sched.Seq(),
-			Fired:   sh.sched.Fired(),
-			Pending: sh.sched.Len(),
-		}
-		for _, c := range sh.wheel.Chains() {
-			got.Chains = append(got.Chains, snapshot.Chain{IntervalNS: c.IntervalNS, PhaseNS: c.PhaseNS, Entries: c.Entries})
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := sh.descriptor(); !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("honeynet: snapshot drift: shard %d re-armed to %+v, snapshot recorded %+v", i, got, want)
 		}
 	}

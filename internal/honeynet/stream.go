@@ -9,15 +9,15 @@ import (
 	"repro/internal/monitor"
 )
 
-// Streaming classification wiring. With streaming enabled (the
-// default), every shard's monitoring pipeline feeds its own
-// analysis.StreamClassifier through a monitor.Sink while the
-// simulation runs; at the end, Aggregates finalises each shard's
+// Streaming classification wiring: every shard's monitoring pipeline
+// feeds its own analysis.StreamClassifier through a monitor.Sink while
+// the simulation runs. At the end, Aggregates finalises each shard's
 // classifier and merges the per-shard aggregates — O(shards) merge
-// work — instead of materialising and sorting the full merged
-// dataset. Dataset() remains available as the batch path; for a
-// fixed seed both render byte-identical reports at any shard count
-// (asserted by TestStreamMatchesBatchReports at the repo root).
+// work — and Dataset rebuilds the merged record-level view from the
+// observations the same classifiers retain. Both are identical at any
+// shard count (TestShardCountInvariance, and at the repo root
+// TestStreamMatchesBatchReports renders the Dataset through the
+// record-level analysis functions and compares byte for byte).
 
 // actionKind maps a script notification kind to the analysis action
 // it evidences. Heartbeat and quota notifications are liveness, not
@@ -82,37 +82,35 @@ func (s *streamSink) ObserveFailure(f monitor.ScrapeFailure) {
 	s.sc.ObservePasswordChange(analysis.PasswordChange{Account: f.Account, Time: f.Time})
 }
 
-// StreamingEnabled reports whether the experiment classifies accesses
-// on the fly (Config.DisableStreaming unset).
-func (e *Experiment) StreamingEnabled() bool { return !e.cfg.DisableStreaming }
+// facts resolves an account's plan annotations (outlet, hint, leak
+// time); accounts outside the plan get zero facts.
+func (e *Experiment) facts(account string) analysis.Facts {
+	b, ok := e.blockOf[account]
+	if !ok {
+		return analysis.Facts{}
+	}
+	return analysis.Facts{
+		Outlet:   b.spec.Channel,
+		Hint:     b.spec.Hint,
+		LeakTime: e.leakTimes[account],
+	}
+}
+
+// listed reports whether an IP is on the §4.5 blacklist.
+func (e *Experiment) listed(ip string) bool {
+	_, ok := e.bl.LookupString(ip)
+	return ok
+}
 
 // BuildAggregates finalises every shard's streaming classifier
 // against the plan facts and merges the per-shard aggregates. It
 // recomputes from the classifiers' retained state on every call (the
 // benchmark harness relies on that); use Aggregates for the cached
-// form. It errors when streaming is disabled.
+// form.
 func (e *Experiment) BuildAggregates() (*analysis.Aggregates, error) {
-	if e.cfg.DisableStreaming {
-		return nil, fmt.Errorf("honeynet: streaming disabled; use Dataset")
-	}
-	facts := func(account string) analysis.Facts {
-		b, ok := e.blockOf[account]
-		if !ok {
-			return analysis.Facts{}
-		}
-		return analysis.Facts{
-			Outlet:   b.spec.Channel,
-			Hint:     b.spec.Hint,
-			LeakTime: e.leakTimes[account],
-		}
-	}
-	listed := func(ip string) bool {
-		_, ok := e.bl.LookupString(ip)
-		return ok
-	}
 	merged := analysis.NewAggregates(nil, nil)
 	for _, sh := range e.shards {
-		if err := merged.Merge(sh.sc.Finalize(facts, listed)); err != nil {
+		if err := merged.Merge(sh.sc.Finalize(e.facts, e.listed)); err != nil {
 			return nil, fmt.Errorf("honeynet: merge shard %d aggregates: %w", sh.id, err)
 		}
 	}

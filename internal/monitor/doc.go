@@ -10,15 +10,16 @@
 //   - §4.1 self-access filtering: accesses made by the monitoring
 //     infrastructure itself, and any access from the city the
 //     infrastructure runs in, are removed before the data reaches
-//     analysis (both in Dataset and in the streaming Sink feed).
+//     analysis (in the Sink feed, and in Monitor.Dataset).
 //   - §4.2 loss of visibility: when a hijacker changes an account
 //     password the scraper's credentials stop working, so activity
 //     rows freeze at their last scraped state — a lower bound on
 //     access durations — while notifications keep flowing because the
 //     embedded scripts keep running.
 //
-// Consumers read the observations two ways: post hoc through
-// Store/Dataset (the batch path), or live through a Sink registered
-// with Store.SetSink — the hook the streaming classification pipeline
-// uses to analyse accesses while the simulation runs.
+// Consumers read the observations live, through a Sink registered with
+// Store.SetSink — the hook the streaming classification pipeline uses
+// to analyse accesses while the simulation runs. The Store itself
+// keeps no notification log; Monitor.Dataset re-derives the access
+// rows from its diff state and serves as the tests' reference.
 package monitor

@@ -78,7 +78,7 @@ func TestVersionGateDetectsPasswordChangeNextTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sched.RunFor(time.Hour)
-	fails := f.store.Failures()
+	fails := f.sink.failures
 	if len(fails) != 1 || fails[0].Reason != "password-changed" {
 		t.Fatalf("failures = %+v", fails)
 	}
@@ -100,7 +100,7 @@ func TestVersionGateDetectsSuspensionNextTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sched.RunFor(time.Hour)
-	fails := f.store.Failures()
+	fails := f.sink.failures
 	if len(fails) != 1 || fails[0].Reason != "suspended" {
 		t.Fatalf("failures = %+v", fails)
 	}
@@ -129,7 +129,7 @@ func TestVersionGateSkipStreamsNothing(t *testing.T) {
 	}
 }
 
-// The escape hatch restores the legacy behaviour: with the gate off,
+// The ungated oracle restores the legacy behaviour: with the gate off,
 // every tick logs into every tracked account, changed or not, and the
 // dataset still comes out the same.
 func TestVersionGateEscapeHatch(t *testing.T) {

@@ -30,10 +30,9 @@ type ScrapeFailure struct {
 }
 
 // Sink receives the monitoring pipeline's observations as they
-// happen, instead of waiting for the end-of-run Dataset extraction.
-// The streaming classification pipeline implements it: each shard's
-// store/monitor pair feeds its shard's classifier while simulated
-// time advances.
+// happen; it is the only way they leave the pipeline. The streaming
+// classification pipeline implements it: each shard's store/monitor
+// pair feeds its shard's classifier while simulated time advances.
 //
 // Delivery contract: ObserveAccess carries the latest activity row
 // for one (account, cookie) pair and may fire repeatedly as the row's
@@ -48,15 +47,14 @@ type Sink interface {
 	ObserveFailure(ScrapeFailure)
 }
 
-// Store accumulates everything the monitoring pipeline observes.
-// It is safe for concurrent use.
+// Store is the monitoring pipeline's collector: script notifications
+// pass straight through it to the registered Sink, and scraped
+// activity rows are diffed against each account's latest row per
+// cookie so the scraper streams only changes. It keeps only that diff
+// state and the set of accounts the scraper lost — no notification
+// log. It is safe for concurrent use.
 type Store struct {
-	mu            sync.Mutex
-	notifications []appscript.Notification
-	// byAccount indexes notifications by account (positions in the
-	// notifications slice), maintained at Notify time so per-account
-	// lookups never scan the whole fleet's feed.
-	byAccount map[string][]int
+	mu sync.Mutex
 	// accesses holds each account's latest-row-per-cookie state as
 	// parallel columns (see columnar.go) instead of maps of boxed
 	// structs: a million-account fleet keeps one obsTable per account,
@@ -66,11 +64,9 @@ type Store struct {
 	// are only valid until the next recordAccesses call (scrape ticks
 	// on one store are serialized by the owning scheduler, and
 	// scrapeOne consumes the delta before returning).
-	changed       []webmail.Access
-	failures      []ScrapeFailure
-	failed        map[string]bool // account -> scraper locked out
-	lastHeartbeat map[string]time.Time
-	sink          Sink
+	changed []webmail.Access
+	failed  map[string]bool // account -> scraper locked out
+	sink    Sink
 }
 
 // SetSink registers a streaming observer. Call before the run starts;
@@ -91,52 +87,17 @@ func (s *Store) Sink() Sink {
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		byAccount:     make(map[string][]int),
-		accesses:      make(map[string]*obsTable),
-		failed:        make(map[string]bool),
-		lastHeartbeat: make(map[string]time.Time),
+		accesses: make(map[string]*obsTable),
+		failed:   make(map[string]bool),
 	}
 }
 
-// Notify implements appscript.Notifier.
+// Notify implements appscript.Notifier: it forwards the notification
+// to the sink and keeps nothing.
 func (s *Store) Notify(n appscript.Notification) {
-	s.mu.Lock()
-	s.byAccount[n.Account] = append(s.byAccount[n.Account], len(s.notifications))
-	s.notifications = append(s.notifications, n)
-	if n.Kind == appscript.NoteHeartbeat {
-		s.lastHeartbeat[n.Account] = n.Time
-	}
-	sink := s.sink
-	s.mu.Unlock()
-	if sink != nil {
+	if sink := s.Sink(); sink != nil {
 		sink.ObserveNotification(n)
 	}
-}
-
-// Notifications returns a copy of all collected notifications.
-func (s *Store) Notifications() []appscript.Notification {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]appscript.Notification, len(s.notifications))
-	copy(out, s.notifications)
-	return out
-}
-
-// NotificationsFor returns the notifications for one account, in
-// arrival order. The per-account index makes this O(matches) instead
-// of a linear scan over every account's notifications.
-func (s *Store) NotificationsFor(account string) []appscript.Notification {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := s.byAccount[account]
-	if len(idx) == 0 {
-		return nil
-	}
-	out := make([]appscript.Notification, len(idx))
-	for i, j := range idx {
-		out[i] = s.notifications[j]
-	}
-	return out
 }
 
 // recordAccesses merges freshly scraped activity rows and returns the
@@ -170,30 +131,11 @@ func (s *Store) recordFailure(account, reason string, at time.Time) {
 		return
 	}
 	s.failed[account] = true
-	f := ScrapeFailure{Account: account, Time: at, Reason: reason}
-	s.failures = append(s.failures, f)
 	sink := s.sink
 	s.mu.Unlock()
 	if sink != nil {
-		sink.ObserveFailure(f)
+		sink.ObserveFailure(ScrapeFailure{Account: account, Time: at, Reason: reason})
 	}
-}
-
-// Failures returns all scrape failures in order of occurrence.
-func (s *Store) Failures() []ScrapeFailure {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ScrapeFailure, len(s.failures))
-	copy(out, s.failures)
-	return out
-}
-
-// LastHeartbeat reports the most recent heartbeat from an account.
-func (s *Store) LastHeartbeat(account string) (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.lastHeartbeat[account]
-	return t, ok
 }
 
 // tracked is the monitor's per-account scraping state. Its mutable
@@ -262,8 +204,8 @@ type Config struct {
 	// DisableVersionGate restores the pre-dirty-tracking behaviour:
 	// every scrape tick logs into every tracked account and copies the
 	// full activity page, changed or not. The observed dataset is
-	// identical either way; the flag exists to quantify the
-	// optimisation and as an escape hatch.
+	// identical either way; the flag exists as the tests' oracle for
+	// the gated scraper and to quantify what the gate saves.
 	DisableVersionGate bool
 }
 
@@ -289,9 +231,6 @@ func New(cfg Config) *Monitor {
 	}
 }
 
-// Store returns the monitor's store.
-func (m *Monitor) Store() *Store { return m.store }
-
 // Track registers a honey account and the password that was leaked
 // for it.
 func (m *Monitor) Track(account, password string) {
@@ -314,7 +253,7 @@ func (m *Monitor) Track(account, password string) {
 // UpdatePassword rotates the monitor's stored credential for a
 // tracked account — the defender's half of a password reset. The
 // failed flag clears so scraping resumes with the new password on the
-// next tick; the Store-level failure record (if any) stays, because
+// next tick; the Store's failed mark (if any) stays, because
 // recordFailure is deliberately first-failure-only per account.
 func (m *Monitor) UpdatePassword(account, newPassword string) {
 	m.mu.Lock()
@@ -463,9 +402,11 @@ func (m *Monitor) scrapeOne(t *tracked, now time.Time) {
 	}
 }
 
-// Dataset extracts the analysis-ready access records, applying the
-// §4.1 self-filter: the monitor's own cookies and any access from the
-// infrastructure's city are dropped.
+// Dataset extracts the latest access records the store holds,
+// applying the §4.1 self-filter: the monitor's own cookies and any
+// access from the infrastructure's city are dropped. The engine reads
+// its observations from the Sink instead; Dataset is the reference
+// the tests check that feed against.
 func (m *Monitor) Dataset() []AccessRecord {
 	self := m.MonitorCookies()
 	m.store.mu.Lock()

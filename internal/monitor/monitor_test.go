@@ -20,6 +20,7 @@ type fixture struct {
 	svc   *webmail.Service
 	space *netsim.AddressSpace
 	store *Store
+	sink  *recordingSink // everything the store forwarded
 	mon   *Monitor
 	rt    *appscript.Runtime
 }
@@ -31,13 +32,15 @@ func newFixture(t *testing.T) *fixture {
 	svc := webmail.NewService(webmail.Config{Clock: clock})
 	space := netsim.NewAddressSpace(rng.New(11), geo.Default())
 	store := NewStore()
+	sink := &recordingSink{}
+	store.SetSink(sink)
 	monEP, err := space.FromCity("London") // the infrastructure's home city
 	if err != nil {
 		t.Fatal(err)
 	}
 	mon := New(Config{Service: svc, Scheduler: sched, Store: store, Endpoint: monEP})
 	rt := appscript.NewRuntime(svc, sched, store)
-	f := &fixture{clock: clock, sched: sched, svc: svc, space: space, store: store, mon: mon, rt: rt}
+	f := &fixture{clock: clock, sched: sched, svc: svc, space: space, store: store, sink: sink, mon: mon, rt: rt}
 	if err := svc.CreateAccount("h1@honeymail.example", "pw1", "Honey One"); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestPasswordChangeFreezesScrapes(t *testing.T) {
 	f.sched.RunFor(time.Hour)
 	se.ChangePassword("owned")
 	f.sched.RunFor(time.Hour)
-	fails := f.store.Failures()
+	fails := f.sink.failures
 	if len(fails) != 1 || fails[0].Reason != "password-changed" {
 		t.Fatalf("failures = %+v", fails)
 	}
@@ -127,8 +130,8 @@ func TestPasswordChangeFreezesScrapes(t *testing.T) {
 	se.Read(id)
 	f.sched.RunFor(time.Hour)
 	reads := 0
-	for _, n := range f.store.NotificationsFor("h1@honeymail.example") {
-		if n.Kind == appscript.NoteRead {
+	for _, n := range f.sink.notifications {
+		if n.Account == "h1@honeymail.example" && n.Kind == appscript.NoteRead {
 			reads++
 		}
 	}
@@ -142,13 +145,13 @@ func TestSuspensionRecordedAsFailure(t *testing.T) {
 	f.mon.Start(30 * time.Minute)
 	f.svc.Suspend("h1@honeymail.example", "abuse")
 	f.sched.RunFor(time.Hour)
-	fails := f.store.Failures()
+	fails := f.sink.failures
 	if len(fails) != 1 || fails[0].Reason != "suspended" {
 		t.Fatalf("failures = %+v", fails)
 	}
 	// Failure is recorded only once even as scraping continues.
 	f.sched.RunFor(5 * time.Hour)
-	if got := len(f.store.Failures()); got != 1 {
+	if got := len(f.sink.failures); got != 1 {
 		t.Fatalf("failures after more scrapes = %d", got)
 	}
 }
@@ -156,9 +159,14 @@ func TestSuspensionRecordedAsFailure(t *testing.T) {
 func TestHeartbeatTracking(t *testing.T) {
 	f := newFixture(t)
 	f.sched.RunFor(25 * time.Hour)
-	hb, ok := f.store.LastHeartbeat("h1@honeymail.example")
-	if !ok {
-		t.Fatal("no heartbeat recorded")
+	var hb time.Time
+	for _, n := range f.sink.notifications {
+		if n.Account == "h1@honeymail.example" && n.Kind == appscript.NoteHeartbeat {
+			hb = n.Time
+		}
+	}
+	if hb.IsZero() {
+		t.Fatal("no heartbeat forwarded")
 	}
 	if hb.Before(epoch.Add(24 * time.Hour)) {
 		t.Fatalf("heartbeat at %v", hb)
@@ -178,13 +186,30 @@ func TestStopEndsScraping(t *testing.T) {
 	f.mon.Stop()
 }
 
-func TestNotificationsCopySemantics(t *testing.T) {
-	f := newFixture(t)
-	f.store.Notify(appscript.Notification{Account: "h1@honeymail.example", Kind: appscript.NoteRead})
-	ns := f.store.Notifications()
-	ns[0].Account = "mutated"
-	if f.store.Notifications()[0].Account != "h1@honeymail.example" {
-		t.Fatal("Notifications exposed internal state")
+// countingSink counts notifications without retaining them, so the
+// allocation check below measures the store alone.
+type countingSink struct{ notifications int }
+
+func (c *countingSink) ObserveAccess(AccessRecord)                 {}
+func (c *countingSink) ObserveNotification(appscript.Notification) { c.notifications++ }
+func (c *countingSink) ObserveFailure(ScrapeFailure)               {}
+
+// TestNotifyRetainsNothing: the store forwards each notification to
+// the sink exactly once and keeps no log of its own — Notify does not
+// allocate, with or without a sink.
+func TestNotifyRetainsNothing(t *testing.T) {
+	store := NewStore()
+	n := appscript.Notification{Account: "h1@honeymail.example", Kind: appscript.NoteHeartbeat}
+	if allocs := testing.AllocsPerRun(100, func() { store.Notify(n) }); allocs != 0 {
+		t.Fatalf("Notify without a sink allocated %v times per call", allocs)
+	}
+	sink := &countingSink{}
+	store.SetSink(sink)
+	if allocs := testing.AllocsPerRun(100, func() { store.Notify(n) }); allocs != 0 {
+		t.Fatalf("Notify with a sink allocated %v times per call", allocs)
+	}
+	if sink.notifications != 101 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("sink saw %d notifications, want 101", sink.notifications)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // sketches and bucket maps instead of raw samples, and these
 // renderers print them byte-identically to the ECDF/point-backed
 // figures over the same data (TestStreamMatchesBatchReports asserts
-// it). Both forms coexist so a report can come from either a merged
-// Dataset (the batch path, real-deployment logs) or merged
-// shard Aggregates (the streaming path).
+// it). Both forms coexist: the engine reports from merged shard
+// Aggregates, and the Dataset-backed renderers are the reference the
+// equivalence tests compare against.
 
 // SketchSeries renders a probe sketch exactly as CDFSeries renders
 // the same sample at the sketch's probes.

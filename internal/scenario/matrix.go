@@ -328,27 +328,43 @@ func runCompiled(spec Spec, seed int64, opts Options, cfg honeynet.Config, pool 
 		return fail(err)
 	}
 
-	var agg *analysis.Aggregates
-	if exp.StreamingEnabled() {
-		agg, err = exp.Aggregates()
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		agg = analysis.AggregatesFromDataset(exp.Dataset(), analysis.StreamConfig{})
+	if err := res.collect(exp); err != nil {
+		return fail(err)
 	}
-	res.Agg = agg
-	res.GroupCounts = map[int]int{}
-	for _, a := range exp.Assignments() {
-		res.GroupCounts[a.Group.ID]++
-	}
-	res.Contents = exp.SeededContents()
-	res.DropWords = exp.DropWords()
-	res.Blackmailers = exp.Blackmailers()
-	res.Inquiries = len(exp.AllInquiries())
-	res.Defender = exp.DefenderOutcomes()
-	res.C3Indexed = exp.C3Stats().Credentials
-	res.Events = exp.ShardSet().Fired()
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// FromExperiment collects a finished experiment into a Result, the
+// form every report section renders from. cmd/honeynet's plain run
+// uses it; the scenario runner fills its results the same way.
+func FromExperiment(exp *honeynet.Experiment) (*Result, error) {
+	cfg := exp.Config()
+	res := &Result{Seed: cfg.Seed, Shards: cfg.Shards, Scale: cfg.ScaleFactor, SetupSeed: cfg.SetupSeed}
+	if err := res.collect(exp); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// collect fills the outcome fields of r from a finished experiment:
+// the merged aggregates plus the run context the full report needs.
+func (r *Result) collect(exp *honeynet.Experiment) error {
+	agg, err := exp.Aggregates()
+	if err != nil {
+		return err
+	}
+	r.Agg = agg
+	r.GroupCounts = map[int]int{}
+	for _, a := range exp.Assignments() {
+		r.GroupCounts[a.Group.ID]++
+	}
+	r.Contents = exp.SeededContents()
+	r.DropWords = exp.DropWords()
+	r.Blackmailers = exp.Blackmailers()
+	r.Inquiries = len(exp.AllInquiries())
+	r.Defender = exp.DefenderOutcomes()
+	r.C3Indexed = exp.C3Stats().Credentials
+	r.Events = exp.ShardSet().Fired()
+	return nil
 }

@@ -10,11 +10,74 @@ import (
 	"repro/internal/report"
 )
 
-// RenderFullReport renders a scenario result as the complete artifact
-// sequence cmd/honeynet prints for a single run (overview through
-// sophistication), from the merged aggregates alone. The output is a
-// pure function of the result, which is what lets the golden-report
-// corpus pin it byte for byte.
+// Section is one report section: the id cmd/honeynet's -experiment
+// flag selects it by, and its renderer.
+type Section struct {
+	ID     string
+	Render func(r *Result, resamples int) string
+}
+
+// paperSections are the paper's artifacts in report order, overview
+// through sophistication, each rendered from the merged aggregates.
+var paperSections = []Section{
+	{"overview", func(r *Result, _ int) string { return report.Overview(r.Agg.Overview()) }},
+	{"table1", func(r *Result, _ int) string { return report.Table1(table1Rows(r.GroupCounts)) }},
+	{"fig1", func(r *Result, _ int) string { return report.Figure1Sketches(r.Agg.Durations) }},
+	{"fig2", func(r *Result, _ int) string { return report.Figure2(r.Agg.PerOutlet) }},
+	{"fig3", func(r *Result, _ int) string { return report.Figure3Sketches(r.Agg.TimeToAccess) }},
+	{"fig4", func(r *Result, _ int) string { return report.Figure4Buckets(r.Agg.Timeline, r.Agg.TimelineMax) }},
+	{"sysconfig", func(r *Result, _ int) string { return report.SystemConfig(r.Agg.ConfigRows()) }},
+	{"fig5a", func(r *Result, _ int) string {
+		return report.Figure5("UK/London", r.Agg.MedianRadii(analysis.HintUK))
+	}},
+	{"fig5b", func(r *Result, _ int) string {
+		return report.Figure5("US/Pontiac", r.Agg.MedianRadii(analysis.HintUS))
+	}},
+	{"cvm", func(r *Result, resamples int) string {
+		return report.Significance(r.Agg.LocationSignificance(resamples, r.Seed))
+	}},
+	{"table2", func(r *Result, _ int) string {
+		kw := r.Agg.KeywordInference(r.Contents, r.DropWords)
+		return report.Table2(kw.TopSearched(10), kw.TopCorpus(10))
+	}},
+	{"cases", func(r *Result, _ int) string {
+		return report.CaseStudies(r.Blackmailers, len(r.Agg.Drafts), r.Inquiries)
+	}},
+	{"sophistication", func(r *Result, resamples int) string {
+		return report.Sophistication(r.Agg.ConfigRows(), r.Agg.LocationSignificance(resamples, r.Seed))
+	}},
+}
+
+// Sections returns the sections a result renders, in report order:
+// the paper's artifacts, plus defender when the run armed the C3
+// loop — so a defender-free run renders byte-identically to one from a
+// build without the subsystem.
+func Sections(r *Result) []Section {
+	out := append([]Section(nil), paperSections...)
+	if len(r.Defender) > 0 {
+		out = append(out, Section{"defender", func(r *Result, _ int) string {
+			return report.Defender(DefenderRows(r.Defender))
+		}})
+	}
+	return out
+}
+
+// RenderSections renders every section of a result under its
+// "===== id =====" banner — the body cmd/honeynet prints for
+// -experiment all.
+func RenderSections(r *Result, resamples int) string {
+	var b strings.Builder
+	for _, s := range Sections(r) {
+		fmt.Fprintf(&b, "===== %s =====\n%s\n", s.ID, s.Render(r, resamples))
+	}
+	return b.String()
+}
+
+// RenderFullReport renders a scenario result as a header line followed
+// by the complete section sequence cmd/honeynet prints for a single
+// run, from the merged aggregates alone. The output is a pure function
+// of the result, which is what lets the golden-report corpus pin it
+// byte for byte.
 func RenderFullReport(r *Result, resamples int) (string, error) {
 	if r == nil {
 		return "", fmt.Errorf("scenario: nil result")
@@ -22,47 +85,22 @@ func RenderFullReport(r *Result, resamples int) (string, error) {
 	if r.Err != nil {
 		return "", r.Err
 	}
-	agg := r.Agg
-	var b strings.Builder
-	section := func(id, body string) {
-		fmt.Fprintf(&b, "===== %s =====\n%s\n", id, body)
-	}
-	fmt.Fprintf(&b, "scenario %s (seed %d, scale %d)\n\n", r.Spec.Name, r.Seed, r.Scale)
+	header := fmt.Sprintf("scenario %s (seed %d, scale %d)\n\n", r.Spec.Name, r.Seed, r.Scale)
+	return header + RenderSections(r, resamples), nil
+}
 
-	section("overview", report.Overview(agg.Overview()))
-
-	ids := make([]int, 0, len(r.GroupCounts))
-	for id := range r.GroupCounts {
+// table1Rows lists the deployment's group sizes in group order.
+func table1Rows(counts map[int]int) []report.Table1Row {
+	ids := make([]int, 0, len(counts))
+	for id := range counts {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var rows []report.Table1Row
+	rows := make([]report.Table1Row, 0, len(ids))
 	for _, id := range ids {
-		rows = append(rows, report.Table1Row{Group: id, Count: r.GroupCounts[id], Label: honeynet.PaperGroupLabel(id)})
+		rows = append(rows, report.Table1Row{Group: id, Count: counts[id], Label: honeynet.PaperGroupLabel(id)})
 	}
-	section("table1", report.Table1(rows))
-
-	section("fig1", report.Figure1Sketches(agg.Durations))
-	section("fig2", report.Figure2(agg.PerOutlet))
-	section("fig3", report.Figure3Sketches(agg.TimeToAccess))
-	section("fig4", report.Figure4Buckets(agg.Timeline, agg.TimelineMax))
-	section("sysconfig", report.SystemConfig(agg.ConfigRows()))
-	section("fig5a", report.Figure5("UK/London", agg.MedianRadii(analysis.HintUK)))
-	section("fig5b", report.Figure5("US/Pontiac", agg.MedianRadii(analysis.HintUS)))
-	section("cvm", report.Significance(agg.LocationSignificance(resamples, r.Seed)))
-
-	kw := agg.KeywordInference(r.Contents, r.DropWords)
-	section("table2", report.Table2(kw.TopSearched(10), kw.TopCorpus(10)))
-
-	section("cases", report.CaseStudies(r.Blackmailers, len(agg.Drafts), r.Inquiries))
-	section("sophistication", report.Sophistication(agg.ConfigRows(), agg.LocationSignificance(resamples, r.Seed)))
-	// The defender section exists only when the scenario armed the C3
-	// loop: a defender-disabled run renders byte-identically to one
-	// from a build without the subsystem.
-	if len(r.Defender) > 0 {
-		section("defender", report.Defender(DefenderRows(r.Defender)))
-	}
-	return b.String(), nil
+	return rows
 }
 
 // DefenderRows converts the engine's detection-race outcomes to the

@@ -44,10 +44,6 @@ type Spec struct {
 	VisibleScripts bool `json:"visible_scripts,omitempty"`
 	// DisableCaseStudies skips the §4.7 scripted scenarios.
 	DisableCaseStudies bool `json:"disable_case_studies,omitempty"`
-	// DisableStreaming / DisableDirtyTracking flip the engine toggles
-	// (identical outputs, different cost; see honeynet.Config).
-	DisableStreaming     bool `json:"disable_streaming,omitempty"`
-	DisableDirtyTracking bool `json:"disable_dirty_tracking,omitempty"`
 	// Locale selects the decoy-identity locale (corpus.LocaleNames;
 	// "" = English, the paper's population).
 	Locale string `json:"locale,omitempty"`
@@ -380,17 +376,15 @@ func (s *Spec) Config(seed int64, shards, scale int) (honeynet.Config, error) {
 		return honeynet.Config{}, err
 	}
 	cfg := honeynet.Config{
-		Seed:                 seed,
-		Plan:                 plan,
-		Sites:                sites,
-		Populations:          pops,
-		MailboxSize:          s.MailboxSize,
-		VisibleScripts:       s.VisibleScripts,
-		DisableCaseStudies:   s.DisableCaseStudies,
-		DisableStreaming:     s.DisableStreaming,
-		DisableDirtyTracking: s.DisableDirtyTracking,
-		Shards:               shards,
-		ScaleFactor:          scale,
+		Seed:               seed,
+		Plan:               plan,
+		Sites:              sites,
+		Populations:        pops,
+		MailboxSize:        s.MailboxSize,
+		VisibleScripts:     s.VisibleScripts,
+		DisableCaseStudies: s.DisableCaseStudies,
+		Shards:             shards,
+		ScaleFactor:        scale,
 	}
 	if s.Days > 0 {
 		cfg.Duration = time.Duration(s.Days) * 24 * time.Hour

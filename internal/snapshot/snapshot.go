@@ -45,8 +45,10 @@ import (
 // streaming container; version 3 added Config.SetupLayout (the setup
 // stream-derivation layout, which also entered the fingerprint);
 // version 4 added the C3 defender section (Config.DefenderCadenceNS,
-// C3BucketBits, C3Variants and the State.Defender cursor list).
-const Version = 4
+// C3BucketBits, C3Variants and the State.Defender cursor list);
+// version 5 dropped the DisableStreaming and DisableDirtyTracking
+// config flags along with the engine toggles they recorded.
+const Version = 5
 
 // magic identifies a snapshot file: 7 fixed bytes plus the version.
 var magic = [8]byte{'h', 'n', 'y', 's', 'n', 'a', 'p', Version}
@@ -82,10 +84,8 @@ type Config struct {
 	Shards           int
 	Scale            int
 
-	VisibleScripts       bool
-	DisableCaseStudies   bool
-	DisableStreaming     bool
-	DisableDirtyTracking bool
+	VisibleScripts     bool
+	DisableCaseStudies bool
 
 	LoginRisk LoginRisk
 
@@ -299,8 +299,6 @@ func (c *Config) encode(w *writer) {
 	w.i64(int64(c.Scale))
 	w.bool(c.VisibleScripts)
 	w.bool(c.DisableCaseStudies)
-	w.bool(c.DisableStreaming)
-	w.bool(c.DisableDirtyTracking)
 	w.bool(c.LoginRisk.Enabled)
 	w.bool(c.LoginRisk.BlockTor)
 	w.bool(c.LoginRisk.BlockProxies)
@@ -577,7 +575,7 @@ func (c *Config) decode(r *reader) error {
 		return err
 	}
 	flags := []*bool{
-		&c.VisibleScripts, &c.DisableCaseStudies, &c.DisableStreaming, &c.DisableDirtyTracking,
+		&c.VisibleScripts, &c.DisableCaseStudies,
 		&c.LoginRisk.Enabled, &c.LoginRisk.BlockTor, &c.LoginRisk.BlockProxies,
 	}
 	for _, f := range flags {

@@ -15,7 +15,6 @@ func sampleState() *State {
 			StartNS: 1435190400000000000, DurationNS: 86400e9, MailboxSize: 3,
 			ScanIntervalNS: 600e9, ScrapeIntervalNS: 3600e9, Shards: 2, Scale: 1,
 			VisibleScripts: true, DisableCaseStudies: false,
-			DisableStreaming: false, DisableDirtyTracking: true,
 			LoginRisk:         LoginRisk{Enabled: true, BlockTor: true, MaxKmFromHome: 1234.5},
 			CustomSites:       true,
 			DefenderCadenceNS: 43200e9, C3BucketBits: 12, C3Variants: true,

@@ -1,7 +1,7 @@
 // Stream-equals-batch: the streaming classification pipeline (per-
 // shard incremental classifiers merged as O(shards) aggregates) must
-// render every table and figure byte-identically to the legacy batch
-// pipeline (merge all records into one Dataset, classify post hoc)
+// render every table and figure byte-identically to the record-level
+// analysis functions run over the merged Dataset (classify post hoc)
 // for the same seed, at any shard count. This is the determinism
 // guarantee that lets fleet-scale runs skip the merged dataset
 // entirely without changing a single reported number.
@@ -31,8 +31,8 @@ func streamTestConfig(seed int64, shards int) honeynet.Config {
 
 const streamTestResamples = 200
 
-// renderBatchReport renders every section through the legacy
-// dataset-backed functions.
+// renderBatchReport renders every section through the record-level
+// functions over the merged Dataset — the reference oracle.
 func renderBatchReport(exp *honeynet.Experiment, seed int64) string {
 	ds := exp.Dataset()
 	cs := analysis.Classify(ds, analysis.ClassifyOptions{})
@@ -97,9 +97,10 @@ func firstDiff(a, b string) string {
 }
 
 // TestStreamMatchesBatchReports is the acceptance gate of the
-// streaming pipeline: for a fixed seed, streaming and batch modes
-// render byte-identical reports at shard counts 1 and 4, and the
-// streaming report itself is shard-count invariant.
+// streaming pipeline: for a fixed seed, the aggregates and the
+// record-level functions over the Dataset render byte-identical
+// reports at shard counts 1 and 4, and the streaming report itself is
+// shard-count invariant.
 func TestStreamMatchesBatchReports(t *testing.T) {
 	const seed = 77
 	reports := map[int]string{}
@@ -123,26 +124,5 @@ func TestStreamMatchesBatchReports(t *testing.T) {
 	}
 	if reports[1] != reports[4] {
 		t.Fatalf("streaming report changes with shard count\n%s", firstDiff(reports[1], reports[4]))
-	}
-}
-
-// TestStreamingDisabled: with the legacy flag set, Aggregates errors
-// and the dataset path still works.
-func TestStreamingDisabled(t *testing.T) {
-	cfg := streamTestConfig(5, 2)
-	cfg.Duration = 30 * 24 * time.Hour
-	cfg.DisableStreaming = true
-	exp, err := honeynet.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.Aggregates(); err == nil {
-		t.Fatal("Aggregates succeeded with streaming disabled")
-	}
-	if ds := exp.Dataset(); len(ds.Accesses) == 0 {
-		t.Fatal("batch dataset empty")
 	}
 }
