@@ -8,8 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Wire protocol: the repo's newline-delimited JSON frames over TCP
@@ -45,176 +46,18 @@ type Response struct {
 // contract: SIGTERM stops the listener, drops idle connections, and
 // lets an in-flight request finish its response.
 type Server struct {
+	*wire.Server
 	store *Store
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[*srvConn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
-}
-
-// srvConn tracks one connection's drain state.
-type srvConn struct {
-	net.Conn
-	mu            sync.Mutex
-	busy          bool
-	closeWhenIdle bool
-}
-
-func (c *srvConn) beginRequest() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closeWhenIdle {
-		return false
-	}
-	c.busy = true
-	return true
-}
-
-func (c *srvConn) endRequest() (quit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.busy = false
-	return c.closeWhenIdle
-}
-
-func (c *srvConn) drain() {
-	c.mu.Lock()
-	idle := !c.busy
-	c.closeWhenIdle = true
-	c.mu.Unlock()
-	if idle {
-		c.Close()
-	}
 }
 
 // NewServer wraps a store.
 func NewServer(store *Store) *Server {
-	return &Server{store: store, conns: make(map[*srvConn]struct{})}
+	s := &Server{store: store}
+	s.Server = wire.NewServer("c3", s.serveConn)
+	return s
 }
 
-// Listen starts accepting connections on addr ("127.0.0.1:0" for an
-// ephemeral port) and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("c3: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		sc := &srvConn{Conn: conn}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[sc] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(sc)
-			s.mu.Lock()
-			delete(s.conns, sc)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops the listener and all connections immediately, in-flight
-// requests included. Prefer Drain for an orderly shutdown.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// Drain shuts the server down gracefully: listener first, idle
-// connections at once, busy connections after their in-flight
-// response. Returns once every connection has exited, or forces a
-// Close and returns ctx.Err() when the context expires first.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	s.listener = nil
-	conns := make([]*srvConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.drain()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		return ctx.Err()
-	}
-}
-
-func (s *Server) serveConn(conn *srvConn) {
-	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or bad frame: drop the connection
-		}
-		if !conn.beginRequest() {
-			return // draining: the request never started, drop it
-		}
-		resp := s.Handle(&req)
-		err := enc.Encode(resp)
-		if conn.endRequest() || err != nil {
-			return
-		}
-	}
-}
+func (s *Server) serveConn(c *wire.Conn) { wire.ServeJSON(c, s.Handle) }
 
 // Handle executes one request. Exported so the fuzzer and in-process
 // callers hit exactly the code path the socket serves.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/webmail"
+	"repro/internal/wire"
 )
 
 // RouterConfig parameterises a Router.
@@ -104,52 +105,13 @@ type Router struct {
 	pools  []chan *backendConn
 	sem    chan struct{}
 	health []shardHealth
+	srv    *wire.Server
 
 	// stopProbes ends the per-shard health probers; closed exactly
 	// once by whichever of Close/Drain runs first.
 	stopProbes chan struct{}
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[*routerConn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
-}
-
-// routerConn tracks one client connection's drain state (same
-// contract as webmail's srvConn).
-type routerConn struct {
-	net.Conn
-	mu            sync.Mutex
-	busy          bool
-	closeWhenIdle bool
-}
-
-func (c *routerConn) beginRequest() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closeWhenIdle {
-		return false
-	}
-	c.busy = true
-	return true
-}
-
-func (c *routerConn) endRequest() (quit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.busy = false
-	return c.closeWhenIdle
-}
-
-func (c *routerConn) drain() {
-	c.mu.Lock()
-	idle := !c.busy
-	c.closeWhenIdle = true
-	c.mu.Unlock()
-	if idle {
-		c.Close()
-	}
+	stopOnce   sync.Once
+	probes     sync.WaitGroup
 }
 
 // NewRouter validates the config and builds an unstarted router.
@@ -163,8 +125,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		sem:        make(chan struct{}, cfg.MaxInFlight),
 		health:     make([]shardHealth, len(cfg.Shards)),
 		stopProbes: make(chan struct{}),
-		conns:      make(map[*routerConn]struct{}),
 	}
+	r.srv = wire.NewServer("livefleet", r.serve)
 	for i := range r.pools {
 		r.pools[i] = make(chan *backendConn, cfg.PoolSize)
 	}
@@ -187,53 +149,21 @@ func (r *Router) Listen(addr string) (string, error) {
 		}
 		r.putBack(shard, bc)
 	}
-	ln, err := net.Listen("tcp", addr)
+	bound, err := r.srv.Listen(addr)
 	if err != nil {
 		r.drainPools()
-		return "", fmt.Errorf("livefleet: listen: %w", err)
+		return "", err
 	}
-	r.mu.Lock()
-	r.listener = ln
-	r.mu.Unlock()
-	r.wg.Add(1)
-	go r.acceptLoop(ln)
 	if r.cfg.HealthInterval > 0 {
 		for shard := range r.cfg.Shards {
-			r.wg.Add(1)
+			r.probes.Add(1)
 			go func(shard int) {
-				defer r.wg.Done()
+				defer r.probes.Done()
 				r.probeLoop(shard)
 			}(shard)
 		}
 	}
-	return ln.Addr().String(), nil
-}
-
-func (r *Router) acceptLoop(ln net.Listener) {
-	defer r.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		rc := &routerConn{Conn: conn}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return
-		}
-		r.conns[rc] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.serve(rc)
-			r.mu.Lock()
-			delete(r.conns, rc)
-			r.mu.Unlock()
-		}()
-	}
+	return bound, nil
 }
 
 // dial opens one backend connection, subject to the shard's health
@@ -289,48 +219,34 @@ func (r *Router) putBack(shard int, bc *backendConn) {
 // serve proxies one client connection. A bound backend connection is
 // session state: it dies with the client connection, never returning
 // to the pool (only never-logged-in connections are reusable).
-func (r *Router) serve(rc *routerConn) {
-	defer rc.Close()
-	br := bufio.NewReader(rc)
+func (r *Router) serve(c *wire.Conn) {
 	var backend *backendConn
 	defer func() {
 		if backend != nil {
 			backend.Close()
 		}
 	}()
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			return
-		}
-		if !rc.beginRequest() {
-			return // draining: the request never started
-		}
-		ok := r.proxy(rc, &backend, line)
-		if rc.endRequest() || !ok {
-			return
-		}
-	}
+	c.Serve(func(frame []byte) bool { return r.proxy(c, &backend, frame) })
 }
 
 // localError writes a router-originated error response; it reports
 // whether the client accepted it in time.
-func (r *Router) localError(rc *routerConn, msg string) bool {
+func (r *Router) localError(c *wire.Conn, msg string) bool {
 	resp, _ := json.Marshal(webmail.Response{Error: msg})
-	return r.relay(rc, append(resp, '\n'))
+	return r.relay(c, append(resp, '\n'))
 }
 
 // relay writes one response frame under the slow-client deadline.
-func (r *Router) relay(rc *routerConn, frame []byte) bool {
-	rc.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	_, err := rc.Conn.Write(frame)
-	rc.SetWriteDeadline(time.Time{})
+func (r *Router) relay(c *wire.Conn, frame []byte) bool {
+	c.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
+	_, err := c.Write(frame)
+	c.SetWriteDeadline(time.Time{})
 	return err == nil
 }
 
 // proxy handles one request frame; it reports whether the connection
 // should keep being served.
-func (r *Router) proxy(rc *routerConn, backend **backendConn, line []byte) bool {
+func (r *Router) proxy(rc *wire.Conn, backend **backendConn, line []byte) bool {
 	r.sem <- struct{}{} // backpressure: bounded in-flight requests
 	defer func() { <-r.sem }()
 
@@ -338,9 +254,10 @@ func (r *Router) proxy(rc *routerConn, backend **backendConn, line []byte) bool 
 		Op      string `json:"op"`
 		Account string `json:"account"`
 	}
-	if err := json.Unmarshal(line, &peek); err != nil {
+	if err := wire.Decode(line, &peek); err != nil {
 		// A malformed frame desyncs the stream; webmaild drops the
-		// connection for these, so the router does too.
+		// connection for these under the same rule, so the router does
+		// too.
 		return false
 	}
 	if *backend == nil && peek.Op != "login" {
@@ -436,7 +353,8 @@ func dialErrorMessage(err error) string {
 // forward sends one frame and reads the raw single-line response
 // (json.Encoder frames never contain raw newlines). The bound-session
 // relay path never parses response bodies — a list reply is opaque
-// bytes to the router.
+// bytes to the router, and not bounded by wire.MaxFrame: with limit 0
+// it may legitimately be larger.
 func forward(bc *backendConn, line []byte) ([]byte, error) {
 	if _, err := bc.c.Write(line); err != nil {
 		return nil, err
@@ -460,70 +378,23 @@ func roundTrip(bc *backendConn, line []byte) (ok bool, raw []byte, err error) {
 	return resp.OK, raw, nil
 }
 
-// Close stops the router and every connection immediately.
+// Close stops the router, its health probers and every connection
+// immediately.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	wasClosed := r.closed
-	r.closed = true
-	ln := r.listener
-	r.listener = nil
-	for c := range r.conns {
-		c.Close()
-	}
-	r.mu.Unlock()
-	if !wasClosed {
-		close(r.stopProbes)
-	}
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	r.wg.Wait()
+	r.stopOnce.Do(func() { close(r.stopProbes) })
+	err := r.srv.Close()
+	r.probes.Wait()
 	r.drainPools()
 	return err
 }
 
-// Drain shuts the router down gracefully with the same contract as
-// webmail.Server.Drain: no new connections, idle clients drop, each
-// in-flight request finishes its response. On ctx expiry the
-// straggler sockets are force-closed and ctx.Err() returned.
+// Drain shuts the router down gracefully with the wire drain contract
+// (wire.Server.Drain), then stops its health probers and closes its
+// pooled backend connections.
 func (r *Router) Drain(ctx context.Context) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	ln := r.listener
-	r.listener = nil
-	conns := make([]*routerConn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
-	close(r.stopProbes)
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.drain()
-	}
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		r.mu.Lock()
-		for c := range r.conns {
-			c.Close()
-		}
-		r.mu.Unlock()
-		err = ctx.Err()
-	}
+	r.stopOnce.Do(func() { close(r.stopProbes) })
+	err := r.srv.Drain(ctx)
+	r.probes.Wait()
 	r.drainPools()
 	return err
 }

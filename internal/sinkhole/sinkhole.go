@@ -2,12 +2,13 @@ package sinkhole
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // StoredMail is one captured outbound message.
@@ -76,168 +77,25 @@ func (s *Store) ByRecipient(to string) []StoredMail {
 	return out
 }
 
-// Server is the TCP front end speaking an SMTP subset.
+// Server is the TCP front end speaking an SMTP subset. Listen, Close
+// and Drain come from the shared wire layer; a session mid-command,
+// DATA payload included, finishes that command's reply on a drain.
 type Server struct {
+	*wire.Server
 	store *Store
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[*smtpConn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
-}
-
-// smtpConn tracks one session's drain state: busy while a command
-// (including a DATA payload) is being handled, and flagged to close
-// once the current command's reply has been flushed.
-type smtpConn struct {
-	net.Conn
-	mu            sync.Mutex
-	busy          bool
-	closeWhenIdle bool
-}
-
-func (c *smtpConn) beginCommand() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closeWhenIdle {
-		return false
-	}
-	c.busy = true
-	return true
-}
-
-func (c *smtpConn) endCommand() (quit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.busy = false
-	return c.closeWhenIdle
-}
-
-func (c *smtpConn) drain() {
-	c.mu.Lock()
-	idle := !c.busy
-	c.closeWhenIdle = true
-	c.mu.Unlock()
-	if idle {
-		c.Close()
-	}
 }
 
 // NewServer wraps a store.
 func NewServer(store *Store) *Server {
-	return &Server{store: store, conns: make(map[*smtpConn]struct{})}
-}
-
-// Listen binds the server and starts accepting; it returns the bound
-// address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("sinkhole: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		sc := &smtpConn{Conn: conn}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[sc] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serve(sc)
-			s.mu.Lock()
-			delete(s.conns, sc)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close shuts the listener and all live connections down.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// Drain shuts the sinkhole down gracefully: the listener closes, idle
-// sessions drop, and a session mid-command (including mid-DATA) gets
-// to flush its reply first. If ctx expires the straggler sockets are
-// force-closed and ctx.Err() is returned.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	// closed first: any accept racing the listener close is refused
-	// instead of escaping the conns snapshot below.
-	s.closed = true
-	ln := s.listener
-	s.listener = nil
-	conns := make([]*smtpConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.drain()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		return ctx.Err()
-	}
+	s := &Server{store: store}
+	s.Server = wire.NewServer("sinkhole", s.serve)
+	return s
 }
 
 // serve handles one SMTP-subset session. The grammar is deliberately
 // permissive: a sinkhole's job is to swallow whatever arrives.
-func (s *Server) serve(conn *smtpConn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+func (s *Server) serve(c *wire.Conn) {
+	w := bufio.NewWriter(c)
 	say := func(code int, msg string) bool {
 		fmt.Fprintf(w, "%d %s\r\n", code, msg)
 		return w.Flush() == nil
@@ -247,9 +105,10 @@ func (s *Server) serve(conn *smtpConn) {
 	}
 	var from string
 	var rcpts []string
-	// handle processes one command line; ok is false on a dead client
-	// or a QUIT.
-	handle := func(line string) (ok bool) {
+	// Each command line is one request; handling it reports false on a
+	// dead client or a QUIT.
+	c.Serve(func(frame []byte) bool {
+		line := strings.TrimRight(string(frame), "\r\n")
 		verb := strings.ToUpper(line)
 		switch {
 		case strings.HasPrefix(verb, "HELO") || strings.HasPrefix(verb, "EHLO"):
@@ -265,7 +124,7 @@ func (s *Server) serve(conn *smtpConn) {
 			if !say(354, "end data with <CRLF>.<CRLF>") {
 				return false
 			}
-			subject, body, err := readData(r)
+			subject, body, err := readData(c)
 			if err != nil {
 				return false
 			}
@@ -286,32 +145,20 @@ func (s *Server) serve(conn *smtpConn) {
 			// Sinkholes do not argue with clients.
 			return say(250, "ok (ignored)")
 		}
-	}
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return
-		}
-		if !conn.beginCommand() {
-			return // draining: the command never started
-		}
-		ok := handle(strings.TrimRight(line, "\r\n"))
-		if conn.endCommand() || !ok {
-			return
-		}
-	}
+	})
 }
 
 // readData consumes a DATA payload up to the lone-dot terminator and
-// splits out a Subject: header if one is present.
-func readData(r *bufio.Reader) (subject, body string, err error) {
+// splits out a Subject: header if one is present. The payload belongs
+// to the DATA request, so wire.MaxFrame bounds it as a whole.
+func readData(c *wire.Conn) (subject, body string, err error) {
 	var lines []string
 	for {
-		line, err := r.ReadString('\n')
+		frame, err := c.ReadFrame()
 		if err != nil {
 			return "", "", err
 		}
-		line = strings.TrimRight(line, "\r\n")
+		line := strings.TrimRight(string(frame), "\r\n")
 		if line == "." {
 			break
 		}

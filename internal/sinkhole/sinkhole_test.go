@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 var epoch = time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
@@ -175,6 +177,24 @@ func TestServerClose(t *testing.T) {
 	}
 	if err := Send(addr, "a@x", "b@y", "s", "b"); err == nil {
 		t.Fatal("send after close succeeded")
+	}
+}
+
+// TestSMTPDataBoundedAsWhole: a DATA payload is one request, so short
+// lines that add up past wire.MaxFrame end the session unanswered and
+// capture nothing.
+func TestSMTPDataBoundedAsWhole(t *testing.T) {
+	line := strings.Repeat("x", 1022) + "\r\n"
+	script := "MAIL FROM:<a@honey>\r\nRCPT TO:<v@x>\r\nDATA\r\n" +
+		strings.Repeat(line, wire.MaxFrame/len(line)+1) + ".\r\nQUIT\r\n"
+	conn := &scriptConn{in: strings.NewReader(script)}
+	st := NewStore(fixedNow)
+	NewServer(st).ServeConn(conn)
+	if got := conn.out.String(); !strings.HasSuffix(got, "354 end data with <CRLF>.<CRLF>\r\n") {
+		t.Fatalf("replies = %q, want the session to end inside DATA", got)
+	}
+	if st.Count() != 0 {
+		t.Fatalf("captured %d mails from an oversized payload", st.Count())
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 
 // byteConn is a scripted net.Conn: reads come from a fixed request
 // stream, writes (the server's responses) accumulate in a buffer.
-// Driving serveConn through it exercises the full wire path — decode
-// loop, op dispatch, session binding, encode — without goroutines or
-// real sockets, so the fuzzer stays deterministic and cannot
-// deadlock.
+// Driving Server.ServeConn through it exercises the full wire path —
+// bounded framing, decode, op dispatch, session binding, encode —
+// without goroutines or real sockets, so the fuzzer stays
+// deterministic and cannot deadlock.
 type byteConn struct {
 	in  *bytes.Reader
 	out bytes.Buffer
@@ -88,7 +88,7 @@ func FuzzServerConn(f *testing.F) {
 		svc := fuzzService(t)
 		srv := NewServer(svc)
 		conn := &byteConn{in: bytes.NewReader(data)}
-		srv.serveConn(&srvConn{Conn: conn})
+		srv.ServeConn(conn)
 
 		// Every reply frame the server produced must decode as a
 		// Response — half-written or interleaved frames would desync

@@ -9,9 +9,9 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"sync"
 
 	"repro/internal/netsim"
+	"repro/internal/wire"
 )
 
 // Wire protocol: newline-delimited JSON over TCP. Each request names
@@ -64,195 +64,23 @@ type Response struct {
 	Accesses []Access  `json:"accesses,omitempty"`
 }
 
-// Server exposes a Service over TCP.
+// Server exposes a Service over TCP. Listen, Close and Drain come from
+// the shared wire layer; each connection runs one browser session.
 type Server struct {
+	*wire.Server
 	svc *Service
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[*srvConn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
-}
-
-// srvConn tracks one connection's drain state: whether a request is
-// mid-flight, and whether the connection must exit once it isn't.
-type srvConn struct {
-	net.Conn
-	mu            sync.Mutex
-	busy          bool
-	closeWhenIdle bool
-}
-
-// beginRequest marks the connection busy; it reports false when the
-// server is draining and the request must not start.
-func (c *srvConn) beginRequest() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closeWhenIdle {
-		return false
-	}
-	c.busy = true
-	return true
-}
-
-// endRequest clears the busy mark and reports whether the connection
-// should close now that its in-flight request has finished.
-func (c *srvConn) endRequest() (quit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.busy = false
-	return c.closeWhenIdle
-}
-
-// drain flags the connection for shutdown; an idle connection (blocked
-// reading the next request) is closed on the spot, a busy one closes
-// itself right after writing its in-flight response.
-func (c *srvConn) drain() {
-	c.mu.Lock()
-	idle := !c.busy
-	c.closeWhenIdle = true
-	c.mu.Unlock()
-	if idle {
-		c.Close()
-	}
 }
 
 // NewServer wraps a service.
 func NewServer(svc *Service) *Server {
-	return &Server{svc: svc, conns: make(map[*srvConn]struct{})}
+	s := &Server{svc: svc}
+	s.Server = wire.NewServer("webmail", s.serveConn)
+	return s
 }
 
-// Listen starts accepting connections on addr ("127.0.0.1:0" for an
-// ephemeral port) and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("webmail: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		sc := &srvConn{Conn: conn}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[sc] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(sc)
-			s.mu.Lock()
-			delete(s.conns, sc)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops the listener and all connections immediately, in-flight
-// requests included. Prefer Drain for an orderly shutdown.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// Drain shuts the server down gracefully: the listener closes first
-// (new connections are refused), idle connections drop at once, and
-// connections with a request mid-flight finish serving that one
-// response before closing. Drain returns once every connection has
-// exited, or forces a Close and returns ctx.Err() if the context
-// expires first. The graceful-drain contract of the live fleet: a
-// SIGTERM'd shard never truncates a response it already accepted.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	// Marking closed first makes the accept loop refuse any connection
-	// that slips in between this snapshot and the listener closing —
-	// every connection either appears in the snapshot or never serves.
-	s.closed = true
-	ln := s.listener
-	s.listener = nil
-	conns := make([]*srvConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.drain()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		// Force-close the stragglers' sockets so their clients
-		// unblock, but do not wg.Wait: a handler stuck inside the
-		// service (not on I/O) only exits when that call returns.
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		return ctx.Err()
-	}
-}
-
-func (s *Server) serveConn(conn *srvConn) {
-	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+func (s *Server) serveConn(c *wire.Conn) {
 	var session *Session
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or bad frame: drop the connection
-		}
-		if !conn.beginRequest() {
-			return // draining: the request never started, drop it
-		}
-		resp := s.handle(&session, &req)
-		err := enc.Encode(resp)
-		if conn.endRequest() || err != nil {
-			return
-		}
-	}
+	wire.ServeJSON(c, func(req *Request) Response { return s.handle(&session, req) })
 }
 
 // handle executes one request against the bound session.

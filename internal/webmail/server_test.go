@@ -302,80 +302,3 @@ func TestServerDrainFinishesInFlight(t *testing.T) {
 		t.Fatal("request on a drained connection succeeded")
 	}
 }
-
-// TestServerDrainTimeoutForcesClose: a connection that never finishes
-// its in-flight request cannot hold Drain hostage past the context.
-func TestServerDrainTimeoutForcesClose(t *testing.T) {
-	clock := simtime.NewClock(epoch)
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	svc := NewService(Config{Clock: clock, Outbound: OutboundFunc(func(string, string, string, string, time.Time) error {
-		entered <- struct{}{}
-		<-gate
-		return nil
-	})})
-	defer close(gate)
-	if err := svc.CreateAccount("alice@honeymail.example", "hunter2", "Alice"); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(svc)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	space := netsim.NewAddressSpace(rng.New(1), geo.Default())
-	c := dialT(t, addr)
-	ep, _ := space.FromCity("Berlin")
-	if resp, err := c.Login("alice@honeymail.example", "hunter2", "", ep); err != nil || !resp.OK {
-		t.Fatalf("login: %v %+v", err, resp)
-	}
-	go c.Do(Request{Op: "send", To: "v@victims.example", Subject: "s", Body: "b"})
-	<-entered
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := srv.Drain(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("drain = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestServerDrainIdempotent: draining twice (or after Close) returns
-// immediately instead of deadlocking.
-func TestServerDrainIdempotent(t *testing.T) {
-	svc := NewService(Config{Clock: simtime.NewClock(epoch)})
-	srv := NewServer(svc)
-	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-}
-
-func TestServerCloseUnblocksClients(t *testing.T) {
-	svc := NewService(Config{Clock: simtime.NewClock(epoch)})
-	srv := NewServer(svc)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialT(t, addr)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Requests after close should fail, not hang.
-	done := make(chan struct{})
-	go func() {
-		c.Do(Request{Op: "list"})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("client hung after server close")
-	}
-}
