@@ -117,16 +117,22 @@ func (o Options) withDefaults() Options {
 type script struct {
 	account string
 	opts    Options
-	probe   webmail.VersionProbe
+	// mark arms the scan trigger. webmail sets it on every mailbox
+	// change, and a script still counting toward its quota notice sets
+	// it on every scan; an unmarked script is not visited at all.
+	mark *simtime.Mark
 
-	stopScan    func()
-	stopBeat    func()
-	lastSnap    webmail.Snapshot
-	lastVersion uint64
-	scanCount   int
-	quotaSent   bool
-	deleted     bool
+	stopScan  func()
+	stopBeat  func()
+	lastSnap  webmail.Snapshot
+	scanCount int
+	quotaSent bool
+	deleted   bool
 }
+
+// quotaPending reports whether the script still counts scans toward a
+// quota notice. Callers hold the runtime lock.
+func (sc *script) quotaPending() bool { return sc.opts.QuotaScans > 0 && !sc.quotaSent }
 
 // Runtime owns all installed scripts on a platform.
 type Runtime struct {
@@ -186,12 +192,15 @@ func (r *Runtime) wheelLocked() *simtime.TriggerWheel {
 
 // Install attaches a script to an account and starts its triggers.
 // Installing over an existing script replaces it.
+//
+// The scan trigger is an on-mark wheel entry whose mark the account
+// sets on every mailbox change, so a tick scans only the mailboxes
+// that changed since their last scan, plus scripts still counting
+// toward a quota notice. A script also starts marked when its mailbox
+// has changed since the account was created (a non-zero version):
+// its first tick then diffs against the install-time snapshot.
 func (r *Runtime) Install(account string, opts Options) error {
 	snap, err := r.svc.Snapshot(account)
-	if err != nil {
-		return fmt.Errorf("appscript: install on %s: %w", account, err)
-	}
-	probe, err := r.svc.Probe(account)
 	if err != nil {
 		return fmt.Errorf("appscript: install on %s: %w", account, err)
 	}
@@ -201,14 +210,23 @@ func (r *Runtime) Install(account string, opts Options) error {
 		old.stopScan()
 		old.stopBeat()
 	}
-	sc := &script{account: account, opts: opts.withDefaults(), probe: probe, lastSnap: snap}
+	sc := &script{account: account, opts: opts.withDefaults(), lastSnap: snap}
 	wheel := r.wheelLocked()
-	sc.stopScan = wheel.Every(sc.opts.ScanInterval, "appscript-scan", func(now time.Time) {
+	sc.mark, sc.stopScan = wheel.OnMark(sc.opts.ScanInterval, "appscript-scan", func(now time.Time) {
 		r.scan(sc, now)
 	})
 	sc.stopBeat = wheel.Every(sc.opts.HeartbeatInterval, "appscript-heartbeat", func(now time.Time) {
 		r.heartbeat(sc, now)
 	})
+	version, err := r.svc.AttachMark(account, sc.mark)
+	if err != nil {
+		sc.stopScan()
+		sc.stopBeat()
+		return fmt.Errorf("appscript: install on %s: %w", account, err)
+	}
+	if version != 0 || sc.quotaPending() {
+		sc.mark.Set()
+	}
 	r.scripts[account] = sc
 	return nil
 }
@@ -225,6 +243,9 @@ func (r *Runtime) Uninstall(account string) bool {
 	sc.deleted = true
 	sc.stopScan()
 	sc.stopBeat()
+	// The account held this script, and accounts are never deleted, so
+	// detaching cannot fail.
+	_, _ = r.svc.AttachMark(account, nil)
 	delete(r.scripts, account)
 	return true
 }
@@ -250,9 +271,9 @@ func (r *Runtime) Discoverable(account string) bool {
 }
 
 // scan diffs the mailbox against the previous snapshot and reports
-// changes, mirroring the paper's 10-minute scan function. Quiet
-// accounts are skipped via a lock-free version probe so months of
-// idle scans cost one atomic load each.
+// changes, mirroring the paper's 10-minute scan function. It runs only
+// on ticks where the script is marked (see Install), so months of idle
+// ticks cost a quiet account nothing.
 func (r *Runtime) scan(sc *script, now time.Time) {
 	r.mu.Lock()
 	if sc.deleted {
@@ -260,57 +281,43 @@ func (r *Runtime) scan(sc *script, now time.Time) {
 		return
 	}
 	prev := sc.lastSnap
-	lastVersion := sc.lastVersion
 	r.mu.Unlock()
-
-	version := sc.probe.MailboxVersion()
-	if version == lastVersion && (sc.opts.QuotaScans <= 0 || sc.quotaSent) {
-		return
-	}
 
 	snap, err := r.svc.Snapshot(sc.account)
 	if err != nil {
 		return // account deleted from platform; nothing to report
 	}
 
-	notify := func(kind NotificationKind, id webmail.MessageID, body string) {
-		r.sink.Notify(Notification{Time: now, Account: sc.account, Kind: kind, Message: id, Body: body})
-	}
-	diffIDs(prev.Read, snap.Read, func(id webmail.MessageID) { notify(NoteRead, id, "") })
-	diffIDs(prev.Starred, snap.Starred, func(id webmail.MessageID) { notify(NoteStarred, id, "") })
-	diffIDs(prev.Sent, snap.Sent, func(id webmail.MessageID) { notify(NoteSent, id, "") })
-	if len(snap.Drafts) > 0 {
-		draftIDs := make([]webmail.MessageID, 0, len(snap.Drafts))
-		for id := range snap.Drafts {
-			draftIDs = append(draftIDs, id)
-		}
-		slices.Sort(draftIDs)
-		for _, id := range draftIDs {
-			body := snap.Drafts[id]
-			if old, ok := prev.Drafts[id]; !ok || old != body {
-				notify(NoteDraft, id, body)
-			}
-		}
-	}
+	reportChanges(r.sink, sc.account, prev, snap, now)
 
 	r.mu.Lock()
 	sc.lastSnap = snap
-	sc.lastVersion = version
 	sc.scanCount++
-	needQuota := sc.opts.QuotaScans > 0 && sc.scanCount >= sc.opts.QuotaScans && !sc.quotaSent
+	needQuota := sc.quotaPending() && sc.scanCount >= sc.opts.QuotaScans
 	if needQuota {
 		sc.quotaSent = true
 	}
+	pending := sc.quotaPending()
 	r.mu.Unlock()
 
-	if needQuota {
-		// Quota notices land in the monitored inbox itself, where
-		// attackers can (and did) read them (§4.7).
-		_, _ = r.svc.DeliverInbound(sc.account, r.quotaSender,
-			"Apps Script notice: excessive computer time",
-			"A script attached to this account is using too much computer time and has been throttled.")
-		r.sink.Notify(Notification{Time: now, Account: sc.account, Kind: NoteQuota})
+	if pending {
+		// Counting toward the quota notice takes a scan on every tick,
+		// changed mailbox or not.
+		sc.mark.Set()
 	}
+	if needQuota {
+		deliverQuotaNotice(r.svc, r.sink, r.quotaSender, sc.account, now)
+	}
+}
+
+// deliverQuotaNotice puts the "too much computer time" notice into the
+// account's inbox and reports it. The notice lands in the monitored
+// inbox itself, where attackers can (and did) read it (§4.7).
+func deliverQuotaNotice(svc *webmail.Service, sink Notifier, from, account string, now time.Time) {
+	_, _ = svc.DeliverInbound(account, from,
+		"Apps Script notice: excessive computer time",
+		"A script attached to this account is using too much computer time and has been throttled.")
+	sink.Notify(Notification{Time: now, Account: account, Kind: NoteQuota})
 }
 
 // heartbeat emits the daily liveness signal.
@@ -325,6 +332,31 @@ func (r *Runtime) heartbeat(sc *script, now time.Time) {
 	// observations, so the heartbeat keeps flowing; the monitor learns
 	// about suspension from scrape failures instead.
 	r.sink.Notify(Notification{Time: now, Account: sc.account, Kind: NoteHeartbeat})
+}
+
+// reportChanges notifies sink of what one scan found: messages newly
+// read, starred or sent since prev, and every draft created or edited
+// since prev, with its body.
+func reportChanges(sink Notifier, account string, prev, cur webmail.Snapshot, now time.Time) {
+	notify := func(kind NotificationKind, id webmail.MessageID, body string) {
+		sink.Notify(Notification{Time: now, Account: account, Kind: kind, Message: id, Body: body})
+	}
+	diffIDs(prev.Read, cur.Read, func(id webmail.MessageID) { notify(NoteRead, id, "") })
+	diffIDs(prev.Starred, cur.Starred, func(id webmail.MessageID) { notify(NoteStarred, id, "") })
+	diffIDs(prev.Sent, cur.Sent, func(id webmail.MessageID) { notify(NoteSent, id, "") })
+	if len(cur.Drafts) > 0 {
+		draftIDs := make([]webmail.MessageID, 0, len(cur.Drafts))
+		for id := range cur.Drafts {
+			draftIDs = append(draftIDs, id)
+		}
+		slices.Sort(draftIDs)
+		for _, id := range draftIDs {
+			body := cur.Drafts[id]
+			if old, ok := prev.Drafts[id]; !ok || old != body {
+				notify(NoteDraft, id, body)
+			}
+		}
+	}
 }
 
 // diffIDs calls emit for each ID present in cur but not in prev. Both

@@ -196,8 +196,14 @@ func TestQuotaNoticeDeliveredToInbox(t *testing.T) {
 	f := newFixture(t)
 	f.rt.Install("h1@honeymail.example", Options{Hidden: true, QuotaScans: 3})
 	f.sched.RunFor(time.Hour) // 6 scans
-	if got := f.rec.byKind(NoteQuota); len(got) != 1 {
+	got := f.rec.byKind(NoteQuota)
+	if len(got) != 1 {
 		t.Fatalf("quota notes = %d, want exactly 1", len(got))
+	}
+	// The mailbox is quiet, so only the quota count drives the scans:
+	// the third tick sends the notice.
+	if want := epoch.Add(30 * time.Minute); !got[0].Time.Equal(want) {
+		t.Fatalf("quota notice at %v, want the third tick (%v)", got[0].Time, want)
 	}
 	se := f.session(t)
 	msgs, err := se.List(webmail.FolderInbox)

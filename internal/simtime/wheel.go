@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -24,8 +25,19 @@ import (
 // in a bucket with a different phase and keep their own tick lattice,
 // so batching never shifts a trigger's firing times.
 //
-// TriggerWheel is safe for concurrent registration; callbacks run on
-// the scheduler's Run goroutine like any other event.
+// An on-mark entry (OnMark) rides its bucket like any other but fires
+// on a tick only if its Mark was set since it last fired. A tick
+// visits ordinary entries and marked on-mark entries together, in
+// registration order; a bucket of on-mark entries alone jumps from
+// mark to mark, so its tick costs O(marked) rather than O(entries).
+// A mark set during a tick fires in that tick if the walk has not
+// reached its entry yet, and on the next tick otherwise — exactly
+// what an ordinary callback that returns early unless a flag is set
+// would do. The bucket's chain keeps ticking when nothing is marked,
+// so the scheduler's event stream does not depend on marks.
+//
+// TriggerWheel is safe for concurrent registration and marking;
+// callbacks run on the scheduler's Run goroutine like any other event.
 type TriggerWheel struct {
 	sched *Scheduler
 
@@ -46,17 +58,16 @@ type wheelBucket struct {
 	wheel *TriggerWheel
 	key   wheelKey
 
-	mu       sync.Mutex
+	// markSet is the bucket's lock (b.mu) and its mark bits: bit i
+	// stands for entries[i].
+	*markSet
+
 	entries  []*wheelEntry
 	live     int
-	stopped  int // entries cancelled but not yet compacted
+	plain    int  // live ordinary (not on-mark) entries
+	stopped  int  // entries cancelled but not yet compacted
+	ticking  bool // a tick is walking entries by index; compaction waits
 	stopTick func()
-
-	// scratch is tick's reusable snapshot of entries. Ticks of one
-	// bucket never overlap — the chain is a single Every on the
-	// scheduler's Run goroutine and callbacks cannot re-enter it — so
-	// one buffer per bucket makes the per-tick snapshot allocation-free.
-	scratch []*wheelEntry
 }
 
 // wheelEntry is one registered callback.
@@ -69,6 +80,75 @@ type wheelEntry struct {
 	// fire zero intervals after registration.
 	notBeforeNS int64
 	stopped     bool
+	mark        *Mark // nil for an ordinary entry
+}
+
+// markSet is one bucket's lock and mark bits. It is the only part of
+// the wheel a Mark reaches, and it is plain data — no callback, bucket
+// or scheduler pointer — so a Mark kept by a long-lived object (a
+// webmail account outlives the experiment that watched it) retains a
+// few words of bits, never the simulation that registered it.
+type markSet struct {
+	mu     sync.Mutex
+	bits   []uint64
+	marked int // set bits
+}
+
+func (s *markSet) setLocked(i int) {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if s.bits[w]&bit == 0 {
+		s.bits[w] |= bit
+		s.marked++
+	}
+}
+
+// takeLocked clears bit i and reports whether it was set.
+func (s *markSet) takeLocked(i int) bool {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if s.bits[w]&bit == 0 {
+		return false
+	}
+	s.bits[w] &^= bit
+	s.marked--
+	return true
+}
+
+// nextLocked returns the first set bit at or after i, or -1.
+func (s *markSet) nextLocked(i int) int {
+	if s.marked == 0 {
+		return -1
+	}
+	for w := i >> 6; w < len(s.bits); w++ {
+		word := s.bits[w]
+		if w == i>>6 {
+			word &= ^uint64(0) << (i & 63)
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// Mark arms one on-mark entry (see TriggerWheel.OnMark). It holds
+// only the entry's slot in its bucket's mark bits, so keeping a Mark
+// keeps neither the callback, the wheel nor the scheduler alive, and
+// setting one runs no caller code.
+type Mark struct {
+	set  *markSet
+	slot int // index into the bucket's entries; -1 once stopped. Guarded by set.mu.
+}
+
+// Set marks the entry: it fires on its bucket's next tick — or on the
+// running tick, if that has not reached the entry yet. Setting a mark
+// that is already set, or whose entry was stopped, does nothing. Set is
+// safe from any goroutine.
+func (m *Mark) Set() {
+	m.set.mu.Lock()
+	if m.slot >= 0 {
+		m.set.setLocked(m.slot)
+	}
+	m.set.mu.Unlock()
 }
 
 // NewTriggerWheel returns a wheel batching onto the given scheduler.
@@ -127,11 +207,24 @@ func (w *TriggerWheel) Chains() []ChainState {
 // labels the bucket's scheduler events (the first registrant's name
 // wins for a shared bucket; it is diagnostic only).
 func (w *TriggerWheel) Every(interval time.Duration, name string, fn func(now time.Time)) (stop func()) {
+	_, stop = w.register(interval, name, fn, false)
+	return stop
+}
+
+// OnMark registers fn on the same lattice and in the same bucket as
+// Every would, but a tick fires it only if mark.Set was called since
+// it last fired (or since registration). A fresh entry is unmarked.
+// The entry counts in Chains like any other.
+func (w *TriggerWheel) OnMark(interval time.Duration, name string, fn func(now time.Time)) (mark *Mark, stop func()) {
+	return w.register(interval, name, fn, true)
+}
+
+func (w *TriggerWheel) register(interval time.Duration, name string, fn func(now time.Time), onMark bool) (*Mark, func()) {
 	if interval <= 0 {
-		panic("simtime: TriggerWheel.Every requires a positive interval")
+		panic("simtime: TriggerWheel registration requires a positive interval")
 	}
 	if fn == nil {
-		panic("simtime: TriggerWheel.Every called with nil function")
+		panic("simtime: TriggerWheel registration with nil function")
 	}
 	intervalNS := int64(interval)
 	nowNS := w.sched.Clock().nowNanos()
@@ -151,47 +244,93 @@ func (w *TriggerWheel) Every(interval time.Duration, name string, fn func(now ti
 	w.mu.Lock()
 	b, ok := w.buckets[key]
 	if !ok {
-		b = &wheelBucket{wheel: w, key: key}
+		b = &wheelBucket{wheel: w, key: key, markSet: &markSet{}}
 		w.buckets[key] = b
 		// Start the chain after publishing the bucket; the first tick is
 		// one interval away, so no event can fire before we finish.
 		b.stopTick = w.sched.Every(interval, name, b.tick)
 	}
 	b.mu.Lock()
+	if onMark {
+		// A Mark is its own allocation, not a field of the entry: a
+		// pointer into the entry would keep the entry, and with it the
+		// callback, alive for as long as the Mark is held.
+		e.mark = &Mark{set: b.markSet, slot: len(b.entries)}
+	} else {
+		b.plain++
+	}
 	b.entries = append(b.entries, e)
+	if len(b.entries) > len(b.bits)*64 {
+		b.bits = append(b.bits, 0)
+	}
 	b.live++
 	b.mu.Unlock()
 	w.mu.Unlock()
-	return func() { b.remove(e) }
+	return e.mark, func() { b.remove(e) }
 }
 
-// tick fires every live, due entry in registration order. The entry
-// list is snapshotted so callbacks may register or cancel triggers
-// (even their own) without deadlocking; an entry cancelled mid-tick by
-// an earlier callback is skipped, and an entry registered less than
-// one interval ago waits for its first full interval (Every
-// semantics).
+// tick fires, in registration order, every live ordinary entry and
+// every marked on-mark entry that is due, consuming the marks it
+// fires. The walk goes by index and drops the lock around each
+// callback, so callbacks may register, cancel (even themselves) or
+// mark entries: compaction waits for the tick to end, new entries
+// append at the end (and are not due yet), and a cancelled entry is
+// skipped. An entry registered less than one interval ago waits for
+// its first full interval (Every semantics) and keeps its mark.
 func (b *wheelBucket) tick(now time.Time) {
 	nowNS := now.UnixNano()
 	b.mu.Lock()
-	entries := append(b.scratch[:0], b.entries...)
-	// Drop stale tail pointers so cancelled entries are not retained
-	// past the tick that stopped seeing them.
-	clear(entries[len(entries):cap(entries)])
-	b.scratch = entries
-	b.mu.Unlock()
-	for _, e := range entries {
-		if e.notBeforeNS > nowNS {
+	b.ticking = true
+	for i := 0; ; i++ {
+		if b.plain == 0 {
+			// Only on-mark entries: jump to the next mark, so a tick
+			// with nothing marked is one lock round trip.
+			if i = b.nextLocked(i); i < 0 {
+				break
+			}
+		} else if i >= len(b.entries) {
+			break
+		}
+		e := b.entries[i]
+		if e.stopped || e.notBeforeNS > nowNS || (e.mark != nil && !b.takeLocked(i)) {
 			continue
 		}
-		b.mu.Lock()
-		dead := e.stopped
 		b.mu.Unlock()
-		if dead {
+		e.fn(now)
+		b.mu.Lock()
+	}
+	b.ticking = false
+	b.compactLocked()
+	b.mu.Unlock()
+}
+
+// compactLocked drops cancelled entries once they dominate, so a
+// long-lived bucket with churn does not walk dead entries forever.
+// Survivors keep their order, and each mark moves with its entry.
+func (b *wheelBucket) compactLocked() {
+	if b.stopped <= len(b.entries)/2 {
+		return
+	}
+	kept := b.entries[:0]
+	for i, e := range b.entries {
+		// New index <= old index, and every bit below i was already
+		// read, so the marks can move in place.
+		marked := b.takeLocked(i)
+		if e.stopped {
 			continue
 		}
-		e.fn(now)
+		if e.mark != nil {
+			e.mark.slot = len(kept)
+			if marked {
+				b.setLocked(len(kept))
+			}
+		}
+		kept = append(kept, e)
 	}
+	clear(b.entries[len(kept):])
+	b.entries = kept
+	b.bits = b.bits[:(len(kept)+63)/64]
+	b.stopped = 0
 }
 
 // remove cancels one entry; the last removal stops the bucket's chain
@@ -205,20 +344,14 @@ func (b *wheelBucket) remove(e *wheelEntry) {
 	e.stopped = true
 	b.live--
 	b.stopped++
-	// Compact once cancelled entries dominate, so a long-lived bucket
-	// with churn does not scan dead entries forever.
-	if b.stopped > len(b.entries)/2 {
-		kept := b.entries[:0]
-		for _, x := range b.entries {
-			if !x.stopped {
-				kept = append(kept, x)
-			}
-		}
-		for i := len(kept); i < len(b.entries); i++ {
-			b.entries[i] = nil
-		}
-		b.entries = kept
-		b.stopped = 0
+	if e.mark != nil {
+		b.takeLocked(e.mark.slot)
+		e.mark.slot = -1
+	} else {
+		b.plain--
+	}
+	if !b.ticking {
+		b.compactLocked()
 	}
 	empty := b.live == 0
 	stopTick := b.stopTick

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -233,4 +234,351 @@ func TestWheelConcurrentRegistration(t *testing.T) {
 	if w.Buckets() != 1 {
 		t.Fatalf("buckets = %d", w.Buckets())
 	}
+}
+
+// onlyBucket returns the wheel's single bucket (tests build one).
+func onlyBucket(t *testing.T, w *TriggerWheel) *wheelBucket {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.buckets) != 1 {
+		t.Fatalf("buckets = %d, want 1", len(w.buckets))
+	}
+	for _, b := range w.buckets {
+		return b
+	}
+	return nil
+}
+
+// An on-mark entry fires only on ticks after its mark was set, once
+// per mark, and marks set while it waits collapse into one fire.
+func TestWheelOnMarkFiresOncePerMark(t *testing.T) {
+	_, sched, w := newWheelFixture()
+	fired := 0
+	mark, stop := w.OnMark(10*time.Minute, "scan", func(time.Time) { fired++ })
+	sched.RunFor(30 * time.Minute)
+	if fired != 0 {
+		t.Fatalf("unmarked entry fired %d times", fired)
+	}
+	mark.Set()
+	mark.Set()
+	sched.RunFor(30 * time.Minute)
+	if fired != 1 {
+		t.Fatalf("entry marked twice between ticks fired %d times, want 1", fired)
+	}
+	if got := w.Chains(); len(got) != 1 || got[0].Entries != 1 {
+		t.Fatalf("chains = %+v, want one bucket counting the on-mark entry", got)
+	}
+	stop()
+	mark.Set() // a stopped entry's mark is inert
+	sched.RunFor(30 * time.Minute)
+	if fired != 1 || w.Buckets() != 0 {
+		t.Fatalf("after stop: fired %d, buckets %d", fired, w.Buckets())
+	}
+}
+
+// A mark set during a tick fires in that tick when the walk has not
+// reached its entry yet, and on the next tick when it has — whether
+// the bucket holds on-mark entries alone or mixes in ordinary ones.
+func TestWheelMarkDuringTick(t *testing.T) {
+	for _, mixed := range []bool{false, true} {
+		clock, sched, w := newWheelFixture()
+		start := clock.Now()
+		var fired []string
+		marks := map[string]*Mark{}
+		for _, name := range []string{"a", "b", "c"} {
+			name := name
+			marks[name], _ = w.OnMark(10*time.Minute, "scan", func(now time.Time) {
+				fired = append(fired, fmt.Sprintf("%s@%v", name, now.Sub(start)))
+				if name == "b" {
+					marks["a"].Set() // behind the walk: next tick
+					marks["c"].Set() // ahead of the walk: this tick
+				}
+			})
+			if mixed && name == "a" {
+				w.Every(10*time.Minute, "plain", func(time.Time) {})
+			}
+		}
+		marks["b"].Set()
+		sched.RunFor(20 * time.Minute)
+		if got := fmt.Sprint(fired); got != "[b@10m0s c@10m0s a@20m0s]" {
+			t.Fatalf("mixed=%v: fired %s, want [b@10m0s c@10m0s a@20m0s]", mixed, got)
+		}
+	}
+}
+
+// An idle tick over a large bucket of on-mark entries calls nothing
+// and allocates nothing: the cost of a quiet fleet's scan tick does
+// not grow with the fleet.
+func TestWheelIdleOnMarkTickIsFree(t *testing.T) {
+	clock, sched, w := newWheelFixture()
+	calls := 0
+	marks := make([]*Mark, 1000)
+	for i := range marks {
+		marks[i], _ = w.OnMark(10*time.Minute, "scan", func(time.Time) { calls++ })
+	}
+	b := onlyBucket(t, w)
+	due := clock.Now().Add(10 * time.Minute)
+	if allocs := testing.AllocsPerRun(100, func() { b.tick(due) }); allocs != 0 {
+		t.Fatalf("idle tick allocated %.1f per run, want 0", allocs)
+	}
+	sched.RunFor(time.Hour)
+	if calls != 0 {
+		t.Fatalf("idle ticks called %d callbacks, want 0", calls)
+	}
+	marks[637].Set()
+	sched.RunFor(10 * time.Minute)
+	if calls != 1 {
+		t.Fatalf("one mark fired %d callbacks, want 1", calls)
+	}
+}
+
+// Marks may be set from other goroutines while the scheduler ticks
+// and while entries register and stop (the race detector is the real
+// assertion); every mark set before the last tick has fired by the
+// end.
+func TestWheelConcurrentMarking(t *testing.T) {
+	_, sched, w := newWheelFixture()
+	const n = 64
+	var mu sync.Mutex
+	fired := make([]int, n)
+	marks := make([]*Mark, n)
+	for i := range marks {
+		i := i
+		marks[i], _ = w.OnMark(time.Minute, "scan", func(time.Time) {
+			mu.Lock()
+			fired[i]++
+			mu.Unlock()
+		})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				marks[(g*31+j)%n].Set()
+				if j%50 == 0 {
+					_, stop := w.OnMark(time.Minute, "churn", func(time.Time) {})
+					stop()
+				}
+			}
+		}(g)
+	}
+	for k := 0; k < 20; k++ {
+		sched.RunFor(time.Minute)
+	}
+	wg.Wait()
+	sched.RunFor(time.Minute)
+	mu.Lock()
+	defer mu.Unlock()
+	for i, f := range fired {
+		if f == 0 {
+			t.Fatalf("entry %d was marked but never fired", i)
+		}
+	}
+}
+
+// wheelFire is one callback invocation: which entry, at which instant.
+type wheelFire struct {
+	id int
+	at time.Duration // since the fixture's start
+}
+
+// markModel drives a wheel through a seeded random script of
+// registrations, marks and stops, between ticks and from inside
+// callbacks. With onMark set, flagged entries are OnMark entries armed
+// by Mark.Set. Without it they are ordinary Every entries whose
+// callbacks return early unless a flag is set — the walk-every-entry
+// reference. The two must fire the same entries at the same instants.
+type markModel struct {
+	onMark bool
+	rng    *rand.Rand
+	start  time.Time
+	clock  *Clock
+	sched  *Scheduler
+	w      *TriggerWheel
+
+	flagged []bool
+	flags   []bool  // reference side: the per-entry "marked" flag
+	marks   []*Mark // on-mark side
+	slot0   []int   // on-mark side: each mark's slot at registration
+	stops   []func()
+	dead    []bool
+	live    int
+	fires   []wheelFire
+
+	ahead, behind int // in-tick marks past and before the firing entry
+}
+
+var markIntervals = []time.Duration{5 * time.Minute, 10 * time.Minute, 15 * time.Minute}
+
+func newMarkModel(seed int64, onMark bool) *markModel {
+	clock, sched, w := newWheelFixture()
+	return &markModel{onMark: onMark, rng: rand.New(rand.NewSource(seed)),
+		start: clock.Now(), clock: clock, sched: sched, w: w}
+}
+
+// maxLive caps the live population: callbacks register entries, and
+// uncapped the script would grow without bound.
+const maxLive = 150
+
+func (m *markModel) register(interval time.Duration, flagged bool) {
+	if m.live >= maxLive {
+		return
+	}
+	m.live++
+	id := len(m.stops)
+	m.dead = append(m.dead, false)
+	m.flagged = append(m.flagged, flagged)
+	m.flags = append(m.flags, false)
+	fire := func(now time.Time) { m.fire(id, now) }
+	var mark *Mark
+	var stop func()
+	switch {
+	case flagged && m.onMark:
+		mark, stop = m.w.OnMark(interval, "marked", fire)
+	case flagged:
+		stop = m.w.Every(interval, "flagged", func(now time.Time) {
+			if !m.flags[id] {
+				return
+			}
+			m.flags[id] = false
+			fire(now)
+		})
+	default:
+		stop = m.w.Every(interval, "plain", fire)
+	}
+	slot := -1
+	if mark != nil {
+		slot = mark.slot // no concurrent registrant: read without the lock
+	}
+	m.marks = append(m.marks, mark)
+	m.slot0 = append(m.slot0, slot)
+	m.stops = append(m.stops, stop)
+}
+
+// moved counts live on-mark entries that compaction has shifted to a
+// lower slot than they registered at.
+func (m *markModel) moved() int {
+	n := 0
+	for id, mark := range m.marks {
+		if mark != nil && !m.dead[id] {
+			mark.set.mu.Lock()
+			if mark.slot < m.slot0[id] {
+				n++
+			}
+			mark.set.mu.Unlock()
+		}
+	}
+	return n
+}
+
+func (m *markModel) stop(id int) {
+	if !m.dead[id] {
+		m.dead[id] = true
+		m.live--
+	}
+	m.stops[id]()
+}
+
+func (m *markModel) mark(id int) {
+	if !m.flagged[id] {
+		return
+	}
+	if m.onMark {
+		m.marks[id].Set()
+	} else {
+		m.flags[id] = true
+	}
+}
+
+// fire records one invocation, then acts from inside the tick: marks,
+// stops and registrations land ahead of the walk, behind it, on the
+// firing entry itself, and on this very bucket's lattice.
+func (m *markModel) fire(id int, now time.Time) {
+	m.fires = append(m.fires, wheelFire{id: id, at: now.Sub(m.start)})
+	for k := m.rng.Intn(3); k > 0; k-- {
+		switch r := m.rng.Intn(10); {
+		case r < 6:
+			target := m.rng.Intn(len(m.stops))
+			if target > id {
+				m.ahead++
+			} else if target < id {
+				m.behind++
+			}
+			m.mark(target)
+		case r < 8:
+			m.stop(m.rng.Intn(len(m.stops)))
+		default:
+			m.register(markIntervals[m.rng.Intn(len(markIntervals))], m.rng.Intn(4) > 0)
+		}
+	}
+}
+
+// run plays the seeded script: bursts of same-instant registrations
+// (shared, mixed buckets), churn that forces compaction, marks and
+// stops between ticks, and advances that land off the lattice so later
+// registrations take their own phase.
+func (m *markModel) run(steps int) {
+	for i := 0; i < 12; i++ {
+		m.register(markIntervals[i%len(markIntervals)], i%4 != 0)
+	}
+	for step := 0; step < steps; step++ {
+		switch r := m.rng.Intn(10); {
+		case r < 5:
+			for k := m.rng.Intn(4); k >= 0; k-- {
+				m.mark(m.rng.Intn(len(m.stops)))
+			}
+		case r < 6:
+			m.stop(m.rng.Intn(len(m.stops)))
+		case r < 8:
+			interval := markIntervals[m.rng.Intn(len(markIntervals))]
+			for k := m.rng.Intn(4); k >= 0; k-- {
+				m.register(interval, m.rng.Intn(3) > 0)
+			}
+		default:
+			// Churn: a burst of registrations, most stopped at once.
+			first := len(m.stops)
+			for k := 0; k < 20; k++ {
+				m.register(5*time.Minute, k%5 != 0)
+			}
+			for k := first; k < len(m.stops) && k < first+16; k++ {
+				m.stop(k)
+			}
+		}
+		m.sched.RunFor(time.Duration(1+m.rng.Intn(12)) * time.Minute)
+	}
+}
+
+func TestWheelOnMarkMatchesFlaggedReference(t *testing.T) {
+	var ahead, behind, compactions int
+	for seed := int64(1); seed <= 20; seed++ {
+		got := newMarkModel(seed, true)
+		want := newMarkModel(seed, false)
+		got.run(400)
+		want.run(400)
+		ahead += got.ahead
+		behind += got.behind
+		if len(got.fires) != len(want.fires) {
+			t.Fatalf("seed %d: %d fires on the on-mark wheel, %d on the reference", seed, len(got.fires), len(want.fires))
+		}
+		for i := range got.fires {
+			if got.fires[i] != want.fires[i] {
+				t.Fatalf("seed %d: fire %d is %+v on the on-mark wheel, %+v on the reference", seed, i, got.fires[i], want.fires[i])
+			}
+		}
+		if g, w := fmt.Sprint(got.w.Chains()), fmt.Sprint(want.w.Chains()); g != w {
+			t.Fatalf("seed %d: chains %s, reference %s", seed, g, w)
+		}
+		if got.sched.Seq() != want.sched.Seq() || got.sched.Fired() != want.sched.Fired() {
+			t.Fatalf("seed %d: seq/fired %d/%d, reference %d/%d", seed,
+				got.sched.Seq(), got.sched.Fired(), want.sched.Seq(), want.sched.Fired())
+		}
+		compactions += got.moved()
+	}
+	if ahead == 0 || behind == 0 || compactions == 0 {
+		t.Fatalf("script too tame: %d marks ahead of the walk, %d behind, %d marks moved by compaction", ahead, behind, compactions)
+	}
+	t.Logf("%d in-tick marks ahead of the walk, %d behind, %d marks moved by compaction", ahead, behind, compactions)
 }

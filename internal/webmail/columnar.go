@@ -119,6 +119,33 @@ func (t *accessTable) materialize(i int32) Access {
 type msgText struct {
 	from, to, subject, body string
 	labels                  []string
+	ascii                   textClass // see allASCII; guarded by the partition lock
+}
+
+// textClass caches whether a message's text is pure ASCII; the zero
+// value means not yet known.
+type textClass uint8
+
+const (
+	textUnknown textClass = iota
+	textASCII
+	textUnicode
+)
+
+// allASCII reports whether subject and body are pure ASCII, scanning
+// them once and caching the answer. The scan is deferred to the first
+// search instead of running at Seed or restore time: most seeded
+// messages are never searched, and a fleet-wide pass would land on
+// set-up. Callers hold the partition lock; anything that rewrites the
+// text resets the cache.
+func (t *msgText) allASCII() bool {
+	if t.ascii == textUnknown {
+		t.ascii = textUnicode
+		if isASCII(t.subject) && isASCII(t.body) {
+			t.ascii = textASCII
+		}
+	}
+	return t.ascii == textASCII
 }
 
 // matchTerms reports whether the message matches every pre-lowered,
@@ -137,7 +164,7 @@ func (t *msgText) matchTerms(terms []string) bool {
 	if len(terms) == 0 {
 		return false
 	}
-	ascii := isASCII(t.subject) && isASCII(t.body)
+	ascii := t.allASCII()
 	hay := "" // transient Unicode fallback, built at most once
 	for _, term := range terms {
 		if ascii && isASCII(term) {

@@ -123,14 +123,58 @@ func TestVersionProbe(t *testing.T) {
 	if probe.AccessVersion() != f.svc.AccessVersion("d@honeymail.example") {
 		t.Fatal("probe access version diverges from service")
 	}
-	if _, err := f.svc.DeliverInbound("d@honeymail.example", "b@x", "s", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if probe.MailboxVersion() != f.svc.Version("d@honeymail.example") {
-		t.Fatal("probe mailbox version diverges from service")
-	}
 	if (VersionProbe{}).Valid() {
 		t.Fatal("zero probe claims validity")
+	}
+}
+
+// An attached mark is set on exactly the changes that bump the mailbox
+// version (reads, stars, sends, drafts, inbound mail) and on none of
+// the others; a detached one is set by nothing.
+func TestAttachMarkFollowsMailboxVersion(t *testing.T) {
+	f := newDirtyFixture(t)
+	const acct = "d@honeymail.example"
+	sched := simtime.NewScheduler(f.clock)
+	wheel := simtime.NewTriggerWheel(sched)
+	scans := 0
+	mark, _ := wheel.OnMark(time.Minute, "scan", func(time.Time) { scans++ })
+	tick := func() int {
+		before := scans
+		sched.RunFor(time.Minute)
+		return scans - before
+	}
+	id, _ := f.svc.Seed(acct, FolderInbox, "a@x", acct, "s", "b", f.clock.Now())
+	se := f.login(t, "Oslo", "")
+	se.Read(id)
+	if v, err := f.svc.AttachMark(acct, mark); err != nil || v != 1 {
+		t.Fatalf("AttachMark = %d, %v; want the version so far (1)", v, err)
+	}
+	if n := tick(); n != 0 {
+		t.Fatalf("attaching fired %d scans; changes before the attach are the caller's to mark", n)
+	}
+	se.Search("s")
+	se.ActivityPage()
+	if n := tick(); n != 0 {
+		t.Fatalf("search and activity page fired %d scans, want 0", n)
+	}
+	if _, err := se.Send("z@x", "s", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.svc.DeliverInbound(acct, "b@x", "s", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if n := tick(); n != 1 {
+		t.Fatalf("a send and an inbound mail fired %d scans, want 1", n)
+	}
+	if _, err := f.svc.AttachMark(acct, nil); err != nil {
+		t.Fatal(err)
+	}
+	se.Star(id)
+	if n := tick(); n != 0 {
+		t.Fatalf("detached mark fired %d scans", n)
+	}
+	if _, err := f.svc.AttachMark("ghost@x", mark); err == nil {
+		t.Fatal("AttachMark on a missing account succeeded")
 	}
 }
 

@@ -46,7 +46,7 @@ func (s *Service) ExportAccount(address string) (AccountExport, error) {
 	}
 	defer p.mu.Unlock()
 	if a.journal.len() > 0 || a.acc.len() > 0 || a.suspended ||
-		a.version.Load() != 0 || a.accessVersion.Load() != 0 {
+		a.version != 0 || a.accessVersion.Load() != 0 {
 		return AccountExport{}, fmt.Errorf("webmail: account %s has live activity; only pre-activity accounts export", address)
 	}
 	out := AccountExport{

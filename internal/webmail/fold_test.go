@@ -3,6 +3,7 @@ package webmail
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestMatchTermsFoldEquivalence pins the fold scan to the reference
@@ -29,8 +30,6 @@ func TestMatchTermsFoldEquivalence(t *testing.T) {
 	}
 	for _, c := range cases {
 		terms := strings.Fields(strings.ToLower(c.query))
-		mt := &msgText{subject: c.subject, body: c.body}
-		got := mt.matchTerms(terms)
 		hay := strings.ToLower(c.subject + "\n" + c.body)
 		want := true
 		for _, term := range terms {
@@ -38,8 +37,16 @@ func TestMatchTermsFoldEquivalence(t *testing.T) {
 				want = false
 			}
 		}
-		if got != want {
-			t.Errorf("matchTerms(%q/%q, %q) = %v, reference = %v", c.subject, c.body, c.query, got, want)
+		// Twice per message: the first call learns the ASCII answer,
+		// the second runs on the cached one.
+		mt := &msgText{subject: c.subject, body: c.body}
+		for _, pass := range []string{"cold", "cached"} {
+			if got := mt.matchTerms(terms); got != want {
+				t.Errorf("%s matchTerms(%q/%q, %q) = %v, reference = %v", pass, c.subject, c.body, c.query, got, want)
+			}
+			if mt.ascii == textUnknown {
+				t.Errorf("%s matchTerms(%q/%q) left the ASCII answer unknown", pass, c.subject, c.body)
+			}
 		}
 	}
 	if (&msgText{subject: "x", body: "y"}).matchTerms(nil) {
@@ -67,5 +74,41 @@ func TestMatchTermsASCIIAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ASCII matchTerms allocated %.1f per run, want 0", allocs)
+	}
+}
+
+// Rewriting a draft forgets the cached ASCII answer. A stale "ASCII"
+// verdict would send Unicode text down the byte-wise path, which
+// misses folds such as the Kelvin sign lowering to "k".
+func TestUpdateDraftResetsASCIICache(t *testing.T) {
+	se := newFixture(t, Config{}).login(t)
+	id, err := se.CreateDraft("x@y", "note", "lock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := se.Search("key"); len(got) != 0 {
+		t.Fatalf("search before the edit matched %d messages", len(got))
+	}
+	if err := se.UpdateDraft(id, "x@y", "note", "\u212Aey"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := se.Search("key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].ID != id {
+		t.Fatalf("search after the edit = %+v, want the edited draft", got)
+	}
+}
+
+// The hot per-account and per-message structs stay inside their Go
+// allocation size classes: an account over 768 bytes moves every
+// mailbox to the 896-byte class, and a msgText over 96 bytes to 112.
+func TestHotStructSizes(t *testing.T) {
+	if got := unsafe.Sizeof(account{}); got > 760 {
+		t.Errorf("account is %d bytes, want <= 760 (768-byte class less the malloc header)", got)
+	}
+	if got := unsafe.Sizeof(msgText{}); got > 96 {
+		t.Errorf("msgText is %d bytes, want <= 96", got)
 	}
 }

@@ -15,10 +15,9 @@ import (
 
 // account is the server-side state of one mailbox.
 type account struct {
-	address   string
-	password  string
-	owner     string // display name
-	suspended bool
+	address  string
+	password string
+	owner    string // display name
 
 	nextID MessageID
 	// msgs holds message state as parallel columns (see columnar.go);
@@ -39,11 +38,14 @@ type account struct {
 	passwordChanges int
 	searchLog       []string
 
-	// version increments on every mailbox state change; pollers (the
-	// Apps-Script scan trigger) use it to skip diffing quiet accounts.
-	// Atomic so VersionProbe reads race-free without the partition
-	// lock; writes happen under it.
-	version atomic.Uint64
+	// version increments on every mailbox state change (see
+	// bumpMailboxLocked).
+	version uint64
+	// mark, when attached (AttachMark), is set on every version bump:
+	// the Apps-Script scan is an on-mark wheel entry, so a quiet
+	// mailbox is never visited. It is plain data, so an account that
+	// outlives its experiment does not keep the experiment alive.
+	mark *simtime.Mark
 
 	// accessVersion increments on every change an activity-page
 	// scraper could observe: a new or updated access row, a password
@@ -54,7 +56,10 @@ type account struct {
 	accessVersion atomic.Uint64
 
 	homeLat, homeLon float64
-	homeKnown        bool
+	// suspended sits beside homeKnown so the two bools share a word:
+	// the account stays in the 768-byte allocation size class.
+	homeKnown bool
+	suspended bool
 }
 
 // bumpAccessLocked advances the scraper-visible change counter and
@@ -537,6 +542,16 @@ func (s *Service) SearchLog(address string) []string {
 	return out
 }
 
+// bumpMailboxLocked records a change to what Snapshot reports: it
+// advances the mailbox version and sets the attached mark, if any.
+// Callers hold the owning partition's lock.
+func (a *account) bumpMailboxLocked() {
+	a.version++
+	if a.mark != nil {
+		a.mark.Set()
+	}
+}
+
 // journalLocked appends an event and notifies observers. Callers hold
 // the owning partition's lock. The snapshot version only advances for
 // events that change what Snapshot reports (reads, stars, sends,
@@ -546,7 +561,7 @@ func (s *Service) journalLocked(p *partition, a *account, e Event) {
 	a.journal.append(&p.sym, e)
 	switch e.Kind {
 	case EventRead, EventStar, EventSend, EventDraftCreate, EventDraftUpdate:
-		a.version.Add(1)
+		a.bumpMailboxLocked()
 	}
 	s.obsMu.RLock()
 	observers := s.observers
@@ -569,7 +584,22 @@ func (s *Service) Version(address string) uint64 {
 		return 0
 	}
 	defer p.mu.Unlock()
-	return a.version.Load()
+	return a.version
+}
+
+// AttachMark makes every later change to an account's mailbox (every
+// Version bump) set m; a nil m detaches the current mark. It returns
+// the mailbox version at attach time, so a watcher can tell whether
+// the mailbox changed before it started watching. The Apps-Script
+// runtime attaches its scan trigger's mark here.
+func (s *Service) AttachMark(address string, m *simtime.Mark) (uint64, error) {
+	p, a, err := s.acquire(address)
+	if err != nil {
+		return 0, err
+	}
+	defer p.mu.Unlock()
+	a.mark = m
+	return a.version, nil
 }
 
 // AccessVersion returns a counter that changes whenever anything an
@@ -584,21 +614,17 @@ func (s *Service) AccessVersion(address string) uint64 {
 	return a.accessVersion.Load()
 }
 
-// VersionProbe is a lock-free handle for polling one account's change
-// counters. Per-account pollers (the Apps-Script scan trigger, the
-// activity-page scraper's version gate) hold one so that deciding
-// "nothing changed — skip this account" costs a single atomic load
-// instead of an index lookup plus two lock round-trips per account per
-// tick. Accounts are never deleted, so a probe stays valid for the
+// VersionProbe is a lock-free handle for polling one account's
+// scraper-visible change counter. The activity-page scraper's version
+// gate holds one per account so that deciding "nothing changed — skip
+// this account" costs a single atomic load instead of an index lookup
+// plus two lock round-trips per account per tick. Accounts are never deleted, so a probe stays valid for the
 // life of the service. The zero value is invalid (Valid reports
 // false).
 type VersionProbe struct{ a *account }
 
 // Valid reports whether the probe is bound to an account.
 func (p VersionProbe) Valid() bool { return p.a != nil }
-
-// MailboxVersion mirrors Service.Version for the probed account.
-func (p VersionProbe) MailboxVersion() uint64 { return p.a.version.Load() }
 
 // AccessVersion mirrors Service.AccessVersion for the probed account.
 func (p VersionProbe) AccessVersion() uint64 { return p.a.accessVersion.Load() }
@@ -680,7 +706,7 @@ func (s *Service) DeliverInbound(address, from, subject, body string) (MessageID
 	a.nextID++
 	a.msgs.append(FolderInbox, &msgText{from: from, to: address, subject: subject, body: body},
 		p.now().UnixNano(), false)
-	a.version.Add(1)
+	a.bumpMailboxLocked()
 	return id, nil
 }
 

@@ -209,6 +209,7 @@ func (se *Session) UpdateDraft(id MessageID, to, subject, body string) error {
 	}
 	t := a.msgs.text[i]
 	t.to, t.subject, t.body = to, subject, body
+	t.ascii = textUnknown
 	a.msgs.dateNS[i] = se.part.now().UnixNano()
 	se.svc.journalLocked(se.part, a, Event{
 		Time: se.part.now(), Kind: EventDraftUpdate,
