@@ -420,11 +420,11 @@ func (e *Engine) runSession(rec *Record, leakedPassword string, pop Population, 
 	minutes := e.src.LogNormal(logOf(pop.SessionMinutes), 0.9)
 	endIn := time.Duration(minutes * float64(time.Minute))
 	e.sched.After(endIn, "session-end", func(time.Time) {
-		se.List(webmail.FolderInbox) // touch; errors fine (may be suspended)
+		se.Touch() // errors fine (may be suspended)
 	})
 
 	if first || rec.Classes.Has(ClassGoldDigger) {
-		se.List(webmail.FolderInbox)
+		se.Touch() // opens the inbox; nobody reads the listing
 	}
 	if rec.Classes.Has(ClassGoldDigger) {
 		e.goldDig(rec, se)

@@ -1,6 +1,7 @@
 package webmail
 
 import (
+	"math/bits"
 	"strings"
 	"time"
 
@@ -155,11 +156,12 @@ func (t *msgText) allASCII() bool {
 // subject+body: the old lazily-baked haystacks were a second ~190MB
 // of retained heap at scale=100, kept alive only to make repeat
 // searches marginally cheaper. ASCII text — the entire embedded
-// corpus — matches allocation-free; anything else falls back to a
-// transient strings.ToLower of the exact haystack the cache used to
-// hold, so match results are byte-identical either way. Terms contain
-// no whitespace, so a match can never span the subject/body joiner
-// and the two fields can be scanned independently.
+// corpus — goes through asciiContainsFold, which tests eight
+// positions per step and allocates and keeps nothing; anything else
+// falls back to a transient strings.ToLower of the exact haystack the
+// cache used to hold, so match results are byte-identical either way.
+// Terms contain no whitespace, so a match can never span the
+// subject/body joiner and the two fields can be scanned independently.
 func (t *msgText) matchTerms(terms []string) bool {
 	if len(terms) == 0 {
 		return false
@@ -200,26 +202,97 @@ func lowerASCIIByte(c byte) byte {
 }
 
 // asciiContainsFold is strings.Contains(strings.ToLower(s), term) for
-// ASCII s and already-lowercase ASCII term, without the allocation.
+// ASCII s, without the allocation. The term must already be lowercase,
+// as Search guarantees by lowering the query before splitting it: an
+// uppercase term byte is compared exactly, so it would match the
+// uppercase haystack byte the reference lowers away.
+//
+// The scan tests eight start positions per step. It loads two
+// little-endian words, one at i under the term's first byte and one
+// at i+len(term)-1 under its last, and folds each toward its anchor
+// byte: OR 0x20 into every lane when the anchor is a lowercase letter,
+// compare exactly otherwise. XOR with the broadcast anchor leaves a
+// lane zero where that position's anchor matches. A lane is zero in
+// both words exactly when it is zero in their OR, so one exact
+// zero-lane mask of the OR (the AND of the two words' masks) holds
+// the positions whose first and last bytes both match. Only those
+// compare their middle bytes, one at a time. The last few positions,
+// too close to the end for a full word, take the byte loop. Nothing
+// is kept between calls.
 func asciiContainsFold(s, term string) bool {
 	n := len(term)
 	if n == 0 {
 		return true
 	}
-	c0 := term[0]
-	for i := 0; i+n <= len(s); i++ {
-		if lowerASCIIByte(s[i]) != c0 {
-			continue
+	if n > len(s) {
+		return false
+	}
+	fold0, want0 := anchorLanes(term[0])
+	fold1, want1 := anchorLanes(term[n-1])
+	// With the term at position i, s[i] is under its first byte and
+	// tail[i] under its last; len(tail) counts the start positions.
+	tail := s[n-1:]
+	i := 0
+	for ; i+8 <= len(tail); i += 8 {
+		x0 := (load64(s, i) | fold0) ^ want0
+		x1 := (load64(tail, i) | fold1) ^ want1
+		hit := zeroLanes(x0 | x1)
+		for ; hit != 0; hit &= hit - 1 {
+			p := i + bits.TrailingZeros64(hit)>>3
+			if foldsFrom(s[p:p+n-1], term[:n-1], 1) {
+				return true
+			}
 		}
-		j := 1
-		for j < n && lowerASCIIByte(s[i+j]) == term[j] {
-			j++
-		}
-		if j == n {
+	}
+	for ; i < len(tail); i++ {
+		if foldsFrom(s[i:i+n], term, 0) {
 			return true
 		}
 	}
 	return false
+}
+
+// Byte-lane constants of the word scan.
+const (
+	lanes01 = 0x0101010101010101
+	lanes20 = 0x2020202020202020
+	lanes7f = 0x7f7f7f7f7f7f7f7f
+)
+
+// anchorLanes returns the fold mask and the broadcast byte that test
+// eight haystack bytes against the term byte c at once.
+func anchorLanes(c byte) (fold, want uint64) {
+	if 'a' <= c && c <= 'z' {
+		fold = lanes20
+	}
+	return fold, lanes01 * uint64(c)
+}
+
+// zeroLanes sets the top bit of every byte lane of x that is zero and
+// clears everything else. Each lane's 7-bit add stays inside its lane,
+// so unlike (x-0x01..)&^x&0x80.. no borrow marks the lane above a
+// zero byte.
+func zeroLanes(x uint64) uint64 {
+	return ^(((x & lanes7f) + lanes7f) | x | lanes7f)
+}
+
+// load64 reads s[i:i+8] as a little-endian word; the compiler merges
+// the eight byte loads into one.
+func load64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// foldsFrom reports whether s, lowered, equals term from byte j on;
+// len(s) == len(term).
+func foldsFrom(s, term string, j int) bool {
+	for ; j < len(term); j++ {
+		if lowerASCIIByte(s[j]) != term[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // msgStore is the columnar mailbox: row i holds MessageID(i+1).

@@ -2,6 +2,7 @@ package webmail
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -488,5 +489,71 @@ func TestListNBoundsToNewest(t *testing.T) {
 		if err != nil || len(msgs) != 3 {
 			t.Fatalf("ListN(%d): %v, %d messages", limit, err, len(msgs))
 		}
+	}
+}
+
+// TestTouchMatchesList: a visit that touches the session leaves the
+// account exactly as one that lists the inbox and drops the listing —
+// the same activity rows, change counters and journal — and fails the
+// same way for a missing account, an expired session and a suspended
+// account.
+func TestTouchMatchesList(t *testing.T) {
+	const addr = "alice@honeymail.example"
+	type state struct {
+		err             error
+		page            []Access
+		access, version uint64
+		journal         int
+	}
+	run := func(visit func(*Session) error) []state {
+		f := newFixture(t, Config{})
+		if _, err := f.svc.Seed(addr, FolderInbox, "b@x", addr, "hello", "body", epoch.Add(-time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		var out []state
+		step := func(se *Session) {
+			f.sched.RunFor(7 * time.Minute)
+			err := visit(se)
+			page, perr := f.svc.ActivityPage(addr)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			out = append(out, state{err, page, f.svc.AccessVersion(addr), f.svc.Version(addr), len(f.svc.Journal(addr))})
+		}
+		owner := f.login(t)
+		step(owner)
+		step(owner)
+		ghost := *owner
+		ghost.account = "nobody@honeymail.example"
+		step(&ghost)
+		hijacker := f.login(t)
+		step(hijacker)
+		if err := hijacker.ChangePassword("owned"); err != nil {
+			t.Fatal(err)
+		}
+		step(owner)
+		step(hijacker)
+		if err := f.svc.Suspend(addr, "test"); err != nil {
+			t.Fatal(err)
+		}
+		step(hijacker)
+		return out
+	}
+	list := run(func(se *Session) error {
+		_, err := se.List(FolderInbox)
+		return err
+	})
+	touch := run((*Session).Touch)
+	want := []error{nil, nil, ErrNoSuchAccount, nil, ErrSessionExpired, nil, ErrSuspended}
+	for i, st := range touch {
+		if !errors.Is(st.err, want[i]) {
+			t.Errorf("step %d: Touch err = %v, want %v", i, st.err, want[i])
+		}
+	}
+	if !reflect.DeepEqual(list, touch) {
+		t.Fatalf("Touch diverged from List:\nlist  %+v\ntouch %+v", list, touch)
+	}
+	if !touch[1].page[0].Last.After(touch[0].page[0].Last) {
+		t.Fatalf("Touch left tlast at %v", touch[1].page[0].Last)
 	}
 }

@@ -51,6 +51,17 @@ func (se *Session) touch() (*account, error) {
 	return a, nil
 }
 
+// Touch revalidates the session and refreshes its activity row's
+// tlast: everything a mailbox operation does to the account on the
+// way in, and nothing else. A visit that opens a page without reading
+// it uses this instead of materializing a listing it drops.
+func (se *Session) Touch() error {
+	se.part.mu.Lock()
+	defer se.part.mu.Unlock()
+	_, err := se.touch()
+	return err
+}
+
 // cmpMessage orders messages oldest first, IDs breaking ties — the
 // folder listing and search-result order.
 func cmpMessage(x, y Message) int {
