@@ -155,19 +155,18 @@ func start(cfg config, out io.Writer) (*instance, error) {
 		personas := corpus.NewPersonas(src.ForkNamed("personas"), cfg.accounts, "honeymail.example")
 		gen := corpus.NewGenerator(src.ForkNamed("corpus"), corpus.DefaultConfig())
 		seedStart := clock.Now().Add(-120 * 24 * time.Hour)
+		var msgs []corpus.Message
+		var exp webmail.AccountExport
 		for i, p := range personas {
 			password := fmt.Sprintf("hp-%04d", i)
-			if err := svc.CreateAccount(p.Email, password, p.FullName()); err != nil {
-				return nil, err
+			exp = webmail.AccountExport{Address: p.Email, Password: password, Owner: p.FullName(),
+				NextID: 1, Messages: exp.Messages[:0]}
+			msgs = gen.MailboxAppend(msgs[:0], p, cfg.mailbox, seedStart, clock.Now())
+			for _, m := range msgs {
+				exp.AppendSeeded(m.From, m.To, m.Subject, m.Body, m.Date)
 			}
-			for _, m := range gen.Mailbox(p, cfg.mailbox, seedStart, clock.Now()) {
-				folder := webmail.FolderInbox
-				if m.From == p.Email {
-					folder = webmail.FolderSent
-				}
-				if _, err := svc.Seed(p.Email, folder, m.From, m.To, m.Subject, m.Body, m.Date); err != nil {
-					return nil, err
-				}
+			if err := svc.RestoreAccountIn(webmail.PartitionIndex(p.Email, svc.Partitions()), exp); err != nil {
+				return nil, err
 			}
 			creds = append(creds, livefleet.Credential{Address: p.Email, Password: password})
 			fmt.Fprintf(out, "account %-45s password %s\n", p.Email, password)

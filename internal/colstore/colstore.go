@@ -37,7 +37,13 @@ type Arena struct {
 }
 
 // Copy returns a stable copy of s backed by arena memory.
-func (a *Arena) Copy(s string) string {
+func (a *Arena) Copy(s string) string { return arenaCopy(a, s) }
+
+// CopyBytes is Copy for text rendered into a reused byte buffer: the
+// bytes go straight into the arena, with no intermediate string.
+func (a *Arena) CopyBytes(b []byte) string { return arenaCopy(a, b) }
+
+func arenaCopy[T string | []byte](a *Arena, s T) string {
 	if len(s) == 0 {
 		return ""
 	}

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/rng"
 )
 
@@ -419,6 +420,10 @@ type Generator struct {
 	contacts []Persona
 	scratch  []byte          // render buffer, reused across messages
 	offsets  []time.Duration // date-offset buffer, reused across mailboxes
+	// text holds every subject and body this generator renders: each
+	// is copied out of scratch into 16KiB blocks instead of getting an
+	// allocation of its own.
+	text colstore.Arena
 }
 
 // NewGenerator builds a Generator with a pool of corporate contacts
@@ -492,10 +497,10 @@ func (g *Generator) MailboxAppend(dst []Message, owner Persona, n int, start, en
 
 // Split returns a generator sharing this one's configuration,
 // template weights and corporate-contact pool but drawing from src
-// with private scratch buffers — one per setup worker, so parallel
-// mailbox generation shares the contact identities without sharing
-// any mutable state. src may be nil when the caller Reseeds before
-// the first use.
+// with private scratch buffers and its own text arena — one per setup
+// worker, so parallel mailbox generation shares the contact
+// identities without sharing any mutable state. src may be nil when
+// the caller Reseeds before the first use.
 func (g *Generator) Split(src *rng.Source) *Generator {
 	return &Generator{cfg: g.cfg, src: src, weights: g.weights, contacts: g.contacts}
 }
@@ -506,26 +511,110 @@ func (g *Generator) Split(src *rng.Source) *Generator {
 // account's stream.
 func (g *Generator) Reseed(src *rng.Source) { g.src = src }
 
-// render instantiates one template for the given owner/peer pair.
-// Subject and body are streamed into a reused scratch buffer: the only
-// allocations per message are the two result strings themselves, not
-// one per template slot.
+// segment is one piece of a compiled template: literal text, or a
+// slot filled per message.
+type segment struct {
+	kind  segKind
+	text  string   // segLiteral: the text itself
+	cands []string // segFill: the slot's candidate values
+}
+
+type segKind uint8
+
+const (
+	segLiteral    segKind = iota
+	segPeer               // {peer}: the colleague's first name
+	segOwner              // {owner}: the mailbox owner's first name
+	segCompany            // {company}: the fictitious company
+	segDepartment         // {department_topic}: the owner's department, lowercased
+	segFill               // a slot drawn from fills, one Pick per message
+)
+
+// compiledTemplate is a template parsed once into segments, so a
+// message renders without scanning for braces or looking slots up.
+type compiledTemplate struct {
+	subject []segment
+	body    [][]segment // paragraphs
+}
+
+// compiledTemplates is businessTemplates, compiled, index for index.
+var compiledTemplates = compileTemplates(businessTemplates)
+
+func compileTemplates(ts []template) []compiledTemplate {
+	out := make([]compiledTemplate, len(ts))
+	for i, t := range ts {
+		out[i].subject = compile(t.subject)
+		for _, para := range t.body {
+			out[i].body = append(out[i].body, compile(para))
+		}
+	}
+	return out
+}
+
+// compile splits s at its {slot}s, left to right. A '{' without a
+// closing '}' starts literal text that runs to the end, and an unknown
+// slot compiles to its bare word: the braces drop, the word stays.
+func compile(s string) []segment {
+	var segs []segment
+	literal := func(text string) {
+		if text != "" {
+			segs = append(segs, segment{kind: segLiteral, text: text})
+		}
+	}
+	for {
+		i := strings.IndexByte(s, '{')
+		if i < 0 {
+			literal(s)
+			return segs
+		}
+		j := strings.IndexByte(s[i:], '}')
+		if j < 0 {
+			literal(s)
+			return segs
+		}
+		literal(s[:i])
+		slot := s[i+1 : i+j]
+		switch slot {
+		case "peer":
+			segs = append(segs, segment{kind: segPeer})
+		case "owner":
+			segs = append(segs, segment{kind: segOwner})
+		case "company":
+			segs = append(segs, segment{kind: segCompany})
+		case "department_topic":
+			segs = append(segs, segment{kind: segDepartment})
+		default:
+			if cands, ok := fills[slot]; ok {
+				segs = append(segs, segment{kind: segFill, cands: cands})
+			} else {
+				literal(slot)
+			}
+		}
+		s = s[i+j+1:]
+	}
+}
+
+// render instantiates one template for the given owner/peer pair. The
+// draws are one Categorical for the template, one Bool for the
+// direction, then one Pick per fill slot, subject first and then the
+// paragraphs, left to right. Subject and body are rendered into a
+// reused scratch buffer and copied from there into the generator's
+// text arena, so a message costs no allocation of its own.
 func (g *Generator) render(owner, peer Persona, date time.Time) Message {
-	tpl := businessTemplates[g.src.Categorical(g.weights)]
+	tpl := &compiledTemplates[g.src.Categorical(g.weights)]
 	sent := g.src.Bool(0.2) // owner is the sender for ~20% of messages
 	from, to := peer, owner
 	if sent {
 		from, to = owner, peer
 	}
-	g.scratch = g.scratch[:0]
-	g.fillTo(tpl.subject, owner, peer)
-	subject := string(g.scratch)
+	g.scratch = g.fill(g.scratch[:0], tpl.subject, owner, peer)
+	subject := g.text.CopyBytes(g.scratch)
 	g.scratch = g.scratch[:0]
 	g.scratch = append(g.scratch, "Dear "...)
 	g.scratch = append(g.scratch, to.First...)
 	g.scratch = append(g.scratch, ",\n\n"...)
 	for _, para := range tpl.body {
-		g.fillTo(para, owner, peer)
+		g.scratch = g.fill(g.scratch, para, owner, peer)
 		g.scratch = append(g.scratch, "\n\n"...)
 	}
 	g.scratch = append(g.scratch, "Regards,\n"...)
@@ -543,47 +632,31 @@ func (g *Generator) render(owner, peer Persona, date time.Time) Message {
 		From:    from.Email,
 		To:      to.Email,
 		Subject: subject,
-		Body:    string(g.scratch),
+		Body:    g.text.CopyBytes(g.scratch),
 		Date:    date,
 	}
 }
 
-// fillTo appends s to the scratch buffer with template slots
-// substituted, left to right. Slot values never contain braces, so the
-// single pass matches the old rescanning substitution exactly —
-// including its rng draw order, one Pick per {slot} with candidates.
-func (g *Generator) fillTo(s string, owner, peer Persona) {
-	for {
-		i := strings.IndexByte(s, '{')
-		if i < 0 {
-			g.scratch = append(g.scratch, s...)
-			return
+// fill appends the segments to dst with their slots filled.
+func (g *Generator) fill(dst []byte, segs []segment, owner, peer Persona) []byte {
+	for i := range segs {
+		seg := &segs[i]
+		switch seg.kind {
+		case segLiteral:
+			dst = append(dst, seg.text...)
+		case segPeer:
+			dst = append(dst, peer.First...)
+		case segOwner:
+			dst = append(dst, owner.First...)
+		case segCompany:
+			dst = append(dst, g.cfg.Company...)
+		case segDepartment:
+			dst = appendLower(dst, owner.Department)
+		case segFill:
+			dst = append(dst, rng.Pick(g.src, seg.cands)...)
 		}
-		j := strings.IndexByte(s[i:], '}')
-		if j < 0 {
-			g.scratch = append(g.scratch, s...)
-			return
-		}
-		g.scratch = append(g.scratch, s[:i]...)
-		slot := s[i+1 : i+j]
-		switch slot {
-		case "peer":
-			g.scratch = append(g.scratch, peer.First...)
-		case "owner":
-			g.scratch = append(g.scratch, owner.First...)
-		case "company":
-			g.scratch = append(g.scratch, g.cfg.Company...)
-		case "department_topic":
-			g.scratch = appendLower(g.scratch, owner.Department)
-		default:
-			if cands, ok := fills[slot]; ok {
-				g.scratch = append(g.scratch, rng.Pick(g.src, cands)...)
-			} else {
-				g.scratch = append(g.scratch, slot...) // unknown slot: leave the word, drop braces
-			}
-		}
-		s = s[i+j+1:]
 	}
+	return dst
 }
 
 // appendLower appends the ASCII-lowercased s without an intermediate

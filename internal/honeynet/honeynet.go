@@ -244,7 +244,7 @@ func New(cfg Config) (*Experiment, error) {
 		leakTimes: make(map[string]time.Time),
 	}
 	for i, spec := range plan {
-		sh := shards[i%len(shards)]
+		sh := shards[shardOf(i, len(cfg.Plan), len(shards))]
 		e.blocks = append(e.blocks, newBlock(i, len(plan), spec, sh, src, cfg, gaz, bl, svc))
 	}
 	return e, nil
@@ -392,8 +392,7 @@ func (e *Experiment) setupLegacy(n int, locale corpus.Locale) error {
 	personas := corpus.NewPersonasLocale(setupSrc.ForkNamed("personas"), n, locale)
 	gen := corpus.NewGenerator(setupSrc.ForkNamed("corpus"), corpus.DefaultConfig())
 
-	seedStart := e.cfg.Start.Add(-180 * 24 * time.Hour)
-	var msgs []corpus.Message // mailbox buffer, reused across accounts
+	var l loader
 	idx := 0
 	for _, b := range e.blocks {
 		b.start = idx
@@ -401,8 +400,7 @@ func (e *Experiment) setupLegacy(n int, locale corpus.Locale) error {
 			p := personas[idx]
 			idx++
 			password := fmt.Sprintf("hp-%08x", setupSrc.Int63()&0xffffffff)
-			msgs = gen.MailboxAppend(msgs[:0], p, e.cfg.MailboxSize, seedStart, e.cfg.Start)
-			if err := e.createAccount(b, p, password, msgs); err != nil {
+			if err := e.createAccount(&l, gen, b, p, password); err != nil {
 				return err
 			}
 			e.register(b, p.Email, password, p.Handle())
@@ -490,8 +488,7 @@ func (e *Experiment) setupParallel(n int, locale corpus.Locale) error {
 	// Parallel pass: one goroutine per shard materializes that shard's
 	// accounts. Shards own disjoint webmail partitions, appscript
 	// runtimes and monitors, so workers only meet on the service's
-	// address index (briefly, inside CreateAccountIn).
-	seedStart := e.cfg.Start.Add(-180 * 24 * time.Hour)
+	// address index (briefly, inside RestoreAccountIn).
 	errs := make([]error, len(e.shards))
 	for si := range e.shards {
 		si := si
@@ -501,15 +498,14 @@ func (e *Experiment) setupParallel(n int, locale corpus.Locale) error {
 			pool.Acquire()
 			defer pool.Release()
 			wgen := gen.Split(nil)
-			var msgs []corpus.Message // mailbox buffer, reused across accounts
+			var l loader
 			for _, b := range e.blocks {
 				if b.shard.id != si {
 					continue
 				}
 				for i := b.start; i < b.end; i++ {
 					wgen.Reseed(streams[i])
-					msgs = wgen.MailboxAppend(msgs[:0], personas[i], e.cfg.MailboxSize, seedStart, e.cfg.Start)
-					if err := e.createAccount(b, personas[i], passwords[i], msgs); err != nil {
+					if err := e.createAccount(&l, wgen, b, personas[i], passwords[i]); err != nil {
 						errs[si] = err
 						return
 					}
@@ -527,31 +523,50 @@ func (e *Experiment) setupParallel(n int, locale corpus.Locale) error {
 	return nil
 }
 
-// createAccount materializes one honey account in webmail — create,
-// divert the outbound envelope to the sinkhole, seed the mailbox,
-// instrument — the per-account sequence both setup layouts share.
-// Seeded message ids are exactly 1..len(msgs), the contract the lazy
-// contents view (SeededContents) reads the corpus back through.
-func (e *Experiment) createAccount(b *block, p corpus.Persona, password string, msgs []corpus.Message) error {
-	if err := e.svc.CreateAccountIn(b.shard.id, p.Email, password, p.FullName()); err != nil {
-		return fmt.Errorf("honeynet: create %s: %w", p.Email, err)
+// loader holds one set-up worker's reused buffers: the rendered
+// mailbox and the account export it becomes.
+type loader struct {
+	msgs []corpus.Message
+	exp  webmail.AccountExport
+}
+
+// sinkholeSender is the envelope sender every honey account's outgoing
+// mail carries, so replies and bounces land in the sinkhole domain.
+const sinkholeSender = "capture@sinkhole.example"
+
+// createAccount renders one honey account's mailbox with gen and
+// materializes the account through loadAccount, the path snapshot
+// resume takes too. Seeded message IDs are exactly 1..MailboxSize,
+// the contract the lazy contents view (SeededContents) reads the
+// corpus back through.
+func (e *Experiment) createAccount(l *loader, gen *corpus.Generator, b *block, p corpus.Persona, password string) error {
+	seedStart := e.cfg.Start.Add(-180 * 24 * time.Hour)
+	l.msgs = gen.MailboxAppend(l.msgs[:0], p, e.cfg.MailboxSize, seedStart, e.cfg.Start)
+	l.exp = webmail.AccountExport{
+		Address:  p.Email,
+		Password: password,
+		Owner:    p.FullName(),
+		SendFrom: sinkholeSender,
+		NextID:   1,
+		Messages: l.exp.Messages[:0],
 	}
-	// All outgoing honey mail diverts to the sinkhole domain.
-	if err := e.svc.SetSendFrom(p.Email, "capture@sinkhole.example"); err != nil {
-		return err
+	for _, m := range l.msgs {
+		l.exp.AppendSeeded(m.From, m.To, m.Subject, m.Body, m.Date)
 	}
-	for _, m := range msgs {
-		folder := webmail.FolderInbox
-		if m.From == p.Email {
-			folder = webmail.FolderSent
-		}
-		if _, err := e.svc.Seed(p.Email, folder, m.From, m.To, m.Subject, m.Body, m.Date); err != nil {
-			return err
-		}
+	return e.loadAccount(b, l.exp)
+}
+
+// loadAccount restores one account onto its block's shard partition
+// with a single RestoreAccountIn and instruments it: the per-account
+// sequence Setup and the snapshot restore path share.
+func (e *Experiment) loadAccount(b *block, exp webmail.AccountExport) error {
+	if err := e.svc.RestoreAccountIn(b.shard.id, exp); err != nil {
+		return fmt.Errorf("honeynet: load %s: %w", exp.Address, err)
 	}
-	// Install the monitoring script on the owning shard and register
-	// the account for scraping.
-	return e.instrument(b, p.Email, password)
+	if err := e.instrument(b, exp.Address, exp.Password); err != nil {
+		return fmt.Errorf("honeynet: instrument %s: %w", exp.Address, err)
+	}
+	return nil
 }
 
 // instrument attaches the monitoring pipeline to one account: the

@@ -153,3 +153,33 @@ func TestSeededContentsViewAllocFree(t *testing.T) {
 		t.Fatal("view leaked a post-setup message id")
 	}
 }
+
+// TestSetupAllocationBudget pins what set-up allocates per account in
+// both layouts. Each mailbox renders into the generator's text arena
+// and loads with one RestoreAccountIn, so New+Setup of the Table 1
+// fleet measures 46 (legacy) and 50 (parallel) allocations per
+// account; seeding each message on its own cost 342 and 345.
+func TestSetupAllocationBudget(t *testing.T) {
+	const budget = 75 // allocations per account
+	accounts := float64(PlanAccounts(Table1Plan()))
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"legacy", Config{Seed: 42, Shards: 2}},
+		{"parallel", Config{Seed: 42, SetupSeed: 7, Shards: 2, SetupWorkers: 2}},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			e, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Setup(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if per := allocs / accounts; per > budget {
+			t.Errorf("%s: New+Setup allocates %.1f times per account, budget %d", c.name, per, budget)
+		}
+	}
+}

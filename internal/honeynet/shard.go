@@ -37,8 +37,9 @@ import (
 //     depend on which shard executes the block, which is what makes
 //     shards=1 and shards=8 produce the same merged dataset.
 //
-// Blocks are assigned to shards round-robin; a shard runs all events
-// of its blocks on its single scheduler.
+// Blocks are striped across shards by plan row and replica (see
+// shardOf); a shard runs all events of its blocks on its single
+// scheduler.
 
 // shard owns the parallel-execution fabric for a subset of blocks.
 type shard struct {
@@ -178,6 +179,17 @@ func newBlock(idx, total int, spec GroupSpec, sh *shard, root *rng.Source, cfg C
 		b.engine.HandleExfil(ex)
 	})
 	return b
+}
+
+// shardOf places expanded block i on one of n shards. The expanded
+// plan lists rows replica by replica, so block i is row i%rows of
+// replica i/rows, and that row goes to shard (row + replica) mod n.
+// Plain i mod n would put every replica of a row on one shard whenever
+// the row count shares a factor with n — with Table 1's 8 rows on 2
+// shards, one shard would run every malware and Russian-paste block.
+// Replica 0 keeps i mod n, so an unscaled plan is placed as before.
+func shardOf(i, rows, n int) int {
+	return (i%rows + i/rows) % n
 }
 
 // expandPlan replicates a validated plan scale times. Replicas keep

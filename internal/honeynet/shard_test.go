@@ -239,3 +239,45 @@ func TestPlanTooLargeForTenancyRejected(t *testing.T) {
 		t.Fatalf("1200-block fleet rejected: %v", err)
 	}
 }
+
+// TestBlocksStripedAcrossShards: when the scale is a multiple of the
+// shard count, every shard holds an equal share of every plan row,
+// even when the row count shares a factor with the shard count, as
+// Table 1's 8 rows do with 2 and 4 shards. An unscaled plan keeps
+// block i on shard i mod n.
+func TestBlocksStripedAcrossShards(t *testing.T) {
+	plan := Table1Plan()
+	rows := len(plan)
+	for _, c := range []struct{ shards, scale int }{{2, 2}, {2, 10}, {4, 4}, {4, 8}, {3, 6}} {
+		e, err := New(Config{Seed: 1, Plan: plan, Shards: c.shards, ScaleFactor: c.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := make(map[[2]int]int) // (shard, row) -> blocks
+		accounts := make([]int, c.shards)
+		for _, b := range e.blocks {
+			blocks[[2]int{b.shard.id, b.idx % rows}]++
+			accounts[b.shard.id] += b.spec.Count
+		}
+		for sh := 0; sh < c.shards; sh++ {
+			for g := 0; g < rows; g++ {
+				if got, want := blocks[[2]int{sh, g}], c.scale/c.shards; got != want {
+					t.Errorf("shards=%d scale=%d: shard %d holds %d blocks of row %d, want %d",
+						c.shards, c.scale, sh, got, g, want)
+				}
+			}
+			if got, want := accounts[sh], PlanAccounts(plan)*c.scale/c.shards; got != want {
+				t.Errorf("shards=%d scale=%d: shard %d holds %d accounts, want %d", c.shards, c.scale, sh, got, want)
+			}
+		}
+	}
+	e, err := New(Config{Seed: 1, Plan: plan, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range e.blocks {
+		if b.shard.id != b.idx%3 {
+			t.Fatalf("unscaled block %d on shard %d, want %d", b.idx, b.shard.id, b.idx%3)
+		}
+	}
+}

@@ -420,18 +420,16 @@ func (e *Experiment) restoreSetup(st *snapshot.State) error {
 		// a corrupted snapshot, not a user error.
 		return fmt.Errorf("honeynet: snapshot root stream (seed %d, pos %d) is inconsistent with config seed %d", st.Root.Seed, st.Root.Pos, e.cfg.Seed)
 	}
+	var exp webmail.AccountExport // message buffer, reused across accounts
 	idx := 0
 	for _, b := range e.blocks {
 		b.start = idx
 		for i := 0; i < b.spec.Count; i++ {
 			acct := st.Accounts[idx]
 			idx++
-			exp := webmailExport(acct)
-			if err := e.svc.RestoreAccountIn(b.shard.id, exp); err != nil {
-				return fmt.Errorf("honeynet: restore %s: %w", acct.Address, err)
-			}
-			if err := e.instrument(b, acct.Address, acct.Password); err != nil {
-				return fmt.Errorf("honeynet: re-instrument %s: %w", acct.Address, err)
+			exp = webmailExport(acct, exp.Messages[:0])
+			if err := e.loadAccount(b, exp); err != nil {
+				return err
 			}
 			e.register(b, acct.Address, acct.Password, handleOf(acct.Address))
 		}
@@ -511,14 +509,15 @@ func planMatches(plan []GroupSpec, blocks []snapshot.Block) bool {
 }
 
 // webmailExport converts a snapshot account to the webmail restore
-// form.
-func webmailExport(a snapshot.Account) webmail.AccountExport {
+// form, appending its messages to msgs.
+func webmailExport(a snapshot.Account, msgs []webmail.MessageExport) webmail.AccountExport {
 	exp := webmail.AccountExport{
 		Address:  a.Address,
 		Password: a.Password,
 		Owner:    a.Owner,
 		SendFrom: a.SendFrom,
 		NextID:   a.NextID,
+		Messages: msgs,
 	}
 	for _, m := range a.Messages {
 		exp.Messages = append(exp.Messages, webmail.MessageExport{

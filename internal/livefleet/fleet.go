@@ -55,14 +55,15 @@ func ReadCredentials(r io.Reader) ([]Credential, error) {
 }
 
 // exportFromSnapshot converts one snapshot account into the service's
-// restore form.
-func exportFromSnapshot(a *snapshot.Account) webmail.AccountExport {
+// restore form, appending its messages to msgs.
+func exportFromSnapshot(a *snapshot.Account, msgs []webmail.MessageExport) webmail.AccountExport {
 	exp := webmail.AccountExport{
 		Address:  a.Address,
 		Password: a.Password,
 		Owner:    a.Owner,
 		SendFrom: a.SendFrom,
 		NextID:   a.NextID,
+		Messages: msgs,
 	}
 	for _, m := range a.Messages {
 		exp.Messages = append(exp.Messages, webmail.MessageExport{
@@ -102,6 +103,7 @@ func BootService(path string, part, parts int, cfg webmail.Config) (*webmail.Ser
 	svc := webmail.NewService(cfg)
 	var creds []Credential
 	var a snapshot.Account
+	var exp webmail.AccountExport // message buffer, reused across accounts
 	for {
 		if err := dec.Next(&a); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -112,7 +114,7 @@ func BootService(path string, part, parts int, cfg webmail.Config) (*webmail.Ser
 		if webmail.PartitionIndex(a.Address, parts) != part {
 			continue
 		}
-		exp := exportFromSnapshot(&a)
+		exp = exportFromSnapshot(&a, exp.Messages[:0])
 		if err := svc.RestoreAccountIn(webmail.PartitionIndex(a.Address, svc.Partitions()), exp); err != nil {
 			return nil, nil, fmt.Errorf("livefleet: restore %s: %w", a.Address, err)
 		}

@@ -48,6 +48,9 @@ type abuseDetector struct {
 	mu  sync.Mutex
 	cfg AbuseConfig
 	log map[string][]sendRecord
+	// distinct is the recipient set a fan-out count fills, emptied and
+	// reused on every count instead of allocated per send.
+	distinct map[string]struct{}
 }
 
 type sendRecord struct {
@@ -56,7 +59,11 @@ type sendRecord struct {
 }
 
 func newAbuseDetector(cfg AbuseConfig) *abuseDetector {
-	return &abuseDetector{cfg: cfg.withDefaults(), log: make(map[string][]sendRecord)}
+	return &abuseDetector{
+		cfg:      cfg.withDefaults(),
+		log:      make(map[string][]sendRecord),
+		distinct: make(map[string]struct{}),
+	}
 }
 
 // recordSend registers one outgoing message and returns a non-empty
@@ -80,12 +87,17 @@ func (d *abuseDetector) recordSend(account, to string, at time.Time) string {
 	if len(recs) > d.cfg.MaxSendsPerWindow {
 		return fmt.Sprintf("abuse: %d sends within %v", len(recs), d.cfg.Window)
 	}
-	distinct := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		distinct[r.to] = true
+	// A window cannot hold more distinct recipients than records, so
+	// most sends skip the count.
+	if len(recs) <= d.cfg.MaxRecipientsPerWindow {
+		return ""
 	}
-	if len(distinct) > d.cfg.MaxRecipientsPerWindow {
-		return fmt.Sprintf("abuse: %d distinct recipients within %v", len(distinct), d.cfg.Window)
+	clear(d.distinct)
+	for _, r := range recs {
+		d.distinct[r.to] = struct{}{}
+	}
+	if len(d.distinct) > d.cfg.MaxRecipientsPerWindow {
+		return fmt.Sprintf("abuse: %d distinct recipients within %v", len(d.distinct), d.cfg.Window)
 	}
 	return ""
 }

@@ -185,13 +185,25 @@ func (t *msgText) matchTerms(terms []string) bool {
 	return true
 }
 
+// isASCII reports whether s has no byte at or above 0x80. It ORs
+// eight bytes per step together and tests the high bits once; a
+// string of eight bytes or more finishes with one overlapping word at
+// len(s)-8 instead of a byte loop.
 func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return false
+	if len(s) < 8 {
+		for i := 0; i < len(s); i++ {
+			if s[i] >= 0x80 {
+				return false
+			}
 		}
+		return true
 	}
-	return true
+	var high uint64
+	for i := 0; i+8 <= len(s); i += 8 {
+		high |= load64(s, i)
+	}
+	high |= load64(s, len(s)-8)
+	return high&lanes80 == 0
 }
 
 func lowerASCIIByte(c byte) byte {
@@ -216,9 +228,11 @@ func lowerASCIIByte(c byte) byte {
 // both words exactly when it is zero in their OR, so one exact
 // zero-lane mask of the OR (the AND of the two words' masks) holds
 // the positions whose first and last bytes both match. Only those
-// compare their middle bytes, one at a time. The last few positions,
-// too close to the end for a full word, take the byte loop. Nothing
-// is kept between calls.
+// compare their middle bytes, one at a time. When the start positions
+// do not fill whole words, one last word at len(tail)-8 overlaps the
+// one before it: re-testing a position cannot change the answer, so
+// only a haystack with fewer than eight start positions takes the
+// byte loop. Nothing is kept between calls.
 func asciiContainsFold(s, term string) bool {
 	n := len(term)
 	if n == 0 {
@@ -244,6 +258,23 @@ func asciiContainsFold(s, term string) bool {
 			}
 		}
 	}
+	if i == len(tail) {
+		return false
+	}
+	if i > 0 {
+		// Fewer than eight start positions are left: test the last
+		// eight as one more word, overlapping the one before.
+		i = len(tail) - 8
+		x0 := (load64(s, i) | fold0) ^ want0
+		x1 := (load64(tail, i) | fold1) ^ want1
+		for hit := zeroLanes(x0 | x1); hit != 0; hit &= hit - 1 {
+			p := i + bits.TrailingZeros64(hit)>>3
+			if foldsFrom(s[p:p+n-1], term[:n-1], 1) {
+				return true
+			}
+		}
+		return false
+	}
 	for ; i < len(tail); i++ {
 		if foldsFrom(s[i:i+n], term, 0) {
 			return true
@@ -257,6 +288,7 @@ const (
 	lanes01 = 0x0101010101010101
 	lanes20 = 0x2020202020202020
 	lanes7f = 0x7f7f7f7f7f7f7f7f
+	lanes80 = 0x8080808080808080
 )
 
 // anchorLanes returns the fold mask and the broadcast byte that test
@@ -328,25 +360,6 @@ func (ms *msgStore) append(folder Folder, text *msgText, dateNS int64, read bool
 	ms.dateNS = append(ms.dateNS, dateNS)
 	ms.text = append(ms.text, text)
 	return i
-}
-
-// place installs a message at an arbitrary ID (snapshot restore),
-// padding any gap with vacated rows. Reports false when the slot is
-// already occupied.
-func (ms *msgStore) place(id MessageID, folder Folder, text *msgText, dateNS int64, read, starred bool) bool {
-	i := int(id) - 1
-	for len(ms.text) <= i {
-		ms.append("", nil, 0, false)
-	}
-	if ms.text[i] != nil {
-		return false
-	}
-	ms.folder[i] = folder
-	ms.read[i] = read
-	ms.starred[i] = starred
-	ms.dateNS[i] = dateNS
-	ms.text[i] = text
-	return true
 }
 
 // vacate removes a message (draft sent away). The row stays as a

@@ -50,10 +50,11 @@ type foldCase struct {
 }
 
 // containsFoldCases is the boundary table. The word scan covers start
-// positions in steps of eight while a full word fits under the term's
-// last byte and leaves the rest to the byte loop, so with a 24-byte
-// haystack and a 4-byte term the words cover positions 0-15 and the
-// tail 16-20.
+// positions in steps of eight and finishes with one word at
+// len(tail)-8 that overlaps the one before it, so with a 24-byte
+// haystack and a 4-byte term (21 start positions) the words cover
+// positions 0-7, 8-15 and 13-20. Only a haystack with fewer than eight
+// start positions takes the byte loop.
 func containsFoldCases() []foldCase {
 	cases := []foldCase{
 		// Term lengths 1, 2, 8 and 9, in the word path and the tail.
@@ -72,7 +73,8 @@ func containsFoldCases() []foldCase {
 		// First and last bytes agree, a middle byte does not.
 		{strings.Repeat(".", 9) + "stateMINT" + strings.Repeat(".", 9), "statement", false},
 		{strings.Repeat("wxre.", 6), "wire", false},
-		// The last lane of the last full word, then the tail.
+		// The last lane of the second word, then the overlapping last
+		// word.
 		{strings.Repeat(".", 15) + "WiRe" + ".....", "wire", true},
 		{strings.Repeat(".", 16) + "WiRe" + "....", "wire", true},
 		{strings.Repeat(".", 20) + "WIRE", "wire", true},
@@ -106,6 +108,29 @@ func containsFoldCases() []foldCase {
 		{"id\x00\x00key\x00" + strings.Repeat(".", 20), "\x00key\x00", true},
 		{"id  key " + strings.Repeat(".", 20), "\x00key\x00", false},
 		{strings.Repeat(".", 20) + "\x00", "\x00", true},
+	}
+	// Start positions 8 <= len(tail) < 16: a match only in the last
+	// 1-7, which only the overlapping last word sees, and the same
+	// haystack with the match broken. Then len(tail) exactly 8 and 16,
+	// where the last word is a whole word of its own.
+	for starts := 9; starts < 16; starts++ {
+		for p := 8; p < starts; p++ {
+			pad := strings.Repeat(".", starts-1-p)
+			cases = append(cases,
+				foldCase{strings.Repeat(".", p) + "WiRe" + pad, "wire", true},
+				foldCase{strings.Repeat(".", p) + "WiRx" + pad, "wire", false},
+				foldCase{strings.Repeat(".", p) + "xIRE" + pad, "wire", false},
+			)
+		}
+	}
+	for _, starts := range []int{8, 16} {
+		for _, p := range []int{0, starts/2 - 1, starts - 1} {
+			pad := strings.Repeat(".", starts-1-p)
+			cases = append(cases,
+				foldCase{strings.Repeat(".", p) + "BaNk" + pad, "bank", true},
+				foldCase{strings.Repeat(".", p) + "BaNc" + pad, "bank", false},
+			)
+		}
 	}
 	// Each pair's two bytes as first, middle and last term byte, in a
 	// haystack long enough for the word path and in a short one: the
@@ -141,6 +166,35 @@ func TestContainsFoldBoundaries(t *testing.T) {
 		}
 		if got := containsFoldReference(c.s, c.term); got != c.want {
 			t.Errorf("containsFoldReference(%q, %q) = %v, want %v", c.s, c.term, got, c.want)
+		}
+	}
+}
+
+// TestIsASCIIMatchesByteLoop checks the word-at-a-time isASCII
+// against the byte loop for every length up to 24, clean and with one
+// high byte at each offset 0-16.
+func TestIsASCIIMatchesByteLoop(t *testing.T) {
+	byteLoop := func(s string) bool {
+		for i := 0; i < len(s); i++ {
+			if s[i] >= 0x80 {
+				return false
+			}
+		}
+		return true
+	}
+	for n := 0; n <= 24; n++ {
+		clean := []byte(strings.Repeat("\x7fAz", 9)[:n])
+		if !isASCII(string(clean)) {
+			t.Fatalf("isASCII(%q) = false", clean)
+		}
+		for off := 0; off <= 16 && off < n; off++ {
+			for _, high := range []byte{0x80, 0xc3, 0xff} {
+				b := append([]byte(nil), clean...)
+				b[off] = high
+				if got, want := isASCII(string(b)), byteLoop(string(b)); got != want {
+					t.Fatalf("isASCII(%q) = %v, byte loop %v", b, got, want)
+				}
+			}
 		}
 	}
 }

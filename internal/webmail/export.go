@@ -73,18 +73,56 @@ func (s *Service) ExportAccount(address string) (AccountExport, error) {
 	return out, nil
 }
 
+// AppendSeeded adds one seeded message to the export, filed the way
+// set-up seeds a mailbox: mail from the account's own address goes to
+// Sent and counts as read, as Service.Seed marks sent mail, and
+// anything else lands unread in the Inbox. IDs run 1..n in call order
+// and NextID follows,
+// the shape ExportAccount emits and RestoreAccountIn accepts, so a
+// bulk loader can build a whole mailbox here and restore it in one
+// call.
+func (exp *AccountExport) AppendSeeded(from, to, subject, body string, date time.Time) {
+	folder := FolderInbox
+	if from == exp.Address {
+		folder = FolderSent
+	}
+	id := int64(len(exp.Messages)) + 1
+	exp.Messages = append(exp.Messages, MessageExport{
+		ID: id, Folder: string(folder), From: from, To: to,
+		Subject: subject, Body: body, Date: date, Read: folder == FolderSent,
+	})
+	exp.NextID = id + 1
+}
+
 // RestoreAccountIn recreates an exported account on an explicit
 // partition, exactly as a CreateAccountIn + Seed sequence would have
 // left it: version counters start at zero and no journal entries
-// exist. The export is treated as
-// read-only, so one decoded snapshot can seed many experiments
-// concurrently (the warm-started scenario matrix does).
+// exist. The export is treated as read-only, so one decoded snapshot
+// can seed many experiments concurrently (the warm-started scenario
+// matrix does).
+//
+// Only the shape ExportAccount produces is accepted: messages with IDs
+// 1..n in order and NextID n+1. Gaps in the ID sequence come only from
+// activity, which ExportAccount refuses, so any other shape is a
+// corrupt or hostile export, and refusing it before anything is
+// allocated keeps one crafted ID from sizing the mailbox. Each message
+// column is then allocated once at n rows, and the n text payloads as
+// one slab.
 func (s *Service) RestoreAccountIn(part int, exp AccountExport) error {
 	if part < 0 || part >= len(s.parts) {
 		return fmt.Errorf("webmail: partition %d out of range [0,%d)", part, len(s.parts))
 	}
 	if exp.Address == "" {
 		return fmt.Errorf("webmail: restore of account with empty address")
+	}
+	n := len(exp.Messages)
+	if exp.NextID != int64(n)+1 {
+		return fmt.Errorf("webmail: restore %s: next id %d after %d messages, want %d", exp.Address, exp.NextID, n, n+1)
+	}
+	for i, me := range exp.Messages {
+		if me.ID != int64(i)+1 {
+			return fmt.Errorf("webmail: restore %s: message %d has id %d, want %d", exp.Address, i, me.ID, i+1)
+		}
 	}
 	a := &account{
 		address:  exp.Address,
@@ -93,17 +131,25 @@ func (s *Service) RestoreAccountIn(part int, exp AccountExport) error {
 		sendFrom: exp.SendFrom,
 		nextID:   MessageID(exp.NextID),
 	}
-	for _, me := range exp.Messages {
-		id := MessageID(me.ID)
-		if id <= 0 || id >= a.nextID {
-			return fmt.Errorf("webmail: restore %s: message id %d outside [1,%d)", exp.Address, me.ID, exp.NextID)
-		}
-		t := &msgText{from: me.From, to: me.To, subject: me.Subject, body: me.Body}
-		if len(me.Labels) > 0 {
-			t.labels = append([]string(nil), me.Labels...)
-		}
-		if !a.msgs.place(id, Folder(me.Folder), t, me.Date.UnixNano(), me.Read, me.Starred) {
-			return fmt.Errorf("webmail: restore %s: duplicate message id %d", exp.Address, me.ID)
+	if n > 0 {
+		ms := &a.msgs
+		ms.folder = make([]Folder, n)
+		ms.read = make([]bool, n)
+		ms.starred = make([]bool, n)
+		ms.dateNS = make([]int64, n)
+		ms.text = make([]*msgText, n)
+		texts := make([]msgText, n)
+		for i, me := range exp.Messages {
+			t := &texts[i]
+			t.from, t.to, t.subject, t.body = me.From, me.To, me.Subject, me.Body
+			if len(me.Labels) > 0 {
+				t.labels = append([]string(nil), me.Labels...)
+			}
+			ms.folder[i] = Folder(me.Folder)
+			ms.read[i] = me.Read
+			ms.starred[i] = me.Starred
+			ms.dateNS[i] = me.Date.UnixNano()
+			ms.text[i] = t
 		}
 	}
 	p := s.parts[part]

@@ -1,11 +1,15 @@
 package webmail
 
 import (
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/netsim"
+	"repro/internal/rng"
 	"repro/internal/simtime"
 )
 
@@ -87,24 +91,184 @@ func TestExportRefusesLiveAccounts(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsMalformedExports: out-of-range ids and duplicate
-// ids are refused before any state lands.
+// TestRestoreRejectsMalformedExports: any shape ExportAccount cannot
+// produce is refused before state lands, and before the columns are
+// sized, so a crafted ID cannot make the restore allocate for it.
 func TestRestoreRejectsMalformedExports(t *testing.T) {
 	svc := exportTestService(t)
-	bad := AccountExport{Address: "b@x.example", NextID: 2,
-		Messages: []MessageExport{{ID: 5, Folder: "inbox"}}}
-	if err := svc.RestoreAccountIn(0, bad); err == nil {
-		t.Fatal("message id beyond NextID accepted")
+	msgs := func(ids ...int64) []MessageExport {
+		out := make([]MessageExport, len(ids))
+		for i, id := range ids {
+			out[i] = MessageExport{ID: id, Folder: "inbox"}
+		}
+		return out
 	}
-	dup := AccountExport{Address: "b@x.example", NextID: 3,
-		Messages: []MessageExport{{ID: 1, Folder: "inbox"}, {ID: 1, Folder: "sent"}}}
-	if err := svc.RestoreAccountIn(0, dup); err == nil {
-		t.Fatal("duplicate message id accepted")
+	for _, c := range []struct {
+		name string
+		part int
+		exp  AccountExport
+	}{
+		{"message id beyond NextID", 0, AccountExport{Address: "b@x.example", NextID: 2, Messages: msgs(5)}},
+		{"duplicate message id", 0, AccountExport{Address: "b@x.example", NextID: 3, Messages: msgs(1, 1)}},
+		{"gap in the ids", 0, AccountExport{Address: "b@x.example", NextID: 4, Messages: msgs(1, 3)}},
+		{"descending ids", 0, AccountExport{Address: "b@x.example", NextID: 3, Messages: msgs(2, 1)}},
+		{"NextID past n+1", 0, AccountExport{Address: "b@x.example", NextID: 5, Messages: msgs(1, 2)}},
+		{"NextID short of n+1", 0, AccountExport{Address: "b@x.example", NextID: 2, Messages: msgs(1, 2)}},
+		{"NextID zero", 0, AccountExport{Address: "b@x.example"}},
+		{"id 2^40", 0, AccountExport{Address: "b@x.example", NextID: 1<<40 + 1, Messages: msgs(1 << 40)}},
+		{"id 2^22-1", 0, AccountExport{Address: "b@x.example", NextID: 1 << 22, Messages: msgs(1<<22 - 1)}},
+		{"empty address", 0, AccountExport{NextID: 1}},
+		{"out-of-range partition", 7, AccountExport{Address: "c@x.example", NextID: 1}},
+	} {
+		var err error
+		if grew := heapGrowth(func() { err = svc.RestoreAccountIn(c.part, c.exp) }); grew > 64<<10 {
+			t.Errorf("%s: refusing it allocated %d bytes", c.name, grew)
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if c.exp.Address != "" {
+			if _, err := svc.ExportAccount(c.exp.Address); err != ErrNoSuchAccount {
+				t.Errorf("%s: refused restore left an account behind (%v)", c.name, err)
+			}
+		}
 	}
-	if err := svc.RestoreAccountIn(0, AccountExport{NextID: 1}); err == nil {
-		t.Fatal("empty address accepted")
+}
+
+// heapGrowth reports the bytes f allocates.
+func heapGrowth(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRestoreMatchesSeed: an account loaded with one RestoreAccountIn
+// is indistinguishable from one built message by message with
+// CreateAccountIn + SetSendFrom + Seed: the same export, zero version
+// counters, an empty journal, and the same search and listing results.
+func TestRestoreMatchesSeed(t *testing.T) {
+	const addr = "ada.lee@honeymail.example"
+	owner := corpus.Persona{First: "Ada", Last: "Lee", Email: addr, Title: "Trader", Department: "Trading"}
+	end := time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
+	mailbox := corpus.NewGenerator(rng.New(3), corpus.DefaultConfig()).Mailbox(owner, 90, end.Add(-180*24*time.Hour), end)
+
+	seeded := exportTestService(t)
+	if err := seeded.CreateAccountIn(1, addr, "pw", owner.FullName()); err != nil {
+		t.Fatal(err)
 	}
-	if err := svc.RestoreAccountIn(7, AccountExport{Address: "c@x.example", NextID: 1}); err == nil {
-		t.Fatal("out-of-range partition accepted")
+	if err := seeded.SetSendFrom(addr, "capture@sinkhole.example"); err != nil {
+		t.Fatal(err)
 	}
+	exp := AccountExport{Address: addr, Password: "pw", Owner: owner.FullName(),
+		SendFrom: "capture@sinkhole.example", NextID: 1}
+	sent := 0
+	for _, m := range mailbox {
+		folder := FolderInbox
+		if m.From == addr {
+			folder = FolderSent
+			sent++
+		}
+		if _, err := seeded.Seed(addr, folder, m.From, m.To, m.Subject, m.Body, m.Date); err != nil {
+			t.Fatal(err)
+		}
+		exp.AppendSeeded(m.From, m.To, m.Subject, m.Body, m.Date)
+	}
+	if sent == 0 || sent == len(mailbox) {
+		t.Fatalf("mailbox has %d sent of %d; the test needs both folders", sent, len(mailbox))
+	}
+	restored := exportTestService(t)
+	if err := restored.RestoreAccountIn(1, exp); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := seeded.ExportAccount(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.ExportAccount(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored export differs from seeded:\ngot  %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(exp, want) {
+		t.Fatal("AppendSeeded built a different export than ExportAccount reports for the seeded account")
+	}
+	if v, av, j := restored.Version(addr), restored.AccessVersion(addr), restored.Journal(addr); v != 0 || av != 0 || len(j) != 0 {
+		t.Fatalf("restored account has version %d, access version %d, %d journal entries", v, av, len(j))
+	}
+
+	view := func(svc *Service) (out [][]Message) {
+		se, err := svc.Login(addr, "pw", "c1", netsim.Endpoint{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"transfer", "WIRE transfer", "payroll", "Regards", "solenix", "nothing-matches"} {
+			hits, err := se.Search(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, hits)
+		}
+		for _, f := range []Folder{FolderInbox, FolderSent, FolderDrafts} {
+			for _, limit := range []int{0, 1, 25} {
+				list, err := se.ListN(f, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, list)
+			}
+		}
+		return out
+	}
+	if got, want := view(restored), view(seeded); !reflect.DeepEqual(got, want) {
+		t.Fatal("search or listing over the restored account differs from the seeded one")
+	}
+}
+
+// FuzzRestoreAccount drives the load path with arbitrary NextIDs,
+// message IDs and folders. ids holds zigzag varints, one per message;
+// each byte of folders picks a message's folder (low three bits) and
+// its read (0x08) and starred (0x10) flags. Restore must refuse the
+// export or leave an account that ExportAccount returns unchanged, and
+// must never panic.
+func FuzzRestoreAccount(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nextID int64, ids []byte, folders []byte) {
+		exp := AccountExport{Address: "f@x.example", Password: "pw", Owner: "F", NextID: nextID}
+		date := time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC)
+		for len(ids) > 0 && len(exp.Messages) < 64 {
+			id, n := binary.Varint(ids)
+			if n <= 0 {
+				break
+			}
+			ids = ids[n:]
+			var b byte
+			if i := len(exp.Messages); i < len(folders) {
+				b = folders[i]
+			}
+			exp.Messages = append(exp.Messages, MessageExport{
+				ID: id, Folder: []string{"inbox", "sent", "drafts", "spam", ""}[int(b&7)%5],
+				From: "a@y.example", To: "f@x.example", Subject: "s", Body: "b",
+				Date: date.Add(time.Duration(id) * time.Second),
+				Read: b&0x08 != 0, Starred: b&0x10 != 0,
+			})
+		}
+		svc := NewService(Config{Clock: simtime.NewClock(date)})
+		if err := svc.RestoreAccountIn(0, exp); err != nil {
+			if _, err := svc.ExportAccount(exp.Address); err != ErrNoSuchAccount {
+				t.Fatalf("refused restore left an account behind (%v)", err)
+			}
+			return
+		}
+		got, err := svc.ExportAccount(exp.Address)
+		if err != nil {
+			t.Fatalf("restored account does not export: %v", err)
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Fatalf("round trip changed the account:\nin:  %+v\nout: %+v", exp, got)
+		}
+	})
 }

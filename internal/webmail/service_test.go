@@ -2,6 +2,7 @@ package webmail
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -555,5 +556,43 @@ func TestTouchMatchesList(t *testing.T) {
 	}
 	if !touch[1].page[0].Last.After(touch[0].page[0].Last) {
 		t.Fatalf("Touch left tlast at %v", touch[1].page[0].Last)
+	}
+}
+
+// TestAbuseRecordSendAllocs: a send below the recipient cap counts no
+// recipients, since a window cannot hold more distinct recipients than
+// records, and a count above it reuses one set. Either way a steady
+// sender allocates nothing per send beyond the log's amortized growth.
+func TestAbuseRecordSendAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		cfg        AbuseConfig
+		recipients int
+	}{
+		// Defaults: ~90 records in the window, under both caps.
+		{"below the cap", AbuseConfig{}, 90},
+		// 90 records over the 4-recipient cap, but only 3 distinct.
+		{"counted", AbuseConfig{MaxRecipientsPerWindow: 4}, 3},
+	} {
+		d := newAbuseDetector(c.cfg)
+		to := make([]string, c.recipients)
+		for i := range to {
+			to[i] = fmt.Sprintf("r%d@victims.example", i)
+		}
+		at := time.Date(2015, 7, 1, 0, 0, 0, 0, time.UTC)
+		i := 0
+		send := func() {
+			if v := d.recordSend("alice@honeymail.example", to[i%len(to)], at); v != "" {
+				t.Fatalf("%s: steady sender suspended: %s", c.name, v)
+			}
+			at = at.Add(time.Hour / 90)
+			i++
+		}
+		for k := 0; k < 500; k++ {
+			send()
+		}
+		if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+			t.Errorf("%s: %.0f allocs per send, want 0", c.name, allocs)
+		}
 	}
 }
