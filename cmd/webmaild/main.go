@@ -1,6 +1,6 @@
 // Command webmaild serves the webmail platform over TCP — either as a
 // standalone demo (generated honey accounts) or as one shard of a live
-// fleet booted from a v4 snapshot file. On SIGTERM/SIGINT it drains:
+// fleet booted from a snapshot file. On SIGTERM/SIGINT it drains:
 // the listener closes, idle connections drop, and in-flight requests
 // finish before the process exits.
 //
@@ -46,6 +46,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/simtime"
+	"repro/internal/snapshot"
 	"repro/internal/webmail"
 )
 
@@ -76,7 +77,7 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.accounts, "accounts", 10, "demo honey accounts to create (ignored with -snapshot)")
 	fs.IntVar(&cfg.mailbox, "mailbox", 40, "seeded messages per demo account")
 	fs.Int64Var(&cfg.seed, "seed", 1, "demo content seed")
-	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "boot the account store from this v4 snapshot file")
+	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "boot the account store from this snapshot file")
 	fs.IntVar(&cfg.partition, "partition", 0, "this shard's index (with -snapshot)")
 	fs.IntVar(&cfg.partitions, "partitions", 1, "total shards in the fleet (with -snapshot)")
 	fs.BoolVar(&cfg.abuse, "abuse", true, "enforce send-rate abuse detection (the virtual clock is static, so the window never slides)")
@@ -156,16 +157,16 @@ func start(cfg config, out io.Writer) (*instance, error) {
 		gen := corpus.NewGenerator(src.ForkNamed("corpus"), corpus.DefaultConfig())
 		seedStart := clock.Now().Add(-120 * 24 * time.Hour)
 		var msgs []corpus.Message
-		var exp webmail.AccountExport
+		var acct snapshot.Account
 		for i, p := range personas {
 			password := fmt.Sprintf("hp-%04d", i)
-			exp = webmail.AccountExport{Address: p.Email, Password: password, Owner: p.FullName(),
-				NextID: 1, Messages: exp.Messages[:0]}
+			acct = snapshot.Account{Address: p.Email, Password: password, Owner: p.FullName(),
+				NextID: 1, Messages: acct.Messages[:0]}
 			msgs = gen.MailboxAppend(msgs[:0], p, cfg.mailbox, seedStart, clock.Now())
 			for _, m := range msgs {
-				exp.AppendSeeded(m.From, m.To, m.Subject, m.Body, m.Date)
+				webmail.AppendSeeded(&acct, m.From, m.To, m.Subject, m.Body, m.Date)
 			}
-			if err := svc.RestoreAccountIn(webmail.PartitionIndex(p.Email, svc.Partitions()), exp); err != nil {
+			if err := svc.RestoreAccountIn(webmail.PartitionIndex(p.Email, svc.Partitions()), &acct); err != nil {
 				return nil, err
 			}
 			creds = append(creds, livefleet.Credential{Address: p.Email, Password: password})

@@ -7,6 +7,8 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -78,9 +80,10 @@ func TestDefenderInvariance(t *testing.T) {
 
 // TestDefenderDisabledInvisible: with DefenderCadence zero the
 // subsystem must leave no trace — nil outcomes, zero stats, and (via
-// the golden corpus, which predates the feature) unchanged report
-// bytes. The scenario renderer must add its section exactly when the
-// spec arms the loop.
+// the golden corpus, which predates the feature) unchanged report and
+// artifact bytes. The scenario renderer and the canonical artifact
+// must add their defender sections exactly when the spec arms the
+// loop, and the artifact's section must survive its encoding.
 func TestDefenderDisabledInvisible(t *testing.T) {
 	exp, err := honeynet.New(streamTestConfig(11, 2))
 	if err != nil {
@@ -102,11 +105,12 @@ func TestDefenderDisabledInvisible(t *testing.T) {
 	base := scenario.Spec{Name: "defender-off", Days: 30}
 	armed := scenario.Spec{Name: "defender-on", Days: 30, DefenderCadence: "24h"}
 	opts := scenario.Options{BaseSeed: 3, Workers: 2}
-	off, err := scenario.RenderFullReport(scenario.Run(base, 3, opts), 50)
+	offRes, onRes := scenario.Run(base, 3, opts), scenario.Run(armed, 3, opts)
+	off, err := scenario.RenderFullReport(offRes, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := scenario.RenderFullReport(scenario.Run(armed, 3, opts), 50)
+	on, err := scenario.RenderFullReport(onRes, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +119,45 @@ func TestDefenderDisabledInvisible(t *testing.T) {
 	}
 	if !strings.Contains(on, "===== defender =====") {
 		t.Fatal("defender-on scenario did not render the defender section")
+	}
+
+	encode := func(r *scenario.Result) []byte {
+		t.Helper()
+		art, err := scenario.BuildArtifact(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := art.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if data := encode(offRes); bytes.Contains(data, []byte(`"defender"`)) {
+		t.Fatal("defender-off artifact carries a defender section")
+	}
+	data := encode(onRes)
+	var decoded struct {
+		Defender []struct {
+			Channel  string `json:"channel"`
+			Accounts int    `json:"accounts"`
+			Detected int    `json:"detected"`
+			RacesWon int    `json:"races_won"`
+		} `json:"defender"`
+	}
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	tallies := report.DefenderTallies(scenario.DefenderRows(onRes.Defender))
+	if len(tallies) == 0 || len(decoded.Defender) != len(tallies) {
+		t.Fatalf("artifact carries %d defender rows, the report tallies %d channels", len(decoded.Defender), len(tallies))
+	}
+	for i, row := range decoded.Defender {
+		want := tallies[i]
+		if row.Channel != want.Channel || row.Accounts != want.Accounts ||
+			row.Detected != want.Detected || row.RacesWon != want.Won {
+			t.Fatalf("artifact defender row %d = %+v, report tally %+v", i, row, want)
+		}
 	}
 }
 

@@ -248,25 +248,6 @@ func TestCvMStatisticProperties(t *testing.T) {
 	CvMStatistic(nil, y)
 }
 
-func TestAsymptoticPValueMonotone(t *testing.T) {
-	prev := 1.1
-	for _, x := range []float64{0.01, 0.03, 0.06, 0.1, 0.2, 0.35, 0.7, 1.2} {
-		p := AsymptoticPValue(x)
-		if p > prev {
-			t.Fatalf("p not monotone at %v", x)
-		}
-		if p < 0 || p > 1 {
-			t.Fatalf("p out of range: %v", p)
-		}
-		prev = p
-	}
-	// Standard quantile check: P(ω² > 0.46136) ≈ 0.05 (within table
-	// interpolation error).
-	if p := AsymptoticPValue(0.17473); math.Abs(p-0.05) > 0.02 {
-		t.Fatalf("p(0.17473) = %v, want ~0.05", p)
-	}
-}
-
 func TestDistanceVectorsGrouping(t *testing.T) {
 	london := geo.LondonMidpoint
 	mk := func(cookie string, outlet Outlet, hint Hint, pt geo.Point, hasPt bool) Access {

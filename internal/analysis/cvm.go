@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/rng"
@@ -97,36 +96,4 @@ func CvMTest(x, y []float64, resamples int, seed int64) CvMResult {
 	// permutation tests).
 	p := (float64(geq) + 1) / (float64(resamples) + 1)
 	return CvMResult{T: t0, P: p, Resamples: resamples, RejectAt001: p < 0.01}
-}
-
-// AsymptoticPValue approximates P(ω² > t) for the limiting
-// distribution by interpolating standard quantiles. It is a
-// cross-check on the permutation p-value for moderate samples.
-func AsymptoticPValue(t float64) float64 {
-	// Standard quantiles of the limiting ω² distribution:
-	// P(ω² <= x) = q.
-	table := []struct{ x, q float64 }{
-		{0.02480, 0.01}, {0.02878, 0.025}, {0.03254, 0.05}, {0.03746, 0.10},
-		{0.04435, 0.20}, {0.05779, 0.40}, {0.06557, 0.50}, {0.07493, 0.60},
-		{0.08679, 0.70}, {0.09876, 0.775}, {0.11888, 0.85}, {0.14885, 0.925},
-		{0.17473, 0.95}, {0.24124, 0.99}, {0.27332, 0.995}, {0.34730, 0.999},
-	}
-	if t <= table[0].x {
-		return 1 - table[0].q
-	}
-	last := table[len(table)-1]
-	if t >= last.x {
-		// Exponential tail extrapolation beyond the last quantile.
-		return (1 - last.q) * math.Exp(-(t-last.x)/0.08)
-	}
-	for i := 1; i < len(table); i++ {
-		if t <= table[i].x {
-			x0, q0 := table[i-1].x, table[i-1].q
-			x1, q1 := table[i].x, table[i].q
-			frac := (t - x0) / (x1 - x0)
-			q := q0 + frac*(q1-q0)
-			return 1 - q
-		}
-	}
-	return 0
 }

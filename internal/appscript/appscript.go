@@ -7,16 +7,15 @@
 // Faithful behaviours:
 //
 //   - A scan trigger fires every 10 minutes and reports newly read,
-//     sent, and starred emails, plus full copies of created or edited
-//     drafts.
+//     sent, and starred emails, plus full copies of created drafts.
 //   - A heartbeat notification is sent once a day so the researchers
 //     can tell a quiet account from a blocked one.
 //   - Scripts keep running after hijackers change the account password
 //     and even after Google suspends the account (§4.2) — triggers are
 //     server-side, not session-bound.
-//   - Scripts are hidden but not invisible: an attacker who looks for
-//     them can delete them (§5 "Limitations"), after which monitoring
-//     of that account goes dark.
+//   - Attackers never find the scripts. The paper hid each one in a
+//     spreadsheet and reports no discovery, so the deletion risk it
+//     names in §5 "Limitations" is not modelled.
 //   - Heavy scripts draw quota notices ("using too much computer
 //     time") delivered INTO the account inbox, which real attackers
 //     read during the study (§4.7).
@@ -93,9 +92,6 @@ type Options struct {
 	// HeartbeatInterval is the liveness cadence; the paper sends one a
 	// day. Zero selects 24 hours.
 	HeartbeatInterval time.Duration
-	// Hidden marks the script as tucked away in a spreadsheet. Visible
-	// scripts are trivially found by any attacker who looks.
-	Hidden bool
 	// QuotaScans, when positive, delivers a quota notice into the
 	// account inbox after this many scans have run. The paper's two
 	// quota notices arrived because the scripts used "too much
@@ -127,7 +123,6 @@ type script struct {
 	lastSnap  webmail.Snapshot
 	scanCount int
 	quotaSent bool
-	deleted   bool
 }
 
 // quotaPending reports whether the script still counts scans toward a
@@ -231,25 +226,6 @@ func (r *Runtime) Install(account string, opts Options) error {
 	return nil
 }
 
-// Uninstall stops and removes an account's script (used when an
-// attacker finds and deletes it).
-func (r *Runtime) Uninstall(account string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sc, ok := r.scripts[account]
-	if !ok {
-		return false
-	}
-	sc.deleted = true
-	sc.stopScan()
-	sc.stopBeat()
-	// The account held this script, and accounts are never deleted, so
-	// detaching cannot fail.
-	_, _ = r.svc.AttachMark(account, nil)
-	delete(r.scripts, account)
-	return true
-}
-
 // Installed reports whether an account still has a live script.
 func (r *Runtime) Installed(account string) bool {
 	r.mu.Lock()
@@ -258,28 +234,12 @@ func (r *Runtime) Installed(account string) bool {
 	return ok
 }
 
-// Discoverable reports whether an attacker inspecting the account
-// would find the script: visible scripts always, hidden ones never in
-// this model (the paper judged the spreadsheet hiding spot "unlikely"
-// to be found; the ablation bench flips Hidden off to quantify the
-// design choice).
-func (r *Runtime) Discoverable(account string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sc, ok := r.scripts[account]
-	return ok && !sc.opts.Hidden
-}
-
 // scan diffs the mailbox against the previous snapshot and reports
 // changes, mirroring the paper's 10-minute scan function. It runs only
 // on ticks where the script is marked (see Install), so months of idle
 // ticks cost a quiet account nothing.
 func (r *Runtime) scan(sc *script, now time.Time) {
 	r.mu.Lock()
-	if sc.deleted {
-		r.mu.Unlock()
-		return
-	}
 	prev := sc.lastSnap
 	r.mu.Unlock()
 
@@ -322,12 +282,6 @@ func deliverQuotaNotice(svc *webmail.Service, sink Notifier, from, account strin
 
 // heartbeat emits the daily liveness signal.
 func (r *Runtime) heartbeat(sc *script, now time.Time) {
-	r.mu.Lock()
-	dead := sc.deleted
-	r.mu.Unlock()
-	if dead {
-		return
-	}
 	// A suspended account's scripts still run in the paper's
 	// observations, so the heartbeat keeps flowing; the monitor learns
 	// about suspension from scrape failures instead.
@@ -335,8 +289,8 @@ func (r *Runtime) heartbeat(sc *script, now time.Time) {
 }
 
 // reportChanges notifies sink of what one scan found: messages newly
-// read, starred or sent since prev, and every draft created or edited
-// since prev, with its body.
+// read, starred or sent since prev, and every draft created since
+// prev, with its body.
 func reportChanges(sink Notifier, account string, prev, cur webmail.Snapshot, now time.Time) {
 	notify := func(kind NotificationKind, id webmail.MessageID, body string) {
 		sink.Notify(Notification{Time: now, Account: account, Kind: kind, Message: id, Body: body})
@@ -351,9 +305,8 @@ func reportChanges(sink Notifier, account string, prev, cur webmail.Snapshot, no
 		}
 		slices.Sort(draftIDs)
 		for _, id := range draftIDs {
-			body := cur.Drafts[id]
-			if old, ok := prev.Drafts[id]; !ok || old != body {
-				notify(NoteDraft, id, body)
+			if _, ok := prev.Drafts[id]; !ok {
+				notify(NoteDraft, id, cur.Drafts[id])
 			}
 		}
 	}

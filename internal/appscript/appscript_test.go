@@ -80,7 +80,7 @@ func (f *fixture) session(t *testing.T) *webmail.Session {
 func TestScanReportsReadSentStarred(t *testing.T) {
 	f := newFixture(t)
 	id, _ := f.svc.Seed("h1@honeymail.example", webmail.FolderInbox, "b@x", "h1", "payroll", "numbers", epoch.Add(-time.Hour))
-	if err := f.rt.Install("h1@honeymail.example", Options{Hidden: true}); err != nil {
+	if err := f.rt.Install("h1@honeymail.example", Options{}); err != nil {
 		t.Fatal(err)
 	}
 	se := f.session(t)
@@ -102,27 +102,27 @@ func TestScanReportsReadSentStarred(t *testing.T) {
 
 func TestScanReportsDraftCopies(t *testing.T) {
 	f := newFixture(t)
-	f.rt.Install("h1@honeymail.example", Options{Hidden: true})
+	f.rt.Install("h1@honeymail.example", Options{})
 	se := f.session(t)
-	id, _ := se.CreateDraft("victim@x", "pay up", "send 2 BTC to wallet")
+	se.CreateDraft("victim@x", "pay up", "send 2 BTC to wallet")
 	f.sched.RunFor(15 * time.Minute)
 	drafts := f.rec.byKind(NoteDraft)
 	if len(drafts) != 1 || drafts[0].Body != "send 2 BTC to wallet" {
 		t.Fatalf("draft notes = %+v", drafts)
 	}
-	// Editing the draft re-reports it with the new body.
-	se.UpdateDraft(id, "victim@x", "pay up", "send 5 BTC to wallet")
+	// A second draft is reported on its own; the first is not re-sent.
+	id, _ := se.CreateDraft("victim@x", "pay up", "send 5 BTC to wallet")
 	f.sched.RunFor(10 * time.Minute)
 	drafts = f.rec.byKind(NoteDraft)
-	if len(drafts) != 2 || drafts[1].Body != "send 5 BTC to wallet" {
-		t.Fatalf("draft notes after edit = %+v", drafts)
+	if len(drafts) != 2 || drafts[1].Message != id || drafts[1].Body != "send 5 BTC to wallet" {
+		t.Fatalf("draft notes after a second draft = %+v", drafts)
 	}
 }
 
 func TestScanIdempotentWhenQuiet(t *testing.T) {
 	f := newFixture(t)
 	id, _ := f.svc.Seed("h1@honeymail.example", webmail.FolderInbox, "b@x", "h1", "s", "b", epoch.Add(-time.Hour))
-	f.rt.Install("h1@honeymail.example", Options{Hidden: true})
+	f.rt.Install("h1@honeymail.example", Options{})
 	se := f.session(t)
 	se.Read(id)
 	f.sched.RunFor(2 * time.Hour) // 12 scans
@@ -133,7 +133,7 @@ func TestScanIdempotentWhenQuiet(t *testing.T) {
 
 func TestHeartbeatDaily(t *testing.T) {
 	f := newFixture(t)
-	f.rt.Install("h1@honeymail.example", Options{Hidden: true})
+	f.rt.Install("h1@honeymail.example", Options{})
 	f.sched.RunFor(72 * time.Hour)
 	if got := len(f.rec.byKind(NoteHeartbeat)); got != 3 {
 		t.Fatalf("heartbeats in 72h = %d, want 3", got)
@@ -143,7 +143,7 @@ func TestHeartbeatDaily(t *testing.T) {
 func TestScriptSurvivesPasswordChangeAndSuspension(t *testing.T) {
 	f := newFixture(t)
 	id, _ := f.svc.Seed("h1@honeymail.example", webmail.FolderInbox, "b@x", "h1", "s", "b", epoch.Add(-time.Hour))
-	f.rt.Install("h1@honeymail.example", Options{Hidden: true})
+	f.rt.Install("h1@honeymail.example", Options{})
 	se := f.session(t)
 	se.ChangePassword("owned")
 	se.Read(id)
@@ -157,44 +157,9 @@ func TestScriptSurvivesPasswordChangeAndSuspension(t *testing.T) {
 	}
 }
 
-func TestUninstallStopsMonitoring(t *testing.T) {
-	f := newFixture(t)
-	id, _ := f.svc.Seed("h1@honeymail.example", webmail.FolderInbox, "b@x", "h1", "s", "b", epoch.Add(-time.Hour))
-	f.rt.Install("h1@honeymail.example", Options{Hidden: false})
-	if !f.rt.Discoverable("h1@honeymail.example") {
-		t.Fatal("visible script should be discoverable")
-	}
-	if !f.rt.Uninstall("h1@honeymail.example") {
-		t.Fatal("uninstall failed")
-	}
-	if f.rt.Installed("h1@honeymail.example") {
-		t.Fatal("script still installed")
-	}
-	se := f.session(t)
-	se.Read(id)
-	f.sched.RunFor(time.Hour)
-	if got := f.rec.byKind(NoteRead); len(got) != 0 {
-		t.Fatalf("deleted script still reported %d reads", len(got))
-	}
-	if f.rt.Uninstall("h1@honeymail.example") {
-		t.Fatal("double uninstall returned true")
-	}
-}
-
-func TestHiddenScriptNotDiscoverable(t *testing.T) {
-	f := newFixture(t)
-	f.rt.Install("h1@honeymail.example", Options{Hidden: true})
-	if f.rt.Discoverable("h1@honeymail.example") {
-		t.Fatal("hidden script reported discoverable")
-	}
-	if f.rt.Discoverable("missing@x") {
-		t.Fatal("missing account reported discoverable")
-	}
-}
-
 func TestQuotaNoticeDeliveredToInbox(t *testing.T) {
 	f := newFixture(t)
-	f.rt.Install("h1@honeymail.example", Options{Hidden: true, QuotaScans: 3})
+	f.rt.Install("h1@honeymail.example", Options{QuotaScans: 3})
 	f.sched.RunFor(time.Hour) // 6 scans
 	got := f.rec.byKind(NoteQuota)
 	if len(got) != 1 {
@@ -223,8 +188,8 @@ func TestQuotaNoticeDeliveredToInbox(t *testing.T) {
 
 func TestReinstallReplacesScript(t *testing.T) {
 	f := newFixture(t)
-	f.rt.Install("h1@honeymail.example", Options{Hidden: true, ScanInterval: 10 * time.Minute})
-	f.rt.Install("h1@honeymail.example", Options{Hidden: true, ScanInterval: time.Hour})
+	f.rt.Install("h1@honeymail.example", Options{ScanInterval: 10 * time.Minute})
+	f.rt.Install("h1@honeymail.example", Options{ScanInterval: time.Hour})
 	id, _ := f.svc.Seed("h1@honeymail.example", webmail.FolderInbox, "b@x", "h1", "s", "b", epoch)
 	se := f.session(t)
 	se.Read(id)

@@ -448,13 +448,6 @@ func NewGenerator(src *rng.Source, cfg GeneratorConfig) *Generator {
 // Company returns the fictitious company name in use.
 func (g *Generator) Company() string { return g.cfg.Company }
 
-// Contacts returns the recurring correspondent pool (copy).
-func (g *Generator) Contacts() []Persona {
-	out := make([]Persona, len(g.contacts))
-	copy(out, g.contacts)
-	return out
-}
-
 // Mailbox generates n messages addressed to (or sent by) owner with
 // dates uniformly spread over [start, end), newest last. Roughly a
 // fifth of the messages are sent by the owner, the rest received —

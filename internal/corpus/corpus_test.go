@@ -137,8 +137,12 @@ func TestCorpusVocabularyProfile(t *testing.T) {
 	// TF-IDF reproduction has the paper's baseline profile.
 	g := newGen(11)
 	owner := NewPersonas(rng.New(12), 1, "honeymail.example")[0]
-	msgs := g.Mailbox(owner, 300, winStart, winEnd)
-	counts := TermCounts(TokenizeMessages(msgs, DefaultTokenizeOptions()))
+	var tokens []string
+	for _, m := range g.Mailbox(owner, 300, winStart, winEnd) {
+		tokens = append(tokens, Tokenize(m.Subject, DefaultTokenizeOptions())...)
+		tokens = append(tokens, Tokenize(m.Body, DefaultTokenizeOptions())...)
+	}
+	counts := TermCounts(tokens)
 	for _, w := range []string{"transfer", "please", "original", "company", "would", "energy", "information", "about", "email", "power"} {
 		if counts[w] == 0 {
 			t.Errorf("corpus lacks expected frequent word %q", w)
@@ -201,13 +205,6 @@ func TestTokenizeZeroMinLength(t *testing.T) {
 	toks := Tokenize("a bc", TokenizeOptions{})
 	if len(toks) != 2 {
 		t.Fatalf("MinLength<=0 should default to 1: %v", toks)
-	}
-}
-
-func TestVocabularyOrderAndUniq(t *testing.T) {
-	v := Vocabulary([]string{"b", "a", "b", "c", "a"})
-	if len(v) != 3 || v[0] != "b" || v[1] != "a" || v[2] != "c" {
-		t.Fatalf("Vocabulary = %v", v)
 	}
 }
 

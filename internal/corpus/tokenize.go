@@ -76,32 +76,6 @@ func Tokenize(text string, opts TokenizeOptions) []string {
 	return out
 }
 
-// TokenizeMessages tokenizes subject and body of every message into a
-// single token stream — the "document" unit of the paper's two-document
-// corpus (all emails vs. emails read by attackers).
-func TokenizeMessages(msgs []Message, opts TokenizeOptions) []string {
-	var out []string
-	for _, m := range msgs {
-		out = append(out, Tokenize(m.Subject, opts)...)
-		out = append(out, Tokenize(m.Body, opts)...)
-	}
-	return out
-}
-
-// Vocabulary returns the distinct tokens of a stream, in first-seen
-// order.
-func Vocabulary(tokens []string) []string {
-	seen := make(map[string]bool, len(tokens))
-	var out []string
-	for _, t := range tokens {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // TermCounts tallies token frequencies.
 func TermCounts(tokens []string) map[string]int {
 	counts := make(map[string]int)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/sinkhole"
+	"repro/internal/snapshot"
 	"repro/internal/webmail"
 )
 
@@ -42,10 +43,6 @@ type Config struct {
 	// ScrapeInterval is the activity-page scraping cadence; zero
 	// selects 1 hour.
 	ScrapeInterval time.Duration
-	// HiddenScripts controls whether the monitoring scripts are tucked
-	// away (the paper's design). Defaults to true; the ablation bench
-	// sets it false.
-	VisibleScripts bool
 	// DisableCaseStudies skips the §4.7 scripted scenarios.
 	DisableCaseStudies bool
 	// LoginRisk forwards to the platform (paper: disabled on honey
@@ -524,10 +521,10 @@ func (e *Experiment) setupParallel(n int, locale corpus.Locale) error {
 }
 
 // loader holds one set-up worker's reused buffers: the rendered
-// mailbox and the account export it becomes.
+// mailbox and the account record it becomes.
 type loader struct {
 	msgs []corpus.Message
-	exp  webmail.AccountExport
+	acct snapshot.Account
 }
 
 // sinkholeSender is the envelope sender every honey account's outgoing
@@ -542,29 +539,29 @@ const sinkholeSender = "capture@sinkhole.example"
 func (e *Experiment) createAccount(l *loader, gen *corpus.Generator, b *block, p corpus.Persona, password string) error {
 	seedStart := e.cfg.Start.Add(-180 * 24 * time.Hour)
 	l.msgs = gen.MailboxAppend(l.msgs[:0], p, e.cfg.MailboxSize, seedStart, e.cfg.Start)
-	l.exp = webmail.AccountExport{
+	l.acct = snapshot.Account{
 		Address:  p.Email,
 		Password: password,
 		Owner:    p.FullName(),
 		SendFrom: sinkholeSender,
 		NextID:   1,
-		Messages: l.exp.Messages[:0],
+		Messages: l.acct.Messages[:0],
 	}
 	for _, m := range l.msgs {
-		l.exp.AppendSeeded(m.From, m.To, m.Subject, m.Body, m.Date)
+		webmail.AppendSeeded(&l.acct, m.From, m.To, m.Subject, m.Body, m.Date)
 	}
-	return e.loadAccount(b, l.exp)
+	return e.loadAccount(b, &l.acct)
 }
 
 // loadAccount restores one account onto its block's shard partition
 // with a single RestoreAccountIn and instruments it: the per-account
 // sequence Setup and the snapshot restore path share.
-func (e *Experiment) loadAccount(b *block, exp webmail.AccountExport) error {
-	if err := e.svc.RestoreAccountIn(b.shard.id, exp); err != nil {
-		return fmt.Errorf("honeynet: load %s: %w", exp.Address, err)
+func (e *Experiment) loadAccount(b *block, acct *snapshot.Account) error {
+	if err := e.svc.RestoreAccountIn(b.shard.id, acct); err != nil {
+		return fmt.Errorf("honeynet: load %s: %w", acct.Address, err)
 	}
-	if err := e.instrument(b, exp.Address, exp.Password); err != nil {
-		return fmt.Errorf("honeynet: instrument %s: %w", exp.Address, err)
+	if err := e.instrument(b, acct.Address, acct.Password); err != nil {
+		return fmt.Errorf("honeynet: instrument %s: %w", acct.Address, err)
 	}
 	return nil
 }
@@ -575,10 +572,7 @@ func (e *Experiment) loadAccount(b *block, exp webmail.AccountExport) error {
 // experiment re-arm into byte-identical trigger state, so Setup and
 // the snapshot restore path share this exact sequence.
 func (e *Experiment) instrument(b *block, email, password string) error {
-	opts := appscript.Options{
-		ScanInterval: e.cfg.ScanInterval,
-		Hidden:       !e.cfg.VisibleScripts,
-	}
+	opts := appscript.Options{ScanInterval: e.cfg.ScanInterval}
 	if err := b.shard.runtime.Install(email, opts); err != nil {
 		return err
 	}
@@ -714,7 +708,6 @@ func (e *Experiment) scheduleCaseStudies() {
 			b := e.blockOf[a.Account]
 			b.shard.runtime.Install(a.Account, appscript.Options{
 				ScanInterval: e.cfg.ScanInterval,
-				Hidden:       !e.cfg.VisibleScripts,
 				QuotaScans:   500 + 100*i,
 			})
 			b.engine.RegisterCredential(a.Account, a.Password)

@@ -174,26 +174,11 @@ func (e *Experiment) WriteSnapshotFile(path string) error {
 	return werr
 }
 
-// exportAccount converts one account's webmail export to snapshot
-// form.
+// exportAccount reads one account's snapshot record from the service.
 func (e *Experiment) exportAccount(account string) (snapshot.Account, error) {
-	exp, err := e.svc.ExportAccount(account)
+	acct, err := e.svc.ExportAccount(account)
 	if err != nil {
 		return snapshot.Account{}, fmt.Errorf("honeynet: snapshot %s: %w", account, err)
-	}
-	acct := snapshot.Account{
-		Address:  exp.Address,
-		Password: exp.Password,
-		Owner:    exp.Owner,
-		SendFrom: exp.SendFrom,
-		NextID:   exp.NextID,
-	}
-	for _, m := range exp.Messages {
-		acct.Messages = append(acct.Messages, snapshot.Message{
-			ID: m.ID, Folder: m.Folder, From: m.From, To: m.To,
-			Subject: m.Subject, Body: m.Body, DateNS: m.Date.UnixNano(),
-			Read: m.Read, Starred: m.Starred, Labels: m.Labels,
-		})
 	}
 	return acct, nil
 }
@@ -225,14 +210,11 @@ func (e *Experiment) snapshotMeta() (*snapshot.State, error) {
 			Shards:           len(e.shards),
 			Scale:            cfg.ScaleFactor,
 
-			VisibleScripts:     cfg.VisibleScripts,
 			DisableCaseStudies: cfg.DisableCaseStudies,
 
 			LoginRisk: snapshot.LoginRisk{
-				Enabled:       cfg.LoginRisk.Enabled,
-				BlockTor:      cfg.LoginRisk.BlockTor,
-				BlockProxies:  cfg.LoginRisk.BlockProxies,
-				MaxKmFromHome: cfg.LoginRisk.MaxKmFromHome,
+				BlockTor:     cfg.LoginRisk.BlockTor,
+				BlockProxies: cfg.LoginRisk.BlockProxies,
 			},
 
 			CustomSites:       !sitesAreDefault(cfg.Sites),
@@ -353,13 +335,10 @@ func ConfigFromSnapshot(st *snapshot.State) (Config, error) {
 		ScrapeInterval:     time.Duration(st.Config.ScrapeIntervalNS),
 		Shards:             st.Config.Shards,
 		ScaleFactor:        st.Config.Scale,
-		VisibleScripts:     st.Config.VisibleScripts,
 		DisableCaseStudies: st.Config.DisableCaseStudies,
 		LoginRisk: webmail.LoginRiskConfig{
-			Enabled:       st.Config.LoginRisk.Enabled,
-			BlockTor:      st.Config.LoginRisk.BlockTor,
-			BlockProxies:  st.Config.LoginRisk.BlockProxies,
-			MaxKmFromHome: st.Config.LoginRisk.MaxKmFromHome,
+			BlockTor:     st.Config.LoginRisk.BlockTor,
+			BlockProxies: st.Config.LoginRisk.BlockProxies,
 		},
 		DefenderCadence: time.Duration(st.Config.DefenderCadenceNS),
 		C3BucketBits:    st.Config.C3BucketBits,
@@ -420,15 +399,13 @@ func (e *Experiment) restoreSetup(st *snapshot.State) error {
 		// a corrupted snapshot, not a user error.
 		return fmt.Errorf("honeynet: snapshot root stream (seed %d, pos %d) is inconsistent with config seed %d", st.Root.Seed, st.Root.Pos, e.cfg.Seed)
 	}
-	var exp webmail.AccountExport // message buffer, reused across accounts
 	idx := 0
 	for _, b := range e.blocks {
 		b.start = idx
 		for i := 0; i < b.spec.Count; i++ {
-			acct := st.Accounts[idx]
+			acct := &st.Accounts[idx]
 			idx++
-			exp = webmailExport(acct, exp.Messages[:0])
-			if err := e.loadAccount(b, exp); err != nil {
+			if err := e.loadAccount(b, acct); err != nil {
 				return err
 			}
 			e.register(b, acct.Address, acct.Password, handleOf(acct.Address))
@@ -506,27 +483,6 @@ func planMatches(plan []GroupSpec, blocks []snapshot.Block) bool {
 		}
 	}
 	return true
-}
-
-// webmailExport converts a snapshot account to the webmail restore
-// form, appending its messages to msgs.
-func webmailExport(a snapshot.Account, msgs []webmail.MessageExport) webmail.AccountExport {
-	exp := webmail.AccountExport{
-		Address:  a.Address,
-		Password: a.Password,
-		Owner:    a.Owner,
-		SendFrom: a.SendFrom,
-		NextID:   a.NextID,
-		Messages: msgs,
-	}
-	for _, m := range a.Messages {
-		exp.Messages = append(exp.Messages, webmail.MessageExport{
-			ID: m.ID, Folder: m.Folder, From: m.From, To: m.To,
-			Subject: m.Subject, Body: m.Body, Date: time.Unix(0, m.DateNS).UTC(),
-			Read: m.Read, Starred: m.Starred, Labels: m.Labels,
-		})
-	}
-	return exp
 }
 
 // handleOf recovers the persona handle Setup records (the TF-IDF

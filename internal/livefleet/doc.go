@@ -1,6 +1,6 @@
 // Package livefleet runs the webmail platform as a horizontally
 // sharded network service: it boots each shard's account store from a
-// v4 streaming snapshot (the snapshot is the state-distribution wire
+// streaming snapshot (the snapshot is the state-distribution wire
 // format), fronts the shards with a partition-aware router that pools
 // backend connections and applies per-connection backpressure, and
 // generates deterministic attacker-shaped load against the fleet over

@@ -97,47 +97,6 @@ func TestBootServiceRejectsBadPartition(t *testing.T) {
 	}
 }
 
-// TestSplitSnapshotFile: splitting then booting each piece whole
-// equals booting the original filtered — the state-distribution
-// round trip.
-func TestSplitSnapshotFile(t *testing.T) {
-	path := buildTestSnapshot(t, 17)
-	const parts = 3
-	pattern := filepath.Join(t.TempDir(), "shard-%d.snap")
-	paths, err := SplitSnapshotFile(path, parts, pattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != parts {
-		t.Fatalf("got %d paths, want %d", len(paths), parts)
-	}
-	total := 0
-	for part, p := range paths {
-		_, whole, err := BootService(p, 0, 1, svcConfig())
-		if err != nil {
-			t.Fatalf("boot split %d: %v", part, err)
-		}
-		_, filtered, err := BootService(path, part, parts, svcConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(whole, filtered) {
-			t.Fatalf("shard %d: split file creds %v != filtered boot creds %v", part, whole, filtered)
-		}
-		total += len(whole)
-	}
-	if total != 17 {
-		t.Fatalf("split accounts total %d, want 17", total)
-	}
-}
-
-func TestSplitSnapshotFileRejectsBadPattern(t *testing.T) {
-	path := buildTestSnapshot(t, 1)
-	if _, err := SplitSnapshotFile(path, 2, filepath.Join(t.TempDir(), "no-verb.snap")); err == nil {
-		t.Fatal("pattern without a shard-number verb accepted")
-	}
-}
-
 func TestCredentialsRoundTrip(t *testing.T) {
 	creds := []Credential{
 		{Address: "a@x.example", Password: "p1"},

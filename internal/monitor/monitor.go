@@ -151,7 +151,7 @@ type tracked struct {
 	probe webmail.VersionProbe
 	// lastSeen is the account accessVersion after our previous scrape
 	// (our own login included, so a quiet account compares equal on
-	// the next tick). It doubles as the ActivityPageSince cursor.
+	// the next tick). It doubles as the ActivitySince cursor.
 	lastSeen uint64
 	failed   bool // scraper locked out; mirrors Store.failed
 }

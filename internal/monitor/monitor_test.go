@@ -45,7 +45,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	mon.Track("h1@honeymail.example", "pw1")
-	if err := rt.Install("h1@honeymail.example", appscript.Options{Hidden: true}); err != nil {
+	if err := rt.Install("h1@honeymail.example", appscript.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return f

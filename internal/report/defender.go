@@ -24,16 +24,27 @@ type DefenderRow struct {
 	ExploitAt  time.Time
 }
 
-// Defender renders the detection-race section: per leak channel, how
-// many accounts the C3 defender detected, the median time from leak
-// to detection, the median time from leak to first exploitation, and
-// how many races the defender won (detection at or before the first
-// attacker access — for an undetected account the attacker wins by
-// default, for an unexploited one the defender does). The totals row
-// aggregates every account. Output is a pure function of the rows.
-func Defender(rows []DefenderRow) string {
-	var b strings.Builder
-	b.WriteString("Defender detection race (C3)\n")
+// DefenderTally is one leak channel's detection race: how many
+// accounts leaked through it, how many the C3 defender detected, how
+// many an attacker exploited, how many races the defender won
+// (detection at or before the first attacker access — for an
+// undetected account the attacker wins by default, for an unexploited
+// one the defender does), and the lower-median gaps from leak to
+// detection and from leak to first exploitation (-1 when no account
+// got there).
+type DefenderTally struct {
+	Channel       string
+	Accounts      int
+	Detected      int
+	Exploited     int
+	Won           int
+	MedianDetect  time.Duration
+	MedianExploit time.Duration
+}
+
+// DefenderTallies groups rows by leak channel and tallies each, in
+// channel order. Output is a pure function of the rows.
+func DefenderTallies(rows []DefenderRow) []DefenderTally {
 	byChannel := make(map[string][]DefenderRow)
 	var channels []string
 	for _, r := range rows {
@@ -43,44 +54,60 @@ func Defender(rows []DefenderRow) string {
 		byChannel[r.Channel] = append(byChannel[r.Channel], r)
 	}
 	sort.Strings(channels)
-	tbl := NewTable("channel", "accounts", "detected", "med-detect", "exploited", "med-exploit", "races-won")
+	out := make([]DefenderTally, 0, len(channels))
 	for _, ch := range channels {
-		addDefenderRow(tbl, ch, byChannel[ch])
+		out = append(out, tallyDefender(ch, byChannel[ch]))
 	}
-	if len(channels) > 1 {
-		addDefenderRow(tbl, "total", rows)
+	return out
+}
+
+// Defender renders the detection-race section: one row per leak
+// channel (see DefenderTally), plus a totals row over every account
+// when more than one channel leaked.
+func Defender(rows []DefenderRow) string {
+	var b strings.Builder
+	b.WriteString("Defender detection race (C3)\n")
+	tbl := NewTable("channel", "accounts", "detected", "med-detect", "exploited", "med-exploit", "races-won")
+	tallies := DefenderTallies(rows)
+	if len(tallies) > 1 {
+		tallies = append(tallies, tallyDefender("total", rows))
+	}
+	for _, t := range tallies {
+		tbl.AddRow(
+			t.Channel,
+			fmt.Sprintf("%d", t.Accounts),
+			fmt.Sprintf("%d", t.Detected),
+			fmtSpan(t.MedianDetect),
+			fmt.Sprintf("%d", t.Exploited),
+			fmtSpan(t.MedianExploit),
+			fmt.Sprintf("%d", t.Won),
+		)
 	}
 	b.WriteString(tbl.String())
 	return b.String()
 }
 
-// addDefenderRow aggregates one channel (or the totals) into a table
-// row.
-func addDefenderRow(tbl *Table, label string, rows []DefenderRow) {
+// tallyDefender aggregates one channel's rows (or every row, for the
+// totals) under label.
+func tallyDefender(label string, rows []DefenderRow) DefenderTally {
 	var detectGaps, exploitGaps []time.Duration
-	detected, exploited, won := 0, 0, 0
+	t := DefenderTally{Channel: label, Accounts: len(rows)}
 	for _, r := range rows {
 		if r.Detected {
-			detected++
+			t.Detected++
 			detectGaps = append(detectGaps, r.DetectedAt.Sub(r.LeakAt))
 		}
 		if r.Exploited {
-			exploited++
+			t.Exploited++
 			exploitGaps = append(exploitGaps, r.ExploitAt.Sub(r.LeakAt))
 		}
 		if r.Detected && (!r.Exploited || !r.DetectedAt.After(r.ExploitAt)) {
-			won++
+			t.Won++
 		}
 	}
-	tbl.AddRow(
-		label,
-		fmt.Sprintf("%d", len(rows)),
-		fmt.Sprintf("%d", detected),
-		fmtSpan(medianDuration(detectGaps)),
-		fmt.Sprintf("%d", exploited),
-		fmtSpan(medianDuration(exploitGaps)),
-		fmt.Sprintf("%d", won),
-	)
+	t.MedianDetect = medianDuration(detectGaps)
+	t.MedianExploit = medianDuration(exploitGaps)
+	return t
 }
 
 // medianDuration returns the lower median (exact element, no

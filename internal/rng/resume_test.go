@@ -2,9 +2,10 @@ package rng
 
 import "testing"
 
-// TestPosCountsEverySampler: every sampler advances Pos, and NewAt at
-// the recorded position continues the stream bit-identically — the
-// property the snapshot engine's stream serialization rests on.
+// TestPosCountsEverySampler: every sampler advances Pos, and a fresh
+// source skipped to the recorded position continues the stream
+// bit-identically — the property the snapshot engine's stream
+// serialization rests on.
 func TestPosCountsEverySampler(t *testing.T) {
 	s := New(1234)
 	if s.Pos() != 0 {
@@ -32,9 +33,10 @@ func TestPosCountsEverySampler(t *testing.T) {
 		t.Fatal("samplers consumed no raw draws")
 	}
 
-	resumed := NewAt(s.Seed(), pos)
+	resumed := New(s.Seed())
+	resumed.SkipTo(pos)
 	if resumed.Pos() != pos {
-		t.Fatalf("NewAt landed at %d, want %d", resumed.Pos(), pos)
+		t.Fatalf("SkipTo landed at %d, want %d", resumed.Pos(), pos)
 	}
 	for i := 0; i < 1000; i++ {
 		if a, b := s.Int63(), resumed.Int63(); a != b {

@@ -33,7 +33,7 @@ type Source struct {
 // calls on this source, and for math/rand's generator both consume
 // exactly one generator step. The stream position is therefore the
 // pair (seed, n), which is what lets the snapshot engine serialize a
-// live stream and NewAt fast-forward an identical one on resume.
+// live stream and SkipTo fast-forward an identical one on resume.
 type countedSource struct {
 	s rand.Source64
 	n uint64
@@ -60,30 +60,18 @@ func New(seed int64) *Source {
 	return &Source{r: rand.New(cs), cs: cs, seed: seed}
 }
 
-// NewAt returns a Source seeded with seed and fast-forwarded to the
-// given stream position (as reported by Pos). The returned source
-// continues the stream exactly where a live source that had made pos
-// raw draws would — the snapshot/resume path restores every
-// serialized stream through this.
-func NewAt(seed int64, pos uint64) *Source {
-	s := New(seed)
-	for i := uint64(0); i < pos; i++ {
-		s.cs.s.Uint64() // advance without counting, then stamp below
-	}
-	s.cs.n = pos
-	return s
-}
-
 // Seed returns the seed the source was created with.
 func (s *Source) Seed() int64 { return s.seed }
 
 // Pos returns the number of raw 64-bit draws consumed so far — the
-// stream position NewAt(Seed(), Pos()) resumes from.
+// stream position New(Seed()) fast-forwarded with SkipTo resumes from.
 func (s *Source) Pos() uint64 { return s.cs.n }
 
-// SkipTo fast-forwards the source to the given stream position. It
-// panics if the source has already advanced past it: streams only
-// move forward.
+// SkipTo fast-forwards the source to the given stream position (as
+// reported by Pos), so it continues the stream exactly where a live
+// source that had made pos raw draws would — the snapshot/resume path
+// restores every serialized stream through this. It panics if the
+// source has already advanced past it: streams only move forward.
 func (s *Source) SkipTo(pos uint64) {
 	if s.cs.n > pos {
 		panic(fmt.Sprintf("rng: SkipTo(%d) behind current position %d", pos, s.cs.n))

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/report"
 	"repro/internal/stats"
 )
 
@@ -40,6 +42,11 @@ type Artifact struct {
 	Radii     []radiusRow      `json:"median_radii_km"`
 	SysConfig []sysConfigRow   `json:"system_config"`
 	Cases     caseStudyCounter `json:"case_studies"`
+
+	// Defender is the C3 detection race, one row per leak channel. It
+	// is absent when the run armed no defender, so such artifacts keep
+	// their bytes.
+	Defender []defenderRow `json:"defender,omitempty"`
 }
 
 type classCountsJSON struct {
@@ -87,6 +94,28 @@ type sysConfigRow struct {
 type caseStudyCounter struct {
 	Blackmailers int `json:"blackmailers"`
 	Inquiries    int `json:"inquiries"`
+}
+
+// defenderRow is report.DefenderTally in artifact form. A median is
+// omitted when no account of the channel was detected (or exploited).
+type defenderRow struct {
+	Channel            string   `json:"channel"`
+	Accounts           int      `json:"accounts"`
+	Detected           int      `json:"detected"`
+	Exploited          int      `json:"exploited"`
+	RacesWon           int      `json:"races_won"`
+	MedianDetectHours  *float64 `json:"median_detect_hours,omitempty"`
+	MedianExploitHours *float64 `json:"median_exploit_hours,omitempty"`
+}
+
+// medianHours converts a tally's median gap to hours; nil for the -1
+// "no account got there" marker.
+func medianHours(d time.Duration) *float64 {
+	if d < 0 {
+		return nil
+	}
+	h := d.Hours()
+	return &h
 }
 
 func toClassCounts(c analysis.ClassCounts) classCountsJSON {
@@ -183,6 +212,15 @@ func BuildArtifact(r *Result) (Artifact, error) {
 		a.SysConfig = append(a.SysConfig, sysConfigRow{
 			Outlet: string(row.Outlet), Accesses: row.Accesses,
 			EmptyUA: row.EmptyUA, Android: row.Android, Desktop: row.Desktop,
+		})
+	}
+
+	for _, t := range report.DefenderTallies(DefenderRows(r.Defender)) {
+		a.Defender = append(a.Defender, defenderRow{
+			Channel: t.Channel, Accounts: t.Accounts, Detected: t.Detected,
+			Exploited: t.Exploited, RacesWon: t.Won,
+			MedianDetectHours:  medianHours(t.MedianDetect),
+			MedianExploitHours: medianHours(t.MedianExploit),
 		})
 	}
 	return a, nil

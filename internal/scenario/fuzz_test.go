@@ -26,6 +26,7 @@ func FuzzLoadSpec(f *testing.F) {
 	f.Add([]byte(`name = "x`))
 	f.Add([]byte("[[sites]]\n"))
 	f.Add([]byte(`{"name": "x", "unknown_field": 1}`))
+	f.Add([]byte("name = \"x\"\nvisible_scripts = true\n")) // a deleted key
 	f.Add([]byte("a = [1, [2]]\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if spec, err := ParseTOML(data); err == nil {

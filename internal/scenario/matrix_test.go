@@ -34,7 +34,7 @@ func loadPresets(t *testing.T, names ...string) []Spec {
 // encoding) to running that scenario alone with the same seed.
 func TestMatrixMatchesSolo(t *testing.T) {
 	specs := loadPresets(t,
-		"baseline", "paste-only", "forum-only", "malware-heavy", "visible-scripts")
+		"baseline", "paste-only", "forum-only", "malware-heavy", "cautious-criminals")
 	opts := matrixTestOpts()
 	results, err := RunMatrix(specs, opts)
 	if err != nil {
@@ -127,11 +127,11 @@ func TestAllPresetsRun(t *testing.T) {
 // (foreign locale, shifted leak date) stayed cold.
 func TestMatrixWarmStartMatchesCold(t *testing.T) {
 	specs := loadPresets(t,
-		"baseline", "paste-only", "forum-only", "malware-heavy", "visible-scripts",
+		"baseline", "paste-only", "forum-only", "malware-heavy", "cautious-criminals",
 		"foreign-locale", "long-tail-90d")
 	sharedSetup := map[string]bool{
 		"baseline": true, "paste-only": true, "forum-only": true,
-		"malware-heavy": true, "visible-scripts": true,
+		"malware-heavy": true, "cautious-criminals": true,
 	}
 	for _, shards := range []int{1, 4} {
 		opts := matrixTestOpts()

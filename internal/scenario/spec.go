@@ -39,9 +39,6 @@ type Spec struct {
 	// Apps-Script scan and activity-page scrape cadences.
 	ScanEvery   string `json:"scan_every,omitempty"`
 	ScrapeEvery string `json:"scrape_every,omitempty"`
-	// VisibleScripts leaves the monitoring scripts discoverable (the
-	// paper hides them; §3.2).
-	VisibleScripts bool `json:"visible_scripts,omitempty"`
 	// DisableCaseStudies skips the §4.7 scripted scenarios.
 	DisableCaseStudies bool `json:"disable_case_studies,omitempty"`
 	// Locale selects the decoy-identity locale (corpus.LocaleNames;
@@ -381,7 +378,6 @@ func (s *Spec) Config(seed int64, shards, scale int) (honeynet.Config, error) {
 		Sites:              sites,
 		Populations:        pops,
 		MailboxSize:        s.MailboxSize,
-		VisibleScripts:     s.VisibleScripts,
 		DisableCaseStudies: s.DisableCaseStudies,
 		Shards:             shards,
 		ScaleFactor:        scale,

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -156,7 +158,6 @@ func TestSpecConfigAppliesOverrides(t *testing.T) {
 		MailboxSize:         30,
 		ScanEvery:           "30m",
 		ScrapeEvery:         "2h",
-		VisibleScripts:      true,
 		DisableCaseStudies:  true,
 		Locale:              "de",
 		Plan:                []BlockSpec{{ID: 1, Count: 8, Channel: "paste", Hint: "uk"}},
@@ -179,8 +180,8 @@ func TestSpecConfigAppliesOverrides(t *testing.T) {
 	if cfg.MailboxSize != 30 || cfg.ScanInterval != 30*time.Minute || cfg.ScrapeInterval != 2*time.Hour {
 		t.Fatalf("cadence overrides not applied: %+v", cfg)
 	}
-	if !cfg.VisibleScripts || !cfg.DisableCaseStudies {
-		t.Fatal("bool toggles not applied")
+	if !cfg.DisableCaseStudies {
+		t.Fatal("bool toggle not applied")
 	}
 	if cfg.Locale == nil || cfg.Locale.Name != "de" {
 		t.Fatalf("locale not applied: %+v", cfg.Locale)
@@ -212,6 +213,14 @@ func TestParseJSONRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseTOML([]byte("name = \"x\"\ndaays = 90\n")); err == nil {
 		t.Fatal("unknown TOML key accepted")
 	}
+	// A deleted axis is unknown like any typo: a spec written for an
+	// older build fails instead of running without it.
+	if _, err := ParseTOML([]byte("name = \"x\"\nvisible_scripts = true\n")); err == nil {
+		t.Fatal("removed visible_scripts key accepted in TOML")
+	}
+	if _, err := ParseJSON([]byte(`{"name": "x", "visible_scripts": true}`)); err == nil {
+		t.Fatal("removed visible_scripts key accepted in JSON")
+	}
 }
 
 // TestResolve: names hit presets, paths hit files, junk errors.
@@ -227,5 +236,127 @@ func TestResolve(t *testing.T) {
 	}
 	if _, err := Resolve("file.yaml"); err == nil {
 		t.Fatal("unsupported extension accepted")
+	}
+}
+
+// TestEverySpecFieldMovesAnOutput pins the rule that every settable
+// axis of a Spec moves something a run reports. Each row changes one
+// field of a 30-day, scale-1 baseline at a pinned seed; the canonical
+// artifact plus the rendered report must then differ from the
+// baseline's. The C3 knobs only shape index size and query cost —
+// attackers replay the exact leaked password, so variants never change
+// a detection — and each names the metric it moves instead, from a
+// defender-armed baseline. A Spec field without a row fails the test.
+func TestEverySpecFieldMovesAnOutput(t *testing.T) {
+	const seed, resamples = 42, 50
+	opts := Options{Shards: 1, Scale: 1, Workers: 2}
+	base := Spec{Name: "probe", Days: 30}
+	armed := base
+	armed.DefenderCadence = "24h"
+
+	run := func(t *testing.T, s Spec) (*Result, []byte, string) {
+		t.Helper()
+		r := Run(s, seed, opts)
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		art, err := BuildArtifact(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := art.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, data, RenderSections(r, resamples)
+	}
+	bucketBits := func(t *testing.T, s Spec) int {
+		t.Helper()
+		cfg, err := s.Config(seed, opts.Shards, opts.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := honeynet.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exp.C3Stats().BucketBits
+	}
+
+	pinned := int64(7)
+	rows := []struct {
+		field string
+		set   func(*Spec)
+		// costOnly rows start from the armed baseline and check their
+		// named metric instead of the outputs.
+		costOnly func(t *testing.T, s Spec)
+	}{
+		{field: "Name", set: func(s *Spec) { s.Name = "probe-renamed" }},
+		{field: "Description", set: func(s *Spec) { s.Description = "a described probe" }},
+		{field: "Seed", set: func(s *Spec) { s.Seed = &pinned }},
+		{field: "Days", set: func(s *Spec) { s.Days = 45 }},
+		{field: "LeakDate", set: func(s *Spec) { s.LeakDate = "2015-09-01" }},
+		{field: "TimezoneOffsetHours", set: func(s *Spec) { s.TimezoneOffsetHours = 5 }},
+		{field: "MailboxSize", set: func(s *Spec) { s.MailboxSize = 40 }},
+		{field: "ScanEvery", set: func(s *Spec) { s.ScanEvery = "6h" }},
+		{field: "ScrapeEvery", set: func(s *Spec) { s.ScrapeEvery = "6h" }},
+		{field: "DisableCaseStudies", set: func(s *Spec) { s.DisableCaseStudies = true }},
+		{field: "Locale", set: func(s *Spec) { s.Locale = "de" }},
+		{field: "DefenderCadence", set: func(s *Spec) { s.DefenderCadence = "24h" }},
+		{field: "C3BucketBits", set: func(s *Spec) { s.C3BucketBits = 8 }, costOnly: func(t *testing.T, s Spec) {
+			if got, want := bucketBits(t, s), bucketBits(t, armed); got == want {
+				t.Fatalf("C3Stats().BucketBits = %d with c3_bucket_bits %d, the armed baseline's too", got, s.C3BucketBits)
+			}
+		}},
+		{field: "C3Variants", set: func(s *Spec) { s.C3Variants = true }, costOnly: func(t *testing.T, s Spec) {
+			got, _, _ := run(t, s)
+			want, _, _ := run(t, armed)
+			if got.C3Indexed <= want.C3Indexed {
+				t.Fatalf("C3Indexed = %d with c3_variants, want more than the armed baseline's %d", got.C3Indexed, want.C3Indexed)
+			}
+		}},
+		{field: "Plan", set: func(s *Spec) { s.Plan = []BlockSpec{{ID: 1, Count: 20, Channel: "paste"}} }},
+		{field: "Sites", set: func(s *Spec) {
+			s.Sites = []SiteSpec{
+				{Name: "fast-paste.example", Kind: "paste", PickupMeanDays: 1, MeanPickups: 6},
+				{Name: "ru-paste.example", Kind: "paste", Russian: true, PickupMeanDays: 5, MeanPickups: 2},
+				{Name: "forum.example", Kind: "forum", PickupMeanDays: 3, MeanPickups: 4, InquiryRate: 0.5},
+			}
+		}},
+		{field: "Calibration", set: func(s *Spec) {
+			s.Calibration = map[string]map[string]float64{"paste": {"spammer_prob": 0.9}}
+		}},
+	}
+
+	covered := map[string]bool{}
+	for _, row := range rows {
+		covered[row.field] = true
+	}
+	specType := reflect.TypeOf(Spec{})
+	for i := 0; i < specType.NumField(); i++ {
+		if name := specType.Field(i).Name; !covered[name] {
+			t.Errorf("Spec.%s has no row: show the output it moves, or delete the field", name)
+		}
+	}
+
+	_, baseArt, baseReport := run(t, base)
+	for _, row := range rows {
+		t.Run(row.field, func(t *testing.T) {
+			if row.costOnly != nil {
+				s := armed
+				row.set(&s)
+				row.costOnly(t, s)
+				return
+			}
+			s := base
+			row.set(&s)
+			_, art, rep := run(t, s)
+			if bytes.Equal(art, baseArt) && rep == baseReport {
+				t.Fatalf("setting %s changed neither the artifact nor the report", row.field)
+			}
+			if row.field == "DefenderCadence" && bytes.Equal(art, baseArt) {
+				t.Fatal("arming the defender changed the report but not the artifact")
+			}
+		})
 	}
 }

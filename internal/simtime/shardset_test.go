@@ -77,22 +77,23 @@ func TestShardSetEmpty(t *testing.T) {
 	}
 }
 
-// TestSchedulerConcurrentEveryCancel hammers Every/Cancel/At from many
-// goroutines while a single driver steps the scheduler — the contract
-// is: scheduling is safe from any goroutine, Run/Step from one. Run
-// with -race to catch lock violations.
+// TestSchedulerConcurrentEveryCancel hammers Every, its stop function
+// and After from many goroutines while a single driver steps the
+// scheduler — the contract is: scheduling is safe from any goroutine,
+// Run/Step from one. Run with -race to catch lock violations.
 func TestSchedulerConcurrentEveryCancel(t *testing.T) {
 	start := testStart()
 	s := NewScheduler(NewClock(start))
 
-	var fired, stopped atomic.Int64
-	var wg sync.WaitGroup
+	const goroutines, rounds = 8, 50
+	var oneshots atomic.Int64
+	var driver, schedulers sync.WaitGroup
 	done := make(chan struct{})
 
 	// Driver goroutine: the only caller of Step/RunUntil.
-	wg.Add(1)
+	driver.Add(1)
 	go func() {
-		defer wg.Done()
+		defer driver.Done()
 		for {
 			select {
 			case <-done:
@@ -107,33 +108,31 @@ func TestSchedulerConcurrentEveryCancel(t *testing.T) {
 	}()
 
 	// Concurrent schedulers: Every loops started and stopped from
-	// other goroutines, plus one-shot events cancelled mid-flight.
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
+	// other goroutines, plus one-shot events.
+	for g := 0; g < goroutines; g++ {
+		schedulers.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				stop := s.Every(time.Second, "every", func(time.Time) { fired.Add(1) })
-				e := s.After(time.Duration(i+1)*time.Millisecond, "oneshot", func(time.Time) { fired.Add(1) })
-				if s.Cancel(e) {
-					stopped.Add(1)
-				}
-				if s.Cancel(e) {
-					t.Error("double-cancel reported true")
-				}
+			defer schedulers.Done()
+			for i := 0; i < rounds; i++ {
+				stop := s.Every(time.Second, "every", func(time.Time) {})
+				s.After(time.Duration(i+1)*time.Millisecond, "oneshot", func(time.Time) { oneshots.Add(1) })
 				stop()
 				stop() // stopping twice must be harmless
 			}
 		}()
 	}
 
-	// Let the drivers race for a little while, then stop everything.
-	time.Sleep(20 * time.Millisecond)
+	// Once every event is scheduled, the driver drains the queue: each
+	// one-shot fires exactly once, and no stopped loop re-arms.
+	schedulers.Wait()
 	close(done)
-	wg.Wait()
+	driver.Wait()
 
-	if stopped.Load() == 0 {
-		t.Fatal("no cancellations took effect")
+	if got := oneshots.Load(); got != goroutines*rounds {
+		t.Fatalf("%d one-shot events fired, want %d", got, goroutines*rounds)
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("%d events still pending after every loop stopped", n)
 	}
 }
 

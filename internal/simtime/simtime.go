@@ -68,9 +68,6 @@ type Event struct {
 	seq    uint64
 	name   string
 	fn     func(now time.Time)
-
-	index    int // heap index, -1 when popped or cancelled
-	canceled bool
 }
 
 // When returns the instant the event is due.
@@ -93,24 +90,15 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*Event)) }
 
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*q = old[:n-1]
 	return e
 }
@@ -160,8 +148,7 @@ func (s *Scheduler) Seq() uint64 {
 
 // At schedules fn to run at instant t. Events scheduled in the past
 // fire immediately on the next Step (the clock never goes backwards;
-// such events observe the current time). The returned *Event may be
-// passed to Cancel.
+// such events observe the current time).
 func (s *Scheduler) At(t time.Time, name string, fn func(now time.Time)) *Event {
 	if fn == nil {
 		panic("simtime: At called with nil function")
@@ -200,22 +187,6 @@ func (s *Scheduler) Every(interval time.Duration, name string, fn func(now time.
 	}
 	s.After(interval, name, tick)
 	return func() { stopped.Store(true) }
-}
-
-// Cancel removes a pending event. Cancelling an event that already
-// fired (or was cancelled) is a no-op and returns false.
-func (s *Scheduler) Cancel(e *Event) bool {
-	if e == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e.canceled || e.index < 0 {
-		return false
-	}
-	e.canceled = true
-	heap.Remove(&s.queue, e.index)
-	return true
 }
 
 // pop removes and returns the earliest pending event, or nil.

@@ -91,29 +91,6 @@ func TestSchedulerRunUntilLeavesLaterEvents(t *testing.T) {
 	}
 }
 
-func TestSchedulerCancel(t *testing.T) {
-	s := NewScheduler(NewClock(t0))
-	ran := false
-	e := s.After(time.Hour, "x", func(time.Time) { ran = true })
-	if !s.Cancel(e) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(e) {
-		t.Fatal("second Cancel returned true")
-	}
-	s.RunFor(2 * time.Hour)
-	if ran {
-		t.Fatal("cancelled event still ran")
-	}
-}
-
-func TestSchedulerCancelNil(t *testing.T) {
-	s := NewScheduler(NewClock(t0))
-	if s.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
-	}
-}
-
 func TestEvery(t *testing.T) {
 	s := NewScheduler(NewClock(t0))
 	n := 0

@@ -3,17 +3,13 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // writer builds the canonical byte form: unsigned fields as minimal
-// uvarints, signed fields zigzag-coded, strings length-prefixed,
-// floats as fixed 8-byte little-endian IEEE-754 bits.
+// uvarints, signed fields zigzag-coded, strings length-prefixed.
 type writer struct {
 	buf []byte
 }
-
-func (w *writer) raw(b []byte) { w.buf = append(w.buf, b...) }
 
 func (w *writer) u64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
@@ -34,10 +30,6 @@ func (w *writer) bool(v bool) {
 	}
 }
 
-func (w *writer) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-
 // reader is the strict inverse. Every accessor names the field it is
 // reading so corruption errors point at the exact spot, varints must
 // be minimally encoded (one valid byte form per State — the canonical
@@ -50,15 +42,6 @@ type reader struct {
 }
 
 func (r *reader) remaining() int { return len(r.data) - r.off }
-
-func (r *reader) raw(dst []byte) error {
-	if r.remaining() < len(dst) {
-		return fmt.Errorf("snapshot: truncated at byte %d", r.off)
-	}
-	copy(dst, r.data[r.off:])
-	r.off += len(dst)
-	return nil
-}
 
 func uvarintLen(v uint64) int {
 	n := 1
@@ -142,13 +125,4 @@ func (r *reader) bool(what string) (bool, error) {
 	default:
 		return false, fmt.Errorf("snapshot: %s has non-boolean byte %#x", what, b)
 	}
-}
-
-func (r *reader) f64(what string) (float64, error) {
-	if r.remaining() < 8 {
-		return 0, fmt.Errorf("snapshot: truncated %s at byte %d", what, r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return math.Float64frombits(v), nil
 }

@@ -47,8 +47,10 @@ import (
 // version 4 added the C3 defender section (Config.DefenderCadenceNS,
 // C3BucketBits, C3Variants and the State.Defender cursor list);
 // version 5 dropped the DisableStreaming and DisableDirtyTracking
-// config flags along with the engine toggles they recorded.
-const Version = 5
+// config flags along with the engine toggles they recorded; version 6
+// dropped VisibleScripts and the login-risk Enabled flag and home
+// radius, settings no output could observe.
+const Version = 6
 
 // magic identifies a snapshot file: 7 fixed bytes plus the version.
 var magic = [8]byte{'h', 'n', 'y', 's', 'n', 'a', 'p', Version}
@@ -84,7 +86,6 @@ type Config struct {
 	Shards           int
 	Scale            int
 
-	VisibleScripts     bool
 	DisableCaseStudies bool
 
 	LoginRisk LoginRisk
@@ -103,10 +104,8 @@ type Config struct {
 
 // LoginRisk mirrors webmail.LoginRiskConfig.
 type LoginRisk struct {
-	Enabled       bool
-	BlockTor      bool
-	BlockProxies  bool
-	MaxKmFromHome float64
+	BlockTor     bool
+	BlockProxies bool
 }
 
 // Block is one plan entry (honeynet.GroupSpec) in neutral form.
@@ -118,7 +117,8 @@ type Block struct {
 	Label   string
 }
 
-// Stream is one rng stream position: NewAt(Seed, Pos) resumes it.
+// Stream is one rng stream position: rng.New(Seed) fast-forwarded with
+// SkipTo(Pos) resumes it.
 type Stream struct {
 	Seed int64
 	Pos  uint64
@@ -297,12 +297,9 @@ func (c *Config) encode(w *writer) {
 	w.i64(c.ScrapeIntervalNS)
 	w.i64(int64(c.Shards))
 	w.i64(int64(c.Scale))
-	w.bool(c.VisibleScripts)
 	w.bool(c.DisableCaseStudies)
-	w.bool(c.LoginRisk.Enabled)
 	w.bool(c.LoginRisk.BlockTor)
 	w.bool(c.LoginRisk.BlockProxies)
-	w.f64(c.LoginRisk.MaxKmFromHome)
 	w.bool(c.CustomSites)
 	w.bool(c.CustomPopulations)
 	w.bool(c.CustomLocale)
@@ -575,18 +572,10 @@ func (c *Config) decode(r *reader) error {
 		return err
 	}
 	flags := []*bool{
-		&c.VisibleScripts, &c.DisableCaseStudies,
-		&c.LoginRisk.Enabled, &c.LoginRisk.BlockTor, &c.LoginRisk.BlockProxies,
+		&c.DisableCaseStudies, &c.LoginRisk.BlockTor, &c.LoginRisk.BlockProxies,
+		&c.CustomSites, &c.CustomPopulations, &c.CustomLocale,
 	}
 	for _, f := range flags {
-		if *f, err = r.bool("config flag"); err != nil {
-			return err
-		}
-	}
-	if c.LoginRisk.MaxKmFromHome, err = r.f64("login-risk radius"); err != nil {
-		return err
-	}
-	for _, f := range []*bool{&c.CustomSites, &c.CustomPopulations, &c.CustomLocale} {
 		if *f, err = r.bool("config flag"); err != nil {
 			return err
 		}

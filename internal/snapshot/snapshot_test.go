@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -14,10 +16,10 @@ func sampleState() *State {
 			Seed: -42, SetupSeed: 7, Fingerprint: 0xdeadbeefcafe,
 			StartNS: 1435190400000000000, DurationNS: 86400e9, MailboxSize: 3,
 			ScanIntervalNS: 600e9, ScrapeIntervalNS: 3600e9, Shards: 2, Scale: 1,
-			VisibleScripts: true, DisableCaseStudies: false,
-			LoginRisk:         LoginRisk{Enabled: true, BlockTor: true, MaxKmFromHome: 1234.5},
-			CustomSites:       true,
-			DefenderCadenceNS: 43200e9, C3BucketBits: 12, C3Variants: true,
+			DisableCaseStudies: false,
+			LoginRisk:          LoginRisk{BlockTor: true},
+			CustomSites:        true,
+			DefenderCadenceNS:  43200e9, C3BucketBits: 12, C3Variants: true,
 		},
 		Plan: []Block{
 			{ID: 1, Count: 2, Channel: "paste", Hint: "", Label: "popular paste sites"},
@@ -90,15 +92,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsWrongVersion: a bumped version byte is refused with
-// a version error, not misparsed.
+// TestDecodeRejectsWrongVersion: a snapshot from the previous format
+// or a future one is refused with a version error naming it, not
+// misparsed.
 func TestDecodeRejectsWrongVersion(t *testing.T) {
-	data := sampleState().Encode()
-	// The version byte sits in the magic, before any frame checksum, so
-	// the version check itself is what fires.
-	data[7] = Version + 1
-	if _, err := Decode(data); err == nil {
-		t.Fatal("future format version accepted")
+	for _, v := range []byte{Version - 1, Version + 1} {
+		data := sampleState().Encode()
+		// The version byte sits in the magic, before any frame
+		// checksum, so the version check itself is what fires.
+		data[7] = v
+		_, err := Decode(data)
+		if want := fmt.Sprintf("unsupported format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: err = %v, want %q", v, err, want)
+		}
 	}
 }
 

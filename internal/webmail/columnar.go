@@ -137,8 +137,8 @@ const (
 // them once and caching the answer. The scan is deferred to the first
 // search instead of running at Seed or restore time: most seeded
 // messages are never searched, and a fleet-wide pass would land on
-// set-up. Callers hold the partition lock; anything that rewrites the
-// text resets the cache.
+// set-up. Stored text is never rewritten, so the answer holds for the
+// message's lifetime. Callers hold the partition lock.
 func (t *msgText) allASCII() bool {
 	if t.ascii == textUnknown {
 		t.ascii = textUnicode
@@ -327,10 +327,10 @@ func foldsFrom(s, term string, j int) bool {
 	return true
 }
 
-// msgStore is the columnar mailbox: row i holds MessageID(i+1).
-// A nil text marks a vacated row (a draft deleted by SendDraft);
-// message IDs are never reused, so the dense layout gives ascending-ID
-// iteration for free — Snapshot and ExportAccount no longer sort.
+// msgStore is the columnar mailbox: row i holds MessageID(i+1). Rows
+// are append-only — a message can move to Trash but never leaves the
+// store — so the dense layout gives ascending-ID iteration for free
+// and Snapshot and ExportAccount need no sort.
 type msgStore struct {
 	folder  []Folder
 	read    []bool
@@ -341,10 +341,10 @@ type msgStore struct {
 
 func (ms *msgStore) rows() int { return len(ms.text) }
 
-// index maps a message ID to its row, or -1 when absent/vacated.
+// index maps a message ID to its row, or -1 when absent.
 func (ms *msgStore) index(id MessageID) int {
 	i := int(id) - 1
-	if i < 0 || i >= len(ms.text) || ms.text[i] == nil {
+	if i < 0 || i >= len(ms.text) {
 		return -1
 	}
 	return i
@@ -360,16 +360,6 @@ func (ms *msgStore) append(folder Folder, text *msgText, dateNS int64, read bool
 	ms.dateNS = append(ms.dateNS, dateNS)
 	ms.text = append(ms.text, text)
 	return i
-}
-
-// vacate removes a message (draft sent away). The row stays as a
-// tombstone so later IDs keep their positions.
-func (ms *msgStore) vacate(i int) {
-	ms.text[i] = nil
-	ms.folder[i] = ""
-	ms.read[i] = false
-	ms.starred[i] = false
-	ms.dateNS[i] = 0
 }
 
 // materialize rebuilds the public Message value for row i.

@@ -3,101 +3,77 @@ package webmail
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/snapshot"
 )
 
-// AccountExport is the serializable server-side state of one mailbox
-// at the experiment's post-setup boundary: identity, credentials and
-// seeded messages. Activity state (access rows, journal, version
-// counters) is intentionally absent — the snapshot engine only
-// freezes experiments before any simulated activity, and ExportAccount
-// refuses to export an account that has already accumulated any.
-type AccountExport struct {
-	Address  string
-	Password string
-	Owner    string
-	SendFrom string
-	NextID   int64
-	Messages []MessageExport
-}
-
-// MessageExport is one stored mail in neutral form.
-type MessageExport struct {
-	ID      int64
-	Folder  string
-	From    string
-	To      string
-	Subject string
-	Body    string
-	Date    time.Time
-	Read    bool
-	Starred bool
-	Labels  []string
-}
-
-// ExportAccount captures an account's full pre-activity state, with
-// messages in ascending ID order (the canonical export order). It
-// errors if the account has journal entries, access rows or version
-// bumps: such an account is past the boundary this export models, and
-// silently dropping its activity would corrupt a resumed run.
-func (s *Service) ExportAccount(address string) (AccountExport, error) {
+// ExportAccount captures an account's full pre-activity state in the
+// snapshot's account record: identity, credentials and seeded
+// messages, in ascending ID order (the canonical export order).
+// Activity state (access rows, journal, version counters) has no place
+// in the record — the snapshot engine only freezes experiments before
+// any simulated activity — so ExportAccount errors if the account has
+// journal entries, access rows or version bumps: such an account is
+// past the boundary this export models, and silently dropping its
+// activity would corrupt a resumed run.
+func (s *Service) ExportAccount(address string) (snapshot.Account, error) {
 	p, a, err := s.acquire(address)
 	if err != nil {
-		return AccountExport{}, err
+		return snapshot.Account{}, err
 	}
 	defer p.mu.Unlock()
 	if a.journal.len() > 0 || a.acc.len() > 0 || a.suspended ||
 		a.version != 0 || a.accessVersion.Load() != 0 {
-		return AccountExport{}, fmt.Errorf("webmail: account %s has live activity; only pre-activity accounts export", address)
+		return snapshot.Account{}, fmt.Errorf("webmail: account %s has live activity; only pre-activity accounts export", address)
 	}
-	out := AccountExport{
+	out := snapshot.Account{
 		Address:  a.address,
 		Password: a.password,
 		Owner:    a.owner,
 		SendFrom: a.sendFrom,
 		NextID:   int64(a.nextID),
 	}
+	if n := a.msgs.rows(); n > 0 {
+		out.Messages = make([]snapshot.Message, n)
+	}
 	// Columnar rows are ID-ascending by construction — the canonical
 	// export order falls out of a straight scan.
 	for i, t := range a.msgs.text {
-		if t == nil {
-			continue
-		}
-		out.Messages = append(out.Messages, MessageExport{
+		out.Messages[i] = snapshot.Message{
 			ID: int64(i + 1), Folder: string(a.msgs.folder[i]),
 			From: t.from, To: t.to, Subject: t.subject, Body: t.body,
-			Date: time.Unix(0, a.msgs.dateNS[i]).UTC(),
-			Read: a.msgs.read[i], Starred: a.msgs.starred[i],
+			DateNS: a.msgs.dateNS[i],
+			Read:   a.msgs.read[i], Starred: a.msgs.starred[i],
 			Labels: append([]string(nil), t.labels...),
-		})
+		}
 	}
 	return out, nil
 }
 
-// AppendSeeded adds one seeded message to the export, filed the way
-// set-up seeds a mailbox: mail from the account's own address goes to
-// Sent and counts as read, as Service.Seed marks sent mail, and
+// AppendSeeded adds one seeded message to an account record, filed the
+// way set-up seeds a mailbox: mail from the account's own address goes
+// to Sent and counts as read, as Service.Seed marks sent mail, and
 // anything else lands unread in the Inbox. IDs run 1..n in call order
-// and NextID follows,
-// the shape ExportAccount emits and RestoreAccountIn accepts, so a
-// bulk loader can build a whole mailbox here and restore it in one
-// call.
-func (exp *AccountExport) AppendSeeded(from, to, subject, body string, date time.Time) {
+// and NextID follows, the shape ExportAccount emits and
+// RestoreAccountIn accepts, so a bulk loader can build a whole mailbox
+// here and restore it in one call.
+func AppendSeeded(acct *snapshot.Account, from, to, subject, body string, date time.Time) {
 	folder := FolderInbox
-	if from == exp.Address {
+	if from == acct.Address {
 		folder = FolderSent
 	}
-	id := int64(len(exp.Messages)) + 1
-	exp.Messages = append(exp.Messages, MessageExport{
+	id := int64(len(acct.Messages)) + 1
+	acct.Messages = append(acct.Messages, snapshot.Message{
 		ID: id, Folder: string(folder), From: from, To: to,
-		Subject: subject, Body: body, Date: date, Read: folder == FolderSent,
+		Subject: subject, Body: body, DateNS: date.UnixNano(), Read: folder == FolderSent,
 	})
-	exp.NextID = id + 1
+	acct.NextID = id + 1
 }
 
 // RestoreAccountIn recreates an exported account on an explicit
 // partition, exactly as a CreateAccountIn + Seed sequence would have
 // left it: version counters start at zero and no journal entries
-// exist. The export is treated as read-only, so one decoded snapshot
+// exist. The record is treated as read-only, so one decoded snapshot
 // can seed many experiments concurrently (the warm-started scenario
 // matrix does).
 //
@@ -108,7 +84,7 @@ func (exp *AccountExport) AppendSeeded(from, to, subject, body string, date time
 // allocated keeps one crafted ID from sizing the mailbox. Each message
 // column is then allocated once at n rows, and the n text payloads as
 // one slab.
-func (s *Service) RestoreAccountIn(part int, exp AccountExport) error {
+func (s *Service) RestoreAccountIn(part int, exp *snapshot.Account) error {
 	if part < 0 || part >= len(s.parts) {
 		return fmt.Errorf("webmail: partition %d out of range [0,%d)", part, len(s.parts))
 	}
@@ -148,7 +124,7 @@ func (s *Service) RestoreAccountIn(part int, exp AccountExport) error {
 			ms.folder[i] = Folder(me.Folder)
 			ms.read[i] = me.Read
 			ms.starred[i] = me.Starred
-			ms.dateNS[i] = me.Date.UnixNano()
+			ms.dateNS[i] = me.DateNS
 			ms.text[i] = t
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/simtime"
+	"repro/internal/snapshot"
 )
 
 func exportTestService(t *testing.T) *Service {
@@ -46,7 +47,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 
 	svc2 := exportTestService(t)
-	if err := svc2.RestoreAccountIn(0, exp); err != nil {
+	if err := svc2.RestoreAccountIn(0, &exp); err != nil {
 		t.Fatal(err)
 	}
 	exp2, err := svc2.ExportAccount("kim@x.example")
@@ -68,7 +69,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if len(hits) != 2 {
 		t.Fatalf("search over restored mailbox found %d messages, want 2", len(hits))
 	}
-	if err := svc2.RestoreAccountIn(0, exp); err != ErrAccountExists {
+	if err := svc2.RestoreAccountIn(0, &exp); err != ErrAccountExists {
 		t.Fatalf("duplicate restore: got %v, want ErrAccountExists", err)
 	}
 }
@@ -96,32 +97,32 @@ func TestExportRefusesLiveAccounts(t *testing.T) {
 // sized, so a crafted ID cannot make the restore allocate for it.
 func TestRestoreRejectsMalformedExports(t *testing.T) {
 	svc := exportTestService(t)
-	msgs := func(ids ...int64) []MessageExport {
-		out := make([]MessageExport, len(ids))
+	msgs := func(ids ...int64) []snapshot.Message {
+		out := make([]snapshot.Message, len(ids))
 		for i, id := range ids {
-			out[i] = MessageExport{ID: id, Folder: "inbox"}
+			out[i] = snapshot.Message{ID: id, Folder: "inbox"}
 		}
 		return out
 	}
 	for _, c := range []struct {
 		name string
 		part int
-		exp  AccountExport
+		exp  snapshot.Account
 	}{
-		{"message id beyond NextID", 0, AccountExport{Address: "b@x.example", NextID: 2, Messages: msgs(5)}},
-		{"duplicate message id", 0, AccountExport{Address: "b@x.example", NextID: 3, Messages: msgs(1, 1)}},
-		{"gap in the ids", 0, AccountExport{Address: "b@x.example", NextID: 4, Messages: msgs(1, 3)}},
-		{"descending ids", 0, AccountExport{Address: "b@x.example", NextID: 3, Messages: msgs(2, 1)}},
-		{"NextID past n+1", 0, AccountExport{Address: "b@x.example", NextID: 5, Messages: msgs(1, 2)}},
-		{"NextID short of n+1", 0, AccountExport{Address: "b@x.example", NextID: 2, Messages: msgs(1, 2)}},
-		{"NextID zero", 0, AccountExport{Address: "b@x.example"}},
-		{"id 2^40", 0, AccountExport{Address: "b@x.example", NextID: 1<<40 + 1, Messages: msgs(1 << 40)}},
-		{"id 2^22-1", 0, AccountExport{Address: "b@x.example", NextID: 1 << 22, Messages: msgs(1<<22 - 1)}},
-		{"empty address", 0, AccountExport{NextID: 1}},
-		{"out-of-range partition", 7, AccountExport{Address: "c@x.example", NextID: 1}},
+		{"message id beyond NextID", 0, snapshot.Account{Address: "b@x.example", NextID: 2, Messages: msgs(5)}},
+		{"duplicate message id", 0, snapshot.Account{Address: "b@x.example", NextID: 3, Messages: msgs(1, 1)}},
+		{"gap in the ids", 0, snapshot.Account{Address: "b@x.example", NextID: 4, Messages: msgs(1, 3)}},
+		{"descending ids", 0, snapshot.Account{Address: "b@x.example", NextID: 3, Messages: msgs(2, 1)}},
+		{"NextID past n+1", 0, snapshot.Account{Address: "b@x.example", NextID: 5, Messages: msgs(1, 2)}},
+		{"NextID short of n+1", 0, snapshot.Account{Address: "b@x.example", NextID: 2, Messages: msgs(1, 2)}},
+		{"NextID zero", 0, snapshot.Account{Address: "b@x.example"}},
+		{"id 2^40", 0, snapshot.Account{Address: "b@x.example", NextID: 1<<40 + 1, Messages: msgs(1 << 40)}},
+		{"id 2^22-1", 0, snapshot.Account{Address: "b@x.example", NextID: 1 << 22, Messages: msgs(1<<22 - 1)}},
+		{"empty address", 0, snapshot.Account{NextID: 1}},
+		{"out-of-range partition", 7, snapshot.Account{Address: "c@x.example", NextID: 1}},
 	} {
 		var err error
-		if grew := heapGrowth(func() { err = svc.RestoreAccountIn(c.part, c.exp) }); grew > 64<<10 {
+		if grew := heapGrowth(func() { err = svc.RestoreAccountIn(c.part, &c.exp) }); grew > 64<<10 {
 			t.Errorf("%s: refusing it allocated %d bytes", c.name, grew)
 		}
 		if err == nil {
@@ -161,7 +162,7 @@ func TestRestoreMatchesSeed(t *testing.T) {
 	if err := seeded.SetSendFrom(addr, "capture@sinkhole.example"); err != nil {
 		t.Fatal(err)
 	}
-	exp := AccountExport{Address: addr, Password: "pw", Owner: owner.FullName(),
+	exp := snapshot.Account{Address: addr, Password: "pw", Owner: owner.FullName(),
 		SendFrom: "capture@sinkhole.example", NextID: 1}
 	sent := 0
 	for _, m := range mailbox {
@@ -173,13 +174,13 @@ func TestRestoreMatchesSeed(t *testing.T) {
 		if _, err := seeded.Seed(addr, folder, m.From, m.To, m.Subject, m.Body, m.Date); err != nil {
 			t.Fatal(err)
 		}
-		exp.AppendSeeded(m.From, m.To, m.Subject, m.Body, m.Date)
+		AppendSeeded(&exp, m.From, m.To, m.Subject, m.Body, m.Date)
 	}
 	if sent == 0 || sent == len(mailbox) {
 		t.Fatalf("mailbox has %d sent of %d; the test needs both folders", sent, len(mailbox))
 	}
 	restored := exportTestService(t)
-	if err := restored.RestoreAccountIn(1, exp); err != nil {
+	if err := restored.RestoreAccountIn(1, &exp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -237,7 +238,7 @@ func TestRestoreMatchesSeed(t *testing.T) {
 // must never panic.
 func FuzzRestoreAccount(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nextID int64, ids []byte, folders []byte) {
-		exp := AccountExport{Address: "f@x.example", Password: "pw", Owner: "F", NextID: nextID}
+		exp := snapshot.Account{Address: "f@x.example", Password: "pw", Owner: "F", NextID: nextID}
 		date := time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC)
 		for len(ids) > 0 && len(exp.Messages) < 64 {
 			id, n := binary.Varint(ids)
@@ -249,15 +250,15 @@ func FuzzRestoreAccount(f *testing.F) {
 			if i := len(exp.Messages); i < len(folders) {
 				b = folders[i]
 			}
-			exp.Messages = append(exp.Messages, MessageExport{
+			exp.Messages = append(exp.Messages, snapshot.Message{
 				ID: id, Folder: []string{"inbox", "sent", "drafts", "spam", ""}[int(b&7)%5],
 				From: "a@y.example", To: "f@x.example", Subject: "s", Body: "b",
-				Date: date.Add(time.Duration(id) * time.Second),
-				Read: b&0x08 != 0, Starred: b&0x10 != 0,
+				DateNS: date.Add(time.Duration(id) * time.Second).UnixNano(),
+				Read:   b&0x08 != 0, Starred: b&0x10 != 0,
 			})
 		}
 		svc := NewService(Config{Clock: simtime.NewClock(date)})
-		if err := svc.RestoreAccountIn(0, exp); err != nil {
+		if err := svc.RestoreAccountIn(0, &exp); err != nil {
 			if _, err := svc.ExportAccount(exp.Address); err != ErrNoSuchAccount {
 				t.Fatalf("refused restore left an account behind (%v)", err)
 			}

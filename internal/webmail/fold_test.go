@@ -77,19 +77,20 @@ func TestMatchTermsASCIIAllocFree(t *testing.T) {
 	}
 }
 
-// Rewriting a draft forgets the cached ASCII answer. A stale "ASCII"
-// verdict would send Unicode text down the byte-wise path, which
-// misses folds such as the Kelvin sign lowering to "k".
-func TestUpdateDraftResetsASCIICache(t *testing.T) {
+// A draft written with the Kelvin sign (U+212A) matches "key": the
+// non-ASCII text takes the Unicode fallback, which lowers the sign to
+// "k". The byte-wise ASCII path would miss it, and an ASCII draft
+// created first must not leave its verdict on the next one.
+func TestSearchFindsKelvinSignDraft(t *testing.T) {
 	se := newFixture(t, Config{}).login(t)
-	id, err := se.CreateDraft("x@y", "note", "lock")
-	if err != nil {
+	if _, err := se.CreateDraft("x@y", "note", "lock"); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := se.Search("key"); len(got) != 0 {
-		t.Fatalf("search before the edit matched %d messages", len(got))
+		t.Fatalf("search of the ASCII draft matched %d messages", len(got))
 	}
-	if err := se.UpdateDraft(id, "x@y", "note", "\u212Aey"); err != nil {
+	id, err := se.CreateDraft("x@y", "note", "\u212Aey")
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := se.Search("key")
@@ -97,7 +98,7 @@ func TestUpdateDraftResetsASCIICache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].ID != id {
-		t.Fatalf("search after the edit = %+v, want the edited draft", got)
+		t.Fatalf("search for key = %+v, want the Kelvin-sign draft", got)
 	}
 }
 

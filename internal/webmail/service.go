@@ -2,7 +2,6 @@ package webmail
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,10 +54,6 @@ type account struct {
 	// bump it precisely so the gate never delays their detection.
 	accessVersion atomic.Uint64
 
-	homeLat, homeLon float64
-	// suspended sits beside homeKnown so the two bools share a word:
-	// the account stays in the 768-byte allocation size class.
-	homeKnown bool
 	suspended bool
 }
 
@@ -105,9 +100,10 @@ type Config struct {
 	// Abuse configures the platform's abuse detection. Zero value
 	// enables defaults; see AbuseConfig.
 	Abuse AbuseConfig
-	// LoginRisk, when enabled, blocks suspicious logins the way
-	// Google's filters would. The paper had these filters DISABLED on
-	// honey accounts (§3.4); the ablation bench turns them on.
+	// LoginRisk blocks suspicious logins the way Google's filters
+	// would; the zero value blocks nothing. The paper had these filters
+	// DISABLED on honey accounts (§3.4); the ablation bench turns them
+	// on.
 	LoginRisk LoginRiskConfig
 	// Partitions splits the account store into this many
 	// independently locked shards (default 1). Accounts placed in
@@ -129,10 +125,6 @@ type Service struct {
 	mu    sync.RWMutex // guards index; partitions are fixed at construction
 	index map[string]*partition
 	parts []*partition
-
-	obsMu     sync.RWMutex
-	observers []func(Event)
-	notifyMu  sync.Mutex // serializes observer invocation across partitions
 }
 
 // NewService creates an empty platform.
@@ -234,20 +226,6 @@ func (s *Service) acquire(address string) (*partition, *account, error) {
 	return p, a, nil
 }
 
-// Observe registers a callback invoked for every journal event. Used
-// by tests and by ground-truth collectors; the paper-faithful
-// monitoring pipeline does NOT use it. Callbacks are serialized even
-// when events originate on different partitions concurrently, so
-// observers need no locking of their own — but they run under the
-// event's partition lock and MUST NOT call back into the Service
-// (true of the pre-sharding design as well, which invoked observers
-// under the global service lock).
-func (s *Service) Observe(fn func(Event)) {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	s.observers = append(s.observers, fn)
-}
-
 // CreateAccount registers a mailbox, placing it on a hash-selected
 // partition.
 func (s *Service) CreateAccount(address, password, ownerName string) error {
@@ -321,9 +299,9 @@ func (s *Service) Seed(address string, folder Folder, from, to, subject, body st
 // MessageText returns the stored subject and body columns of one
 // message without copying: the returned strings alias the store, so
 // reading N messages costs N lock round-trips and zero allocations.
-// ok is false for unknown accounts, unknown ids and vacated rows. The
-// analysis layer's lazy contents view reads seeded mail through this
-// instead of keeping a per-experiment duplicate of every message.
+// ok is false for unknown accounts and unknown ids. The analysis
+// layer's lazy contents view reads seeded mail through this instead of
+// keeping a per-experiment duplicate of every message.
 func (s *Service) MessageText(address string, id MessageID) (subject, body string, ok bool) {
 	p, a, err := s.acquire(address)
 	if err != nil {
@@ -342,8 +320,8 @@ func (s *Service) MessageText(address string, id MessageID) (subject, body strin
 // under a single partition-lock acquisition, passing the stored
 // subject and body columns without copying — the bulk form of
 // MessageText for corpus-wide scans (TF-IDF's "all seeded mail"
-// document). Vacated rows are skipped. fn runs under the partition
-// lock and must not call back into the Service.
+// document). fn runs under the partition lock and must not call back
+// into the Service.
 func (s *Service) EachMessageText(address string, maxID int64, fn func(id int64, subject, body string)) {
 	p, a, err := s.acquire(address)
 	if err != nil {
@@ -355,9 +333,8 @@ func (s *Service) EachMessageText(address string, maxID int64, fn func(id int64,
 		n = int(maxID)
 	}
 	for i := 0; i < n; i++ {
-		if t := a.msgs.text[i]; t != nil {
-			fn(int64(i+1), t.subject, t.body)
-		}
+		t := a.msgs.text[i]
+		fn(int64(i+1), t.subject, t.body)
 	}
 }
 
@@ -382,7 +359,7 @@ func (s *Service) Login(address, password, cookie string, ep netsim.Endpoint) (*
 		return nil, ErrBadPassword
 	}
 	now := p.now()
-	if s.risk.Enabled && s.risky(a, ep) {
+	if s.risky(ep) {
 		s.journalLocked(p, a, Event{Time: now, Kind: EventLoginBlocked, Account: address, Cookie: cookie, Detail: ep.Addr.String()})
 		return nil, ErrLoginBlocked
 	}
@@ -402,41 +379,17 @@ func (s *Service) Login(address, password, cookie string, ep netsim.Endpoint) (*
 }
 
 // risky is the Google-style suspicious-login heuristic used only by
-// the ablation: block anonymised origins and origins with no
-// geolocation at all.
-func (s *Service) risky(a *account, ep netsim.Endpoint) bool {
-	if ep.Tor && s.risk.BlockTor {
-		return true
-	}
-	if ep.Proxy && s.risk.BlockProxies {
-		return true
-	}
-	if s.risk.MaxKmFromHome > 0 && a.homeSet() && ep.HasLocation() {
-		if distKm(a.homeLat, a.homeLon, ep.Point.Lat, ep.Point.Lon) > s.risk.MaxKmFromHome {
-			return true
-		}
-	}
-	return false
+// the ablation: it blocks the anonymised origins (Tor exits, open
+// proxies) that the configured flags name.
+func (s *Service) risky(ep netsim.Endpoint) bool {
+	return ep.Tor && s.risk.BlockTor || ep.Proxy && s.risk.BlockProxies
 }
 
-// LoginRiskConfig models the provider's suspicious-login filters.
+// LoginRiskConfig models the provider's suspicious-login filters. A
+// filter is on when at least one flag is set.
 type LoginRiskConfig struct {
-	Enabled       bool
-	BlockTor      bool
-	BlockProxies  bool
-	MaxKmFromHome float64
-}
-
-// SetHomeLocation records where the legitimate owner "usually" logs in
-// from; only the login-risk ablation consults it.
-func (s *Service) SetHomeLocation(address string, lat, lon float64) error {
-	p, a, err := s.acquire(address)
-	if err != nil {
-		return err
-	}
-	defer p.mu.Unlock()
-	a.homeLat, a.homeLon, a.homeKnown = lat, lon, true
-	return nil
+	BlockTor     bool
+	BlockProxies bool
 }
 
 // Suspend blocks an account (Google's enforcement, §4.1).
@@ -552,27 +505,16 @@ func (a *account) bumpMailboxLocked() {
 	}
 }
 
-// journalLocked appends an event and notifies observers. Callers hold
-// the owning partition's lock. The snapshot version only advances for
-// events that change what Snapshot reports (reads, stars, sends,
-// drafts) so that pollers can skip accounts whose mailbox is
-// untouched — logins and searches alone do not force a rescan.
+// journalLocked appends an event. Callers hold the owning partition's
+// lock. The snapshot version only advances for events that change what
+// Snapshot reports (reads, stars, sends, drafts) so that pollers can
+// skip accounts whose mailbox is untouched — logins and searches alone
+// do not force a rescan.
 func (s *Service) journalLocked(p *partition, a *account, e Event) {
 	a.journal.append(&p.sym, e)
 	switch e.Kind {
-	case EventRead, EventStar, EventSend, EventDraftCreate, EventDraftUpdate:
+	case EventRead, EventStar, EventSend, EventDraftCreate:
 		a.bumpMailboxLocked()
-	}
-	s.obsMu.RLock()
-	observers := s.observers
-	s.obsMu.RUnlock()
-	if len(observers) == 0 {
-		return
-	}
-	s.notifyMu.Lock()
-	defer s.notifyMu.Unlock()
-	for _, fn := range observers {
-		fn(e)
 	}
 }
 
@@ -588,7 +530,7 @@ func (s *Service) Version(address string) uint64 {
 }
 
 // AttachMark makes every later change to an account's mailbox (every
-// Version bump) set m; a nil m detaches the current mark. It returns
+// Version bump) set m, replacing any mark attached before. It returns
 // the mailbox version at attach time, so a watcher can tell whether
 // the mailbox changed before it started watching. The Apps-Script
 // runtime attaches its scan trigger's mark here.
@@ -639,21 +581,6 @@ func (s *Service) Probe(address string) (VersionProbe, error) {
 	return VersionProbe{a: a}, nil
 }
 
-// account home-location fields (used only by the login-risk ablation).
-func (a *account) homeSet() bool { return a.homeKnown }
-
-// distKm is a local haversine; webmail cannot import geo (geo is an
-// analysis-side dependency) so the few lines are duplicated here.
-func distKm(lat1, lon1, lat2, lon2 float64) float64 {
-	const r = 6371.0
-	rad := func(d float64) float64 { return d * math.Pi / 180 }
-	dLat := rad(lat2 - lat1)
-	dLon := rad(lon2 - lon1)
-	sin2 := func(x float64) float64 { s := math.Sin(x); return s * s }
-	h := sin2(dLat/2) + math.Cos(rad(lat1))*math.Cos(rad(lat2))*sin2(dLon/2)
-	return 2 * r * math.Asin(math.Sqrt(h))
-}
-
 // Folded message counts for reporting.
 type FolderCounts struct {
 	Inbox, Sent, Drafts, Trash int
@@ -670,9 +597,6 @@ func (s *Service) Counts(address string) (FolderCounts, error) {
 	var c FolderCounts
 	// Pure column scan: folder/read/starred only, text untouched.
 	for i, f := range a.msgs.folder {
-		if a.msgs.text[i] == nil {
-			continue
-		}
 		switch f {
 		case FolderInbox:
 			c.Inbox++
@@ -735,9 +659,6 @@ func (s *Service) Snapshot(address string) (Snapshot, error) {
 	// map is only allocated when a draft actually exists (most
 	// accounts never have one).
 	for i, f := range a.msgs.folder {
-		if a.msgs.text[i] == nil {
-			continue
-		}
 		id := MessageID(i + 1)
 		if a.msgs.read[i] && f == FolderInbox {
 			snap.Read = append(snap.Read, id)

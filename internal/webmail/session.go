@@ -90,7 +90,7 @@ func (se *Session) ListN(folder Folder, limit int) ([]Message, error) {
 	}
 	var idx []int
 	for i, f := range a.msgs.folder {
-		if f == folder && a.msgs.text[i] != nil {
+		if f == folder {
 			idx = append(idx, i)
 		}
 	}
@@ -176,7 +176,7 @@ func (se *Session) Search(query string) ([]Message, error) {
 	terms := strings.Fields(strings.ToLower(q))
 	var out []Message
 	for i, t := range a.msgs.text {
-		if t != nil && a.msgs.folder[i] != FolderTrash && t.matchTerms(terms) {
+		if a.msgs.folder[i] != FolderTrash && t.matchTerms(terms) {
 			out = append(out, a.msgs.materialize(i))
 		}
 	}
@@ -201,32 +201,6 @@ func (se *Session) CreateDraft(to, subject, body string) (MessageID, error) {
 		Account: se.account, Cookie: se.cookie, Message: id,
 	})
 	return id, nil
-}
-
-// UpdateDraft replaces a draft's content.
-func (se *Session) UpdateDraft(id MessageID, to, subject, body string) error {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
-	a, err := se.touch()
-	if err != nil {
-		return err
-	}
-	i, err := a.rowLocked(id)
-	if err != nil {
-		return err
-	}
-	if a.msgs.folder[i] != FolderDrafts {
-		return ErrNotADraft
-	}
-	t := a.msgs.text[i]
-	t.to, t.subject, t.body = to, subject, body
-	t.ascii = textUnknown
-	a.msgs.dateNS[i] = se.part.now().UnixNano()
-	se.svc.journalLocked(se.part, a, Event{
-		Time: se.part.now(), Kind: EventDraftUpdate,
-		Account: se.account, Cookie: se.cookie, Message: id,
-	})
-	return nil
 }
 
 // Send composes and sends a message. The platform rewrites the
@@ -266,30 +240,6 @@ func (se *Session) Send(to, subject, body string) (MessageID, error) {
 	return id, nil
 }
 
-// SendDraft sends an existing draft.
-func (se *Session) SendDraft(id MessageID) error {
-	se.part.mu.Lock()
-	a, err := se.touch()
-	if err != nil {
-		se.part.mu.Unlock()
-		return err
-	}
-	i, err := a.rowLocked(id)
-	if err != nil || a.msgs.folder[i] != FolderDrafts {
-		se.part.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		return ErrNotADraft
-	}
-	t := a.msgs.text[i]
-	to, subject, body := t.to, t.subject, t.body
-	a.msgs.vacate(i)
-	se.part.mu.Unlock()
-	_, err = se.Send(to, subject, body)
-	return err
-}
-
 // ChangePassword rotates the password, invalidating all other
 // sessions (including the monitor's scraper — the hijacker behaviour
 // of §4.2). The calling session stays valid.
@@ -327,28 +277,16 @@ func (se *Session) ActivityPage() ([]Access, error) {
 	return se.svc.ActivityPage(se.account)
 }
 
-// ActivityPageSince returns the activity rows that changed since the
-// given cursor (a previously returned version; 0 selects every row)
-// plus the account's current access version, atomically. Rows come
-// back in page order (First, then Cookie). The monitor's version-gated
-// scraper uses this to pull per-account deltas instead of copying the
-// whole page on every tick; the returned version is the cursor for the
-// next scrape.
-func (se *Session) ActivityPageSince(cursor uint64) ([]Access, uint64, error) {
-	var out []Access
-	v, err := se.ActivitySince(cursor, func(a Access) {
-		out = append(out, a)
-	})
-	return out, v, err
-}
-
 // ActivitySince streams the activity rows that changed since the
-// cursor to visit, in page order, and returns the current access
-// version. It is the allocation-free flavor of ActivityPageSince: the
-// rows are materialized on the stack straight from the columnar
-// store, so a delta scrape allocates nothing the visitor does not.
-// The visitor runs under the partition lock and must not call back
-// into the Service.
+// cursor (a previously returned version; 0 selects every row) to
+// visit, in page order (First, then Cookie), and returns the account's
+// current access version, atomically. The monitor's version-gated
+// scraper uses it to pull per-account deltas instead of copying the
+// whole page on every tick; the returned version is the cursor for the
+// next scrape. Rows are materialized on the stack straight from the
+// columnar store, so a delta scrape allocates nothing the visitor does
+// not. The visitor runs under the partition lock and must not call
+// back into the Service.
 func (se *Session) ActivitySince(cursor uint64, visit func(Access)) (uint64, error) {
 	se.part.mu.Lock()
 	defer se.part.mu.Unlock()

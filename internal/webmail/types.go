@@ -3,7 +3,7 @@
 //
 // The paper's methodology depends on a small set of webmail behaviours
 // (§2, §3.1): folders (inbox, sent, drafts), unread/starred flags,
-// keyword search, drafts that persist until sent, a per-browser cookie
+// keyword search, drafts, a per-browser cookie
 // identity for each access, an account activity page exposing the
 // login city and a device fingerprint, password changes that lock out
 // other parties, a per-account send-from override (used to divert all
@@ -68,7 +68,6 @@ const (
 	EventStar
 	EventSend
 	EventDraftCreate
-	EventDraftUpdate
 	EventSearch
 	EventPasswordChange
 	EventSuspend
@@ -88,8 +87,6 @@ func (k EventKind) String() string {
 		return "send"
 	case EventDraftCreate:
 		return "draft-create"
-	case EventDraftUpdate:
-		return "draft-update"
 	case EventSearch:
 		return "search"
 	case EventPasswordChange:
@@ -131,7 +128,7 @@ type Access struct {
 	Visits    int // number of distinct logins with this cookie
 
 	// rev is the account's accessVersion when this row last changed.
-	// The cursor-based activity-page scrape (Session.ActivityPageSince)
+	// The cursor-based activity-page scrape (Session.ActivitySince)
 	// uses it to return only the rows a poller has not seen yet.
 	rev uint64
 }
@@ -144,7 +141,6 @@ var (
 	ErrLoginBlocked   = errors.New("webmail: login blocked by risk analysis")
 	ErrNoSuchMessage  = errors.New("webmail: no such message")
 	ErrSessionExpired = errors.New("webmail: session invalidated")
-	ErrNotADraft      = errors.New("webmail: message is not a draft")
 	ErrAccountExists  = errors.New("webmail: account already exists")
 )
 
