@@ -36,11 +36,10 @@ import (
 var fullRun = struct {
 	once sync.Once
 	exp  *honeynet.Experiment
-	ds   *analysis.Dataset
 	err  error
 }{}
 
-func dataset(b *testing.B) (*honeynet.Experiment, *analysis.Dataset) {
+func fullExperiment(b *testing.B) *honeynet.Experiment {
 	b.Helper()
 	fullRun.once.Do(func() {
 		exp, err := honeynet.New(honeynet.Config{Seed: 42})
@@ -53,12 +52,22 @@ func dataset(b *testing.B) (*honeynet.Experiment, *analysis.Dataset) {
 			return
 		}
 		fullRun.exp = exp
-		fullRun.ds = exp.Dataset()
 	})
 	if fullRun.err != nil {
 		b.Fatal(fullRun.err)
 	}
-	return fullRun.exp, fullRun.ds
+	return fullRun.exp
+}
+
+// buildAggregates re-derives the run's aggregates from its shard
+// classifiers: the analysis step every figure benchmark times.
+func buildAggregates(b *testing.B, exp *honeynet.Experiment) *analysis.Aggregates {
+	b.Helper()
+	agg, err := exp.BuildAggregates()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return agg
 }
 
 // printOnce emits a benchmark's artifact a single time across -benchtime
@@ -73,18 +82,18 @@ func printOnce(name, artifact string) {
 
 // BenchmarkOverviewStats regenerates the §4.1/§4.5 headline numbers.
 func BenchmarkOverviewStats(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var o analysis.Overview
 	for i := 0; i < b.N; i++ {
-		o = analysis.Summarize(ds)
+		o = buildAggregates(b, exp).Overview()
 	}
 	printOnce("Overview (§4.1/§4.5)", report.Overview(o))
 }
 
 // BenchmarkTable1Groups regenerates Table 1.
 func BenchmarkTable1Groups(b *testing.B) {
-	exp, _ := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var rows []report.Table1Row
 	for i := 0; i < b.N; i++ {
@@ -104,67 +113,67 @@ func BenchmarkTable1Groups(b *testing.B) {
 
 // BenchmarkFigure1AccessLengthCDF regenerates Figure 1.
 func BenchmarkFigure1AccessLengthCDF(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
-	var durations map[string][]float64
+	var artifact string
 	for i := 0; i < b.N; i++ {
-		cs := analysis.Classify(ds, analysis.ClassifyOptions{})
-		durations = analysis.DurationsByClass(cs)
+		artifact = report.Figure1Sketches(buildAggregates(b, exp).Durations)
 	}
-	printOnce("Figure 1", report.Figure1(durations))
+	printOnce("Figure 1", artifact)
 }
 
 // BenchmarkFigure2TaxonomyByOutlet regenerates Figure 2.
 func BenchmarkFigure2TaxonomyByOutlet(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var per map[analysis.Outlet]analysis.ClassCounts
 	for i := 0; i < b.N; i++ {
-		per = analysis.ByOutlet(analysis.Classify(ds, analysis.ClassifyOptions{}))
+		per = buildAggregates(b, exp).PerOutlet
 	}
 	printOnce("Figure 2", report.Figure2(per))
 }
 
 // BenchmarkFigure3TimeToFirstAccess regenerates Figure 3.
 func BenchmarkFigure3TimeToFirstAccess(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
-	var days map[analysis.Outlet][]float64
+	var artifact string
 	for i := 0; i < b.N; i++ {
-		days = analysis.TimeToFirstAccess(ds)
+		artifact = report.Figure3Sketches(buildAggregates(b, exp).TimeToAccess)
 	}
-	printOnce("Figure 3", report.Figure3(days))
+	printOnce("Figure 3", artifact)
 }
 
 // BenchmarkFigure4AccessTimeline regenerates Figure 4.
 func BenchmarkFigure4AccessTimeline(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
-	var pts []analysis.TimelinePoint
+	var artifact string
 	for i := 0; i < b.N; i++ {
-		pts = analysis.Timeline(ds)
+		agg := buildAggregates(b, exp)
+		artifact = report.Figure4Buckets(agg.Timeline, agg.TimelineMax)
 	}
-	printOnce("Figure 4", report.Figure4(pts))
+	printOnce("Figure 4", artifact)
 }
 
 // BenchmarkSystemConfiguration regenerates the §4.4 breakdown.
 func BenchmarkSystemConfiguration(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var rows []analysis.ConfigRow
 	for i := 0; i < b.N; i++ {
-		rows = analysis.SystemConfiguration(ds)
+		rows = buildAggregates(b, exp).ConfigRows()
 	}
 	printOnce("System configuration (§4.4)", report.SystemConfig(rows))
 }
 
 // BenchmarkLocationOverview regenerates the §4.5 geo summary.
 func BenchmarkLocationOverview(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var o analysis.Overview
 	for i := 0; i < b.N; i++ {
-		o = analysis.Summarize(ds)
+		o = buildAggregates(b, exp).Overview()
 	}
 	artifact := fmt.Sprintf(
 		"countries=%d (paper 29)\naccesses with location=%d (paper 173)\nwithout location (Tor/proxies)=%d (paper 154)\nblacklisted IPs=%d (paper 20)",
@@ -174,77 +183,70 @@ func BenchmarkLocationOverview(b *testing.B) {
 
 // BenchmarkFigure5aUKDistance regenerates Figure 5a.
 func BenchmarkFigure5aUKDistance(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var rows []analysis.RadiusRow
 	for i := 0; i < b.N; i++ {
-		rows = analysis.MedianRadii(ds, analysis.HintUK)
+		rows = buildAggregates(b, exp).MedianRadii(analysis.HintUK)
 	}
 	printOnce("Figure 5a", report.Figure5("UK/London", rows))
 }
 
 // BenchmarkFigure5bUSDistance regenerates Figure 5b.
 func BenchmarkFigure5bUSDistance(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var rows []analysis.RadiusRow
 	for i := 0; i < b.N; i++ {
-		rows = analysis.MedianRadii(ds, analysis.HintUS)
+		rows = buildAggregates(b, exp).MedianRadii(analysis.HintUS)
 	}
 	printOnce("Figure 5b", report.Figure5("US/Pontiac", rows))
 }
 
 // BenchmarkCramerVonMises regenerates the §4.5 significance tests.
 func BenchmarkCramerVonMises(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var rows []analysis.SignificanceRow
 	for i := 0; i < b.N; i++ {
-		rows = analysis.LocationSignificance(ds, 500, 7)
+		rows = buildAggregates(b, exp).LocationSignificance(500, 7)
 	}
 	printOnce("CvM significance (§4.5)", report.Significance(rows))
 }
 
 // BenchmarkTable2TFIDF regenerates Table 2.
 func BenchmarkTable2TFIDF(b *testing.B) {
-	exp, ds := dataset(b)
-	drop := exp.DropWords()
+	exp := fullExperiment(b)
+	contents, drop := exp.SeededContents(), exp.DropWords()
 	b.ResetTimer()
 	var r *analysis.TFIDFResult
 	for i := 0; i < b.N; i++ {
-		r = analysis.KeywordInference(ds, drop)
+		r = buildAggregates(b, exp).KeywordInference(contents, drop)
 	}
 	printOnce("Table 2", report.Table2(r.TopSearched(10), r.TopCorpus(10)))
 }
 
 // BenchmarkCaseStudies verifies and times the §4.7 scenario extraction.
 func BenchmarkCaseStudies(b *testing.B) {
-	exp, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var artifact string
 	for i := 0; i < b.N; i++ {
-		drafts := 0
-		for _, a := range ds.Actions {
-			if a.Kind == analysis.ActionDraft {
-				drafts++
-			}
-		}
 		artifact = fmt.Sprintf(
 			"blackmail sessions=%d (paper: 3 accounts)\nabandoned draft copies captured=%d (paper: 12 unique drafts)\nforum inquiries logged=%d",
-			exp.Blackmailers(), drafts, len(exp.AllInquiries()))
+			exp.Blackmailers(), len(buildAggregates(b, exp).Drafts), len(exp.AllInquiries()))
 	}
 	printOnce("Case studies (§4.7)", artifact)
 }
 
 // BenchmarkSophistication regenerates the §4.8 matrix.
 func BenchmarkSophistication(b *testing.B) {
-	_, ds := dataset(b)
+	exp := fullExperiment(b)
 	b.ResetTimer()
 	var artifact string
 	for i := 0; i < b.N; i++ {
-		rows := analysis.SystemConfiguration(ds)
-		sig := analysis.LocationSignificance(ds, 300, 7)
-		artifact = report.Sophistication(rows, sig)
+		agg := buildAggregates(b, exp)
+		artifact = report.Sophistication(agg.ConfigRows(), agg.LocationSignificance(300, 7))
 	}
 	printOnce("Sophistication (§4.8)", artifact)
 }
@@ -296,7 +298,7 @@ func BenchmarkAblationLocationHint(b *testing.B) {
 	b.ResetTimer()
 	var rows []analysis.RadiusRow
 	for i := 0; i < b.N; i++ {
-		rows = analysis.MedianRadii(ds, analysis.HintUK)
+		rows = analysis.AggregatesFromDataset(ds).MedianRadii(analysis.HintUK)
 	}
 	printOnce("Ablation: location hint", report.Figure5("UK (ablation)", rows))
 }
@@ -358,11 +360,12 @@ func BenchmarkWebmailLoginAndSearch(b *testing.B) {
 }
 
 func BenchmarkTFIDFCompute(b *testing.B) {
-	exp, ds := dataset(b)
-	drop := exp.DropWords()
+	exp := fullExperiment(b)
+	agg := buildAggregates(b, exp)
+	contents, drop := exp.SeededContents(), exp.DropWords()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.KeywordInference(ds, drop)
+		agg.KeywordInference(contents, drop)
 	}
 }
 
@@ -764,12 +767,13 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 //   - stream: merge the per-shard aggregates the classifiers built
 //     during the run (what Aggregates does) — O(shards) merge.
 //   - batch: materialise the merged dataset, sort it, classify post
-//     hoc and fold the same aggregates from it (the legacy shape).
+//     hoc and fold the same aggregates from it (AggregatesFromDataset,
+//     the records-in entry point).
 //
-// Both produce byte-identical reports (TestStreamMatchesBatchReports);
-// the delta is pure merge+classify time and allocations.
+// Both produce the same aggregates (TestStreamMatchesReference); the
+// delta is pure merge+classify time and allocations.
 func BenchmarkStreamingRun(b *testing.B) {
-	exp, _ := dataset(b)
+	exp := fullExperiment(b)
 	b.Run("stream", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -786,7 +790,7 @@ func BenchmarkStreamingRun(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ds := exp.Dataset()
-			agg := analysis.AggregatesFromDataset(ds, analysis.StreamConfig{})
+			agg := analysis.AggregatesFromDataset(ds)
 			if agg.Classes.Total == 0 {
 				b.Fatal("no classified accesses")
 			}

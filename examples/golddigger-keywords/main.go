@@ -35,8 +35,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ds := exp.Dataset()
-	result := analysis.KeywordInference(ds, exp.DropWords())
+	agg, err := exp.Aggregates()
+	if err != nil {
+		log.Fatal(err)
+	}
+	result := agg.KeywordInference(exp.SeededContents(), exp.DropWords())
 	fmt.Println(report.Table2(result.TopSearched(10), result.TopCorpus(10)))
 
 	// Ground truth: what did attackers actually type into the search

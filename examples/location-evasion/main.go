@@ -38,10 +38,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ds := exp.Dataset()
-	fmt.Println(report.Figure5("UK/London", analysis.MedianRadii(ds, analysis.HintUK)))
-	fmt.Println(report.Figure5("US/Pontiac", analysis.MedianRadii(ds, analysis.HintUS)))
-	fmt.Println(report.Significance(analysis.LocationSignificance(ds, 2000, 42)))
+	agg, err := exp.Aggregates()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(report.Figure5("UK/London", agg.MedianRadii(analysis.HintUK)))
+	fmt.Println(report.Figure5("US/Pontiac", agg.MedianRadii(analysis.HintUS)))
+	fmt.Println(report.Significance(agg.LocationSignificance(2000, 42)))
 	fmt.Println("Paper shape: paste criminals connect nearer the advertised midpoint")
 	fmt.Println("(CvM rejects equality); forum criminals barely react (CvM keeps the null).")
 }

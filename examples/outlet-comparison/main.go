@@ -9,7 +9,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/honeynet"
 	"repro/internal/report"
 )
@@ -26,13 +25,14 @@ func main() {
 	}
 	fmt.Printf("done in %v wall time\n\n", time.Since(start).Round(time.Millisecond))
 
-	ds := exp.Dataset()
-	cs := analysis.Classify(ds, analysis.ClassifyOptions{})
-
-	fmt.Println(report.Figure2(analysis.ByOutlet(cs)))
-	fmt.Println(report.Figure1(analysis.DurationsByClass(cs)))
-	fmt.Println(report.Figure3(analysis.TimeToFirstAccess(ds)))
-	fmt.Println(report.Figure4(analysis.Timeline(ds)))
+	agg, err := exp.Aggregates()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(report.Figure2(agg.PerOutlet))
+	fmt.Println(report.Figure1Sketches(agg.Durations))
+	fmt.Println(report.Figure3Sketches(agg.TimeToAccess))
+	fmt.Println(report.Figure4Buckets(agg.Timeline, agg.TimelineMax))
 
 	waves := exp.ResaleWaves()
 	fmt.Printf("Malware aggregation/resale waves hit %d accounts (expect bursts ~day 30 and ~day 100)\n", len(waves))

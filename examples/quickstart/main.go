@@ -32,14 +32,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ds := exp.Dataset()
-	fmt.Println(report.Overview(analysis.Summarize(ds)))
-
-	cs := analysis.Classify(ds, analysis.ClassifyOptions{Slack: time.Hour})
-	fmt.Println(report.Figure2(analysis.ByOutlet(cs)))
+	agg, err := exp.Aggregates()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(report.Overview(agg.Overview()))
+	fmt.Println(report.Figure2(agg.PerOutlet))
 
 	fmt.Println("First ten observed accesses:")
-	for i, a := range ds.Accesses {
+	for i, a := range exp.Dataset().Accesses {
 		if i >= 10 {
 			break
 		}

@@ -116,7 +116,7 @@ func TestClassificationAccuracy(t *testing.T) {
 			hijackAccounts[r.Account] = true
 		}
 	}
-	cs := analysis.Classify(ds, analysis.ClassifyOptions{Slack: 30 * time.Minute})
+	cs := analysis.Classify(ds)
 	for _, c := range cs {
 		if c.Classes.Has(analysis.Spammer) && !spamAccounts[c.Access.Account] {
 			t.Fatalf("access %s inferred spammer but account %s never spammed",
@@ -133,7 +133,7 @@ func TestClassificationAccuracy(t *testing.T) {
 // ranks highly should overlap the queries attackers actually typed
 // (ground truth search logs).
 func TestKeywordInferenceRecoversSearches(t *testing.T) {
-	exp, ds := runMedium(t, 24)
+	exp, _ := runMedium(t, 24)
 	searched := map[string]bool{}
 	for _, acct := range exp.Service().Accounts() {
 		for _, q := range exp.Service().SearchLog(acct) {
@@ -143,7 +143,11 @@ func TestKeywordInferenceRecoversSearches(t *testing.T) {
 	if len(searched) == 0 {
 		t.Skip("no searches happened for this seed")
 	}
-	result := analysis.KeywordInference(ds, exp.DropWords())
+	agg, err := exp.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := agg.KeywordInference(exp.SeededContents(), exp.DropWords())
 	hits := 0
 	for _, row := range result.TopSearched(15) {
 		if searched[row.Term] {
@@ -178,13 +182,15 @@ func TestSeedSensitivity(t *testing.T) {
 		t.Skip("multi-run seed sweep in -short mode")
 	}
 	for _, seed := range []int64{31, 32, 33} {
-		_, ds := runMedium(t, seed)
-		cs := analysis.Classify(ds, analysis.ClassifyOptions{})
-		per := analysis.ByOutlet(cs)
-		if c := per[analysis.OutletMalware]; c.Hijacker != 0 || c.Spammer != 0 {
+		exp, ds := runMedium(t, seed)
+		agg, err := exp.Aggregates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := agg.PerOutlet[analysis.OutletMalware]; c.Hijacker != 0 || c.Spammer != 0 {
 			t.Fatalf("seed %d: malware hijack/spam = %d/%d", seed, c.Hijacker, c.Spammer)
 		}
-		for _, c := range cs {
+		for _, c := range analysis.Classify(ds) {
 			if c.Classes.Has(analysis.Spammer) && !c.Classes.Has(analysis.GoldDigger) && !c.Classes.Has(analysis.Hijacker) {
 				// Inferred exclusive spammers can appear when actions
 				// are attributed to a window with no reads; the

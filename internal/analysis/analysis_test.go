@@ -3,12 +3,14 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 var epoch = time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
@@ -22,7 +24,7 @@ func mkAccess(account, cookie string, outlet Outlet, first, last time.Time) Acce
 
 func TestClassifyCurious(t *testing.T) {
 	ds := &Dataset{Accesses: []Access{mkAccess("a", "c1", OutletPaste, epoch, epoch.Add(time.Minute))}}
-	cs := Classify(ds, ClassifyOptions{})
+	cs := Classify(ds)
 	if len(cs) != 1 || cs[0].Classes != Curious {
 		t.Fatalf("classes = %v", cs)
 	}
@@ -43,7 +45,7 @@ func TestClassifyAttributionByWindow(t *testing.T) {
 			{Time: epoch.Add(2*time.Hour + 30*time.Minute), Account: "a", Kind: ActionSent, Message: 2},
 		},
 	}
-	cs := Classify(ds, ClassifyOptions{})
+	cs := Classify(ds)
 	byCookie := map[string]Class{}
 	for _, c := range cs {
 		byCookie[c.Access.Cookie] = c.Classes
@@ -63,7 +65,7 @@ func TestClassifySlackAbsorbsScanDelay(t *testing.T) {
 		Accesses: []Access{mkAccess("a", "c1", OutletForum, epoch, epoch.Add(5*time.Minute))},
 		Actions:  []Action{{Time: epoch.Add(14 * time.Minute), Account: "a", Kind: ActionRead}},
 	}
-	cs := Classify(ds, ClassifyOptions{})
+	cs := Classify(ds)
 	if !cs[0].Classes.Has(GoldDigger) {
 		t.Fatal("scan-delayed action not attributed")
 	}
@@ -82,7 +84,7 @@ func TestClassifyFallbackAfterVisibilityLoss(t *testing.T) {
 			{Account: "a", Time: epoch.Add(47 * time.Hour)},
 		},
 	}
-	cs := Classify(ds, ClassifyOptions{})
+	cs := Classify(ds)
 	byCookie := map[string]Class{}
 	for _, c := range cs {
 		byCookie[c.Access.Cookie] = c.Classes
@@ -96,12 +98,21 @@ func TestClassifyFallbackAfterVisibilityLoss(t *testing.T) {
 }
 
 func TestCountClassesOverlap(t *testing.T) {
-	cs := []Classified{
-		{Classes: GoldDigger | Spammer},
-		{Classes: Hijacker},
-		{Classes: Curious},
+	// Account a reads and sends (gold digger + spammer), b changes the
+	// password (hijacker), c only logs in (curious).
+	ds := &Dataset{
+		Accesses: []Access{
+			mkAccess("a", "c1", OutletPaste, epoch, epoch.Add(time.Hour)),
+			mkAccess("b", "c2", OutletPaste, epoch, epoch.Add(time.Hour)),
+			mkAccess("c", "c3", OutletPaste, epoch, epoch.Add(time.Hour)),
+		},
+		Actions: []Action{
+			{Time: epoch.Add(time.Minute), Account: "a", Kind: ActionRead},
+			{Time: epoch.Add(2 * time.Minute), Account: "a", Kind: ActionSent},
+		},
+		PasswordChanges: []PasswordChange{{Account: "b", Time: epoch.Add(time.Minute)}},
 	}
-	counts := CountClasses(cs)
+	counts := AggregatesFromDataset(ds).Classes
 	if counts.Total != 3 || counts.Curious != 1 || counts.GoldDigger != 1 || counts.Spammer != 1 || counts.Hijacker != 1 {
 		t.Fatalf("counts = %+v", counts)
 	}
@@ -115,15 +126,26 @@ func TestByOutletAndDurations(t *testing.T) {
 		},
 		Actions: []Action{{Time: epoch.Add(time.Minute), Account: "a", Kind: ActionRead}},
 	}
-	cs := Classify(ds, ClassifyOptions{})
-	per := ByOutlet(cs)
+	agg := AggregatesFromDataset(ds)
+	per := agg.PerOutlet
 	if per[OutletPaste].GoldDigger != 1 || per[OutletMalware].Curious != 1 {
 		t.Fatalf("per-outlet = %+v", per)
 	}
-	dur := DurationsByClass(cs)
-	if len(dur["gold-digger"]) != 1 || math.Abs(dur["gold-digger"][0]-2) > 1e-9 {
-		t.Fatalf("durations = %+v", dur)
+	// One 2-hour gold-digger access: past the 1 h probe, within 6 h.
+	dur := agg.Durations["gold-digger"]
+	if dur == nil || dur.N() != 1 || fracAt(dur, 1) != 0 || fracAt(dur, 6) != 1 {
+		t.Fatalf("durations = %+v", agg.Durations)
 	}
+}
+
+// fracAt reads a sketch's CDF at one of its probes.
+func fracAt(sk *stats.ProbeSketch, probe float64) float64 {
+	for i, p := range sk.Probes() {
+		if p == probe {
+			return sk.Frac(i)
+		}
+	}
+	panic(fmt.Sprintf("no probe %g in %v", probe, sk.Probes()))
 }
 
 func TestTimeToFirstAccessAndTimeline(t *testing.T) {
@@ -131,13 +153,14 @@ func TestTimeToFirstAccessAndTimeline(t *testing.T) {
 		mkAccess("a", "c1", OutletPaste, epoch.Add(24*time.Hour), epoch.Add(25*time.Hour)),
 		mkAccess("b", "c2", OutletForum, epoch.Add(48*time.Hour), epoch.Add(49*time.Hour)),
 	}}
-	tt := TimeToFirstAccess(ds)
-	if len(tt[OutletPaste]) != 1 || math.Abs(tt[OutletPaste][0]-1) > 1e-9 {
-		t.Fatalf("paste days = %v", tt[OutletPaste])
+	agg := AggregatesFromDataset(ds)
+	// The paste access came one day after the leak.
+	if tt := agg.TimeToAccess[OutletPaste]; tt == nil || tt.N() != 1 || fracAt(tt, 1) != 1 {
+		t.Fatalf("paste days = %v", agg.TimeToAccess)
 	}
-	tl := Timeline(ds)
-	if len(tl) != 2 || tl[0].Days > tl[1].Days {
-		t.Fatalf("timeline = %+v", tl)
+	tl := map[Outlet]map[int]int{OutletPaste: {0: 1}, OutletForum: {0: 1}}
+	if !reflect.DeepEqual(agg.Timeline, tl) || agg.TimelineMax != 0 {
+		t.Fatalf("timeline = %+v (max %d)", agg.Timeline, agg.TimelineMax)
 	}
 }
 
@@ -185,6 +208,36 @@ func TestTFIDFWeightsBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTFIDFReproducible: two calls on the same tokens return the same
+// weights to the last bit, so Table 2 cannot print differently between
+// two runs of one seed.
+func TestTFIDFReproducible(t *testing.T) {
+	// 13 terms with distinct counts; the odd ones appear in the read
+	// document only, so two idf values mix in the norm.
+	var read, all []string
+	for i := 0; i < 13; i++ {
+		term := fmt.Sprintf("term%02d", i)
+		for j := 0; j < 3*i+1; j++ {
+			read = append(read, term)
+		}
+		if i%2 == 0 {
+			for j := 0; j < 7*i+2; j++ {
+				all = append(all, term)
+			}
+		}
+	}
+	want := ComputeTFIDF(read, all)
+	diff := 0
+	for i := 0; i < 200; i++ {
+		if got := ComputeTFIDF(read, all); !reflect.DeepEqual(got, want) {
+			diff++
+		}
+	}
+	if diff > 0 {
+		t.Fatalf("%d of 200 calls differ from the first", diff)
 	}
 }
 
@@ -265,7 +318,7 @@ func TestDistanceVectorsGrouping(t *testing.T) {
 		mk("c5", OutletMalware, HintNone, geo.Point{Lat: 1, Lon: 1}, true), // malware: skipped
 		mk("c6", OutletPaste, HintUS, geo.Point{Lat: 41, Lon: -88}, true),  // other region: skipped for UK
 	}}
-	v := DistanceVectors(ds, HintUK)
+	v := AggregatesFromDataset(ds).DistanceVectorsFor(HintUK)
 	if len(v[GroupKey{OutletPaste, HintUK}]) != 1 || len(v[GroupKey{OutletPaste, HintNone}]) != 1 || len(v[GroupKey{OutletForum, HintUK}]) != 1 {
 		t.Fatalf("vectors = %v", v)
 	}
@@ -294,8 +347,8 @@ func TestMedianRadiiAndSignificance(t *testing.T) {
 	add(OutletPaste, HintNone, 40, 30, 40)
 	add(OutletForum, HintUK, 45, 20, 40)
 	add(OutletForum, HintNone, 45, 20, 40)
-	ds := &Dataset{Accesses: accesses}
-	radii := MedianRadii(ds, HintUK)
+	agg := AggregatesFromDataset(&Dataset{Accesses: accesses})
+	radii := agg.MedianRadii(HintUK)
 	var pasteHint, pastePlain float64
 	for _, r := range radii {
 		if r.Group.Outlet == OutletPaste && r.Group.Hint == HintUK {
@@ -308,7 +361,7 @@ func TestMedianRadiiAndSignificance(t *testing.T) {
 	if pasteHint >= pastePlain {
 		t.Fatalf("paste hint median %v >= plain %v", pasteHint, pastePlain)
 	}
-	sig := LocationSignificance(ds, 300, 7)
+	sig := agg.LocationSignificance(300, 7)
 	var pasteRej, forumRej bool
 	for _, s := range sig {
 		if s.Region != HintUK {
@@ -343,7 +396,7 @@ func TestSystemConfiguration(t *testing.T) {
 		mk("c3", OutletPaste, chromeUA),
 		mk("c4", OutletPaste, androidUA),
 	}}
-	rows := SystemConfiguration(ds)
+	rows := AggregatesFromDataset(ds).ConfigRows()
 	byOutlet := map[Outlet]ConfigRow{}
 	for _, r := range rows {
 		byOutlet[r.Outlet] = r
@@ -380,7 +433,7 @@ func TestSummarizeOverview(t *testing.T) {
 		Blacklisted:       map[string]bool{"2.2.2.2": true},
 		SuspendedAccounts: 5,
 	}
-	o := Summarize(ds)
+	o := AggregatesFromDataset(ds).Overview()
 	if o.UniqueAccesses != 3 || o.EmailsRead != 2 || o.EmailsSent != 1 || o.UniqueDrafts != 1 {
 		t.Fatalf("overview = %+v", o)
 	}
@@ -390,21 +443,21 @@ func TestSummarizeOverview(t *testing.T) {
 }
 
 func TestKeywordInferencePipeline(t *testing.T) {
-	ds := &Dataset{
-		Contents: MapContents{
-			"a": {
-				1: "Wire transfer confirmation: the payment settled against the company account.",
-				2: "The company energy report for the quarter is attached with power figures.",
-				3: "Meeting about energy policy and company strategy with information for everyone.",
-			},
+	contents := MapContents{
+		"a": {
+			1: "Wire transfer confirmation: the payment settled against the company account.",
+			2: "The company energy report for the quarter is attached with power figures.",
+			3: "Meeting about energy policy and company strategy with information for everyone.",
 		},
+	}
+	ds := &Dataset{
 		Actions: []Action{
 			{Account: "a", Kind: ActionRead, Message: 1},
 			{Account: "a", Kind: ActionDraft, Message: 99,
 				Body: "Send two bitcoin to the wallet listed below. Buy from a localbitcoins seller with good results. Payment protects your family."},
 		},
 	}
-	r := KeywordInference(ds, []string{"honeyhandle"})
+	r := AggregatesFromDataset(ds).KeywordInference(contents, []string{"honeyhandle"})
 	top := r.TopSearched(10)
 	rank := map[string]int{}
 	for i, row := range top {

@@ -32,10 +32,10 @@ func ExampleClassify() {
 			{Account: "alice@honeymail.example", Time: leak.Add(73 * time.Hour)},
 		},
 	}
-	for _, c := range analysis.Classify(ds, analysis.ClassifyOptions{}) {
+	for _, c := range analysis.Classify(ds) {
 		fmt.Printf("%s %s\n", c.Access.Cookie, c.Classes)
 	}
-	counts := analysis.CountClasses(analysis.Classify(ds, analysis.ClassifyOptions{}))
+	counts := analysis.AggregatesFromDataset(ds).Classes
 	fmt.Printf("total=%d curious=%d gold-diggers=%d hijackers=%d\n",
 		counts.Total, counts.Curious, counts.GoldDigger, counts.Hijacker)
 	// Output:
@@ -50,7 +50,7 @@ func ExampleClassify() {
 // into mergeable aggregates.
 func ExampleStreamClassifier() {
 	leak := time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
-	sc := analysis.NewStreamClassifier(analysis.StreamConfig{})
+	sc := analysis.NewStreamClassifier()
 	sc.ObserveAction(analysis.Action{
 		Time: leak.Add(25 * time.Hour), Account: "alice@honeymail.example",
 		Kind: analysis.ActionRead, Message: 7,

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"repro/internal/geo"
-)
+import "sort"
 
 // Location analysis of §4.5 / Figure 5: distances between login
 // origins and the advertised decoy midpoints, median radii per leak
@@ -17,49 +13,6 @@ type GroupKey struct {
 	Hint   Hint
 }
 
-// DistanceVectors extracts, per group, the distances (km) from each
-// geolocated access to the midpoint for the given region. Only
-// accesses with geolocation participate (Tor/proxy accesses cannot be
-// placed, §4.5); outlets other than paste and forum are skipped, as in
-// the paper (malware accesses were almost all Tor).
-func DistanceVectors(ds *Dataset, region Hint) map[GroupKey][]float64 {
-	var mid geo.Point
-	switch region {
-	case HintUK:
-		mid = geo.LondonMidpoint
-	case HintUS:
-		mid = geo.PontiacMidpoint
-	default:
-		panic("analysis: DistanceVectors requires HintUK or HintUS")
-	}
-	out := make(map[GroupKey][]float64)
-	for _, a := range ds.Accesses {
-		if !a.HasPoint {
-			continue
-		}
-		var outlet Outlet
-		switch a.Outlet {
-		case OutletPaste, OutletPasteRussian:
-			outlet = OutletPaste
-		case OutletForum:
-			outlet = OutletForum
-		default:
-			continue
-		}
-		// Groups compared for region R: accounts advertised with R's
-		// location, and accounts leaked with no location information.
-		if a.Hint != region && a.Hint != HintNone {
-			continue
-		}
-		key := GroupKey{Outlet: outlet, Hint: a.Hint}
-		out[key] = append(out[key], geo.HaversineKm(a.Point, mid))
-	}
-	for _, v := range out {
-		sort.Float64s(v)
-	}
-	return out
-}
-
 // RadiusRow is one circle of Figure 5.
 type RadiusRow struct {
 	Group    GroupKey
@@ -67,15 +20,9 @@ type RadiusRow struct {
 	MedianKm float64
 }
 
-// MedianRadii computes Figure 5's circle radii for one region.
-func MedianRadii(ds *Dataset, region Hint) []RadiusRow {
-	return MedianRadiiFromVectors(DistanceVectors(ds, region))
-}
-
-// MedianRadiiFromVectors computes the radius rows from pre-extracted
-// distance vectors (each sorted ascending) — the entry point the
-// streaming aggregates share with the dataset path.
-func MedianRadiiFromVectors(vectors map[GroupKey][]float64) []RadiusRow {
+// medianRadii computes the radius rows from distance vectors (each
+// sorted ascending).
+func medianRadii(vectors map[GroupKey][]float64) []RadiusRow {
 	keys := make([]GroupKey, 0, len(vectors))
 	for k := range vectors {
 		keys = append(keys, k)
@@ -111,18 +58,10 @@ type SignificanceRow struct {
 	NPlain int
 }
 
-// LocationSignificance runs the paper's four tests (paste UK, paste
-// US, forum UK, forum US). Pairs with an empty side are skipped.
-func LocationSignificance(ds *Dataset, resamples int, seed int64) []SignificanceRow {
-	return LocationSignificanceFromVectors(func(region Hint) map[GroupKey][]float64 {
-		return DistanceVectors(ds, region)
-	}, resamples, seed)
-}
-
-// LocationSignificanceFromVectors runs the same four tests over
-// distance vectors supplied by a lookup (sorted ascending per group),
-// shared by the dataset and aggregate paths.
-func LocationSignificanceFromVectors(vectorsFor func(Hint) map[GroupKey][]float64, resamples int, seed int64) []SignificanceRow {
+// locationSignificance runs the paper's four tests (paste UK, paste
+// US, forum UK, forum US) over distance vectors supplied by a lookup
+// (sorted ascending per group). Pairs with an empty side are skipped.
+func locationSignificance(vectorsFor func(Hint) map[GroupKey][]float64, resamples int, seed int64) []SignificanceRow {
 	var out []SignificanceRow
 	for _, region := range []Hint{HintUK, HintUS} {
 		vectors := vectorsFor(region)
@@ -151,39 +90,6 @@ type ConfigRow struct {
 	Android      int
 	Desktop      int
 	BrowserNames map[string]int
-}
-
-// SystemConfiguration breaks accesses down by fingerprint per outlet.
-func SystemConfiguration(ds *Dataset) []ConfigRow {
-	rows := make(map[Outlet]*ConfigRow)
-	for _, a := range ds.Accesses {
-		r, ok := rows[a.Outlet]
-		if !ok {
-			r = &ConfigRow{Outlet: a.Outlet, BrowserNames: make(map[string]int)}
-			rows[a.Outlet] = r
-		}
-		r.Accesses++
-		browser, device := classifyUA(a.UserAgent)
-		switch {
-		case a.UserAgent == "":
-			r.EmptyUA++
-		case device == "android":
-			r.Android++
-		default:
-			r.Desktop++
-		}
-		r.BrowserNames[browser]++
-	}
-	keys := make([]Outlet, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]ConfigRow, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *rows[k])
-	}
-	return out
 }
 
 // classifyUA mirrors netsim's fingerprinting without importing it
@@ -229,47 +135,4 @@ type Overview struct {
 	WithLocation      int
 	WithoutLocation   int
 	BlacklistedIPs    int
-}
-
-// Summarize computes the overview from a dataset.
-func Summarize(ds *Dataset) Overview {
-	o := Overview{
-		UniqueAccesses:    len(ds.Accesses),
-		SuspendedAccounts: ds.SuspendedAccounts,
-	}
-	countries := make(map[string]bool)
-	for _, a := range ds.Accesses {
-		if a.HasPoint {
-			o.WithLocation++
-			if a.Country != "" {
-				countries[a.Country] = true
-			}
-		} else {
-			o.WithoutLocation++
-		}
-		if ds.Blacklisted[a.IP] {
-			o.BlacklistedIPs++
-		}
-	}
-	o.Countries = len(countries)
-	drafts := make(map[string]map[int64]bool)
-	for _, act := range ds.Actions {
-		switch act.Kind {
-		case ActionRead:
-			o.EmailsRead++
-		case ActionSent:
-			o.EmailsSent++
-		case ActionDraft:
-			m, ok := drafts[act.Account]
-			if !ok {
-				m = make(map[int64]bool)
-				drafts[act.Account] = m
-			}
-			m[act.Message] = true
-		}
-	}
-	for _, m := range drafts {
-		o.UniqueDrafts += len(m)
-	}
-	return o
 }

@@ -19,21 +19,21 @@ import (
 // retained observations out (Observations), which is how the engine
 // rebuilds a record-level Dataset without keeping a second copy.
 //
-// The record-level functions over a Dataset (Classify, Summarize,
-// TimeToFirstAccess, …) are the reference the aggregates must match,
-// and they match by construction, not coincidence:
+// The aggregates match a record-level derivation over the merged
+// Dataset by construction, not coincidence:
 //   - accounts live on exactly one shard, and Classify's attribution
 //     is per-account and per-action independent, so running the shared
 //     classifyAccount core shard-by-shard reproduces Classify's classes;
 //   - every aggregate is a sum, set union, probe-sketch or sorted
 //     vector, all order-independent, so shard interleaving cannot leak
 //     into the result.
-// TestStreamMatchesBatchReports (repo root) asserts the rendered
-// reports are byte-identical at shard counts 1 and 4.
+// The record-level reference lives in reference_test.go;
+// TestStreamMatchesReference compares every aggregate with it at
+// shard counts 1 and 4.
 
-// The probe grids of the report's CDF figures. The sketches aggregate
-// on exactly these grids so the streaming figures match the
-// ECDF-backed ones bit for bit.
+// The probe grids of the report's CDF figures. The sketches count on
+// exactly these grids, so each figure value equals the ECDF of the
+// underlying sample at the probe.
 var (
 	// DurationProbes is Figure 1's grid (access length, hours).
 	DurationProbes = []float64{0.1, 0.5, 1, 6, 24, 72, 168}
@@ -65,24 +65,13 @@ type DraftEvent struct {
 	Body    string
 }
 
-// StreamConfig tunes a StreamClassifier.
-type StreamConfig struct {
-	// ClassifyOptions.Slack as in the batch Classify (zero: 10m).
-	ClassifyOptions
-	// DurationProbes and LeakDaysProbes override the figure probe
-	// grids (nil selects the package defaults).
-	DurationProbes []float64
-	LeakDaysProbes []float64
-}
-
 // acctState is everything the classifier retains for one account
 // while its shard runs: the latest activity row per cookie plus the
 // action/password events awaiting end-of-run attribution. Attribution
-// has to wait because an access window [First, Last+Slack] keeps
-// growing while the attacker is active — the batch pipeline sees the
-// final windows, so the stream holds per-account events (cheap,
-// typed, already self-filtered) and attributes once the windows are
-// final.
+// has to wait because an access window [First, Last+classifySlack]
+// keeps growing while the attacker is active, so the stream holds
+// per-account events (cheap, typed, already self-filtered) and
+// attributes once the windows are final.
 type acctState struct {
 	accesses obsCols // columnar latest-row-per-cookie (see columnar.go)
 	actions  []Action
@@ -94,24 +83,13 @@ type acctState struct {
 // safe for concurrent use, though the sharded engine drives each
 // instance from a single shard goroutine.
 type StreamClassifier struct {
-	cfg StreamConfig
-
 	mu       sync.Mutex
 	accounts map[string]*acctState
 }
 
 // NewStreamClassifier builds an empty classifier.
-func NewStreamClassifier(cfg StreamConfig) *StreamClassifier {
-	if cfg.Slack <= 0 {
-		cfg.Slack = 10 * time.Minute
-	}
-	if cfg.DurationProbes == nil {
-		cfg.DurationProbes = DurationProbes
-	}
-	if cfg.LeakDaysProbes == nil {
-		cfg.LeakDaysProbes = LeakDaysProbes
-	}
-	return &StreamClassifier{cfg: cfg, accounts: make(map[string]*acctState)}
+func NewStreamClassifier() *StreamClassifier {
+	return &StreamClassifier{accounts: make(map[string]*acctState)}
 }
 
 func (sc *StreamClassifier) state(account string) *acctState {
@@ -183,11 +161,11 @@ func (sc *StreamClassifier) Observations() (accesses []Access, actions []Action,
 func (sc *StreamClassifier) Finalize(facts func(account string) Facts, blacklisted func(ip string) bool) *Aggregates {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	agg := NewAggregates(sc.cfg.DurationProbes, sc.cfg.LeakDaysProbes)
+	agg := NewAggregates()
 	for account, st := range sc.accounts {
 		// Canonical per-account order: ascending cookie, matching the
-		// batch pipeline's (account, cookie) dataset sort, so window
-		// ties break identically.
+		// (account, cookie) order of a merged Dataset, so window ties
+		// break identically.
 		cookies := append([]string(nil), st.accesses.cookie...)
 		sort.Strings(cookies)
 		var f Facts
@@ -204,7 +182,7 @@ func (sc *StreamClassifier) Finalize(facts func(account string) Facts, blacklist
 			cs[i] = Classified{Access: a, Classes: Curious}
 			refs[i] = &cs[i]
 		}
-		classifyAccount(refs, st.actions, st.changes, sc.cfg.Slack)
+		classifyAccount(refs, st.actions, st.changes)
 		for _, c := range cs {
 			agg.addAccess(c, blacklisted)
 		}
@@ -227,7 +205,7 @@ type Aggregates struct {
 
 	// Durations are Figure 1's per-class access-length sketches
 	// (hours); TimeToAccess are Figure 3's per-outlet leak-to-access
-	// sketches (days, non-negative only, as in the batch path).
+	// sketches (days, non-negative only).
 	Durations    map[string]*stats.ProbeSketch
 	TimeToAccess map[Outlet]*stats.ProbeSketch
 
@@ -263,22 +241,10 @@ type Aggregates struct {
 
 	// draftSet tracks unique (account, message) drafts until sealed.
 	draftSet map[string]map[int64]bool
-
-	// The probe grids travel with the aggregates so lazily created
-	// sketches (first value per class/outlet) use the right grid.
-	durProbes  []float64
-	leakProbes []float64
 }
 
-// NewAggregates returns empty aggregates over the given probe grids
-// (nil selects the package defaults).
-func NewAggregates(durationProbes, leakDaysProbes []float64) *Aggregates {
-	if durationProbes == nil {
-		durationProbes = DurationProbes
-	}
-	if leakDaysProbes == nil {
-		leakDaysProbes = LeakDaysProbes
-	}
+// NewAggregates returns empty aggregates.
+func NewAggregates() *Aggregates {
 	return &Aggregates{
 		PerOutlet:    make(map[Outlet]ClassCounts),
 		Durations:    map[string]*stats.ProbeSketch{},
@@ -288,15 +254,11 @@ func NewAggregates(durationProbes, leakDaysProbes []float64) *Aggregates {
 		Distances:    map[Hint]map[GroupKey][]float64{},
 		Countries:    map[string]bool{},
 		draftSet:     map[string]map[int64]bool{},
-		durProbes:    durationProbes,
-		leakProbes:   leakDaysProbes,
 	}
 }
 
 // addAccess folds one classified access into every access-derived
-// aggregate, mirroring the batch extraction functions line for line
-// (CountClasses, ByOutlet, DurationsByClass, TimeToFirstAccess,
-// Timeline, SystemConfiguration, DistanceVectors, Summarize).
+// aggregate.
 func (agg *Aggregates) addAccess(c Classified, blacklisted func(ip string) bool) {
 	a := c.Access
 
@@ -306,13 +268,13 @@ func (agg *Aggregates) addAccess(c Classified, blacklisted func(ip string) bool)
 	po.add(c.Classes)
 	agg.PerOutlet[a.Outlet] = po
 
-	// Figure 1: duration CDF per class, exclusive-curious like
-	// DurationsByClass.
+	// Figure 1: duration CDF per class; an access counts in every class
+	// it holds, and as curious only when it holds no other.
 	hours := a.Duration().Hours()
 	addDur := func(key string) {
 		sk, ok := agg.Durations[key]
 		if !ok {
-			sk = stats.NewProbeSketch(agg.durProbes)
+			sk = stats.NewProbeSketch(DurationProbes)
 			agg.Durations[key] = sk
 		}
 		sk.Add(hours)
@@ -336,7 +298,7 @@ func (agg *Aggregates) addAccess(c Classified, blacklisted func(ip string) bool)
 	if days >= 0 {
 		sk, ok := agg.TimeToAccess[a.Outlet]
 		if !ok {
-			sk = stats.NewProbeSketch(agg.leakProbes)
+			sk = stats.NewProbeSketch(LeakDaysProbes)
 			agg.TimeToAccess[a.Outlet] = sk
 		}
 		sk.Add(days)
@@ -412,8 +374,7 @@ func (agg *Aggregates) addAccess(c Classified, blacklisted func(ip string) bool)
 }
 
 // addAction folds one action into the overview counters and the
-// keyword-inference event lists (mirroring Summarize and
-// KeywordInference over ds.Actions).
+// keyword-inference event lists.
 func (agg *Aggregates) addAction(act Action) {
 	switch act.Kind {
 	case ActionRead:
@@ -547,8 +508,7 @@ func (agg *Aggregates) Overview() Overview {
 	}
 }
 
-// ConfigRows returns the §4.4 rows in outlet order, exactly as
-// SystemConfiguration orders them.
+// ConfigRows returns the §4.4 rows in outlet order.
 func (agg *Aggregates) ConfigRows() []ConfigRow {
 	keys := make([]Outlet, 0, len(agg.SystemConfig))
 	for k := range agg.SystemConfig {
@@ -563,8 +523,7 @@ func (agg *Aggregates) ConfigRows() []ConfigRow {
 }
 
 // DistanceVectorsFor returns the region's distance vectors sorted
-// ascending per group (the canonical form DistanceVectors produces),
-// so merged shard order never shows through.
+// ascending per group, so merged shard order never shows through.
 func (agg *Aggregates) DistanceVectorsFor(region Hint) map[GroupKey][]float64 {
 	out := make(map[GroupKey][]float64, len(agg.Distances[region]))
 	for key, v := range agg.Distances[region] {
@@ -578,26 +537,25 @@ func (agg *Aggregates) DistanceVectorsFor(region Hint) map[GroupKey][]float64 {
 
 // MedianRadii computes Figure 5's rows for one region.
 func (agg *Aggregates) MedianRadii(region Hint) []RadiusRow {
-	return MedianRadiiFromVectors(agg.DistanceVectorsFor(region))
+	return medianRadii(agg.DistanceVectorsFor(region))
 }
 
 // LocationSignificance runs the §4.5 CvM tests from the aggregates.
 func (agg *Aggregates) LocationSignificance(resamples int, seed int64) []SignificanceRow {
-	return LocationSignificanceFromVectors(agg.DistanceVectorsFor, resamples, seed)
+	return locationSignificance(agg.DistanceVectorsFor, resamples, seed)
 }
 
 // KeywordInference runs the §4.6 TF-IDF pipeline from the aggregated
 // read/draft events against the seeded contents.
 func (agg *Aggregates) KeywordInference(contents ContentsView, dropWords []string) *TFIDFResult {
-	return KeywordInferenceFromEvents(agg.Reads, agg.Drafts, contents, dropWords)
+	return keywordInference(agg.Reads, agg.Drafts, contents, dropWords)
 }
 
-// AggregatesFromDataset converts a batch Dataset into Aggregates by
-// replaying it through a StreamClassifier: the back-compat bridge for
-// datasets loaded from real deployment logs, and the reference the
-// stream-equals-batch tests compare against.
-func AggregatesFromDataset(ds *Dataset, cfg StreamConfig) *Aggregates {
-	sc := NewStreamClassifier(cfg)
+// AggregatesFromDataset converts a record-level Dataset, such as one
+// loaded from real deployment logs, into Aggregates by replaying it
+// through a StreamClassifier.
+func AggregatesFromDataset(ds *Dataset) *Aggregates {
+	sc := NewStreamClassifier()
 	for _, a := range ds.Accesses {
 		sc.ObserveAccess(a)
 	}

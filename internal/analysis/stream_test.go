@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -13,10 +12,11 @@ var streamLeak = time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
 // streamFixture builds a dataset exercising every aggregate path:
 // multiple classes per account, overlapping windows, password
 // changes, locations with and without points, drafts read by later
-// visitors, and a blacklisted IP.
-func streamFixture() *Dataset {
+// visitors, and a blacklisted IP — plus the seeded contents its reads
+// resolve against.
+func streamFixture() (*Dataset, MapContents) {
 	h := func(n int) time.Time { return streamLeak.Add(time.Duration(n) * time.Hour) }
-	return &Dataset{
+	ds := &Dataset{
 		Accesses: []Access{
 			{Account: "a@x", Cookie: "a-1", First: h(24), Last: h(30), Outlet: OutletPaste, Hint: HintUK,
 				LeakTime: streamLeak, IP: "10.0.0.1", City: "Leeds", Country: "UK", HasPoint: true,
@@ -42,18 +42,17 @@ func streamFixture() *Dataset {
 		},
 		Blacklisted:       map[string]bool{"10.0.0.3": true},
 		SuspendedAccounts: 2,
-		Contents: MapContents{
-			"a@x": {5: "wire transfer statement account"},
-			"c@x": {9: "invoice payment details"},
-		},
 	}
+	contents := MapContents{
+		"a@x": {5: "wire transfer statement account"},
+		"c@x": {9: "invoice payment details"},
+	}
+	return ds, contents
 }
 
-// normalize clears unexported/probe fields and canonicalises the
-// order-insensitive event multisets so DeepEqual compares the
-// observable aggregate state.
+// normalize canonicalises the order-insensitive event multisets so
+// DeepEqual compares the observable aggregate state.
 func normalize(a *Aggregates) *Aggregates {
-	a.durProbes, a.leakProbes = nil, nil
 	sort.Slice(a.Reads, func(i, j int) bool {
 		if a.Reads[i].Account != a.Reads[j].Account {
 			return a.Reads[i].Account < a.Reads[j].Account
@@ -73,10 +72,10 @@ func normalize(a *Aggregates) *Aggregates {
 // in a different interleaving (and with stale access rows later
 // superseded) produces identical aggregates.
 func TestStreamObservationOrderInvariance(t *testing.T) {
-	ds := streamFixture()
-	ref := AggregatesFromDataset(ds, StreamConfig{})
+	ds, _ := streamFixture()
+	ref := AggregatesFromDataset(ds)
 
-	sc := NewStreamClassifier(StreamConfig{})
+	sc := NewStreamClassifier()
 	// Actions first, then accesses in reverse, with a stale row for
 	// a-2 (smaller Last) pushed before the final one — as interleaved
 	// scrapes would.
@@ -107,15 +106,15 @@ func TestStreamObservationOrderInvariance(t *testing.T) {
 // (as shards do) and merging matches the single-classifier result,
 // regardless of merge order.
 func TestStreamShardSplitMerge(t *testing.T) {
-	ds := streamFixture()
-	ref := AggregatesFromDataset(ds, StreamConfig{})
+	ds, contents := streamFixture()
+	ref := AggregatesFromDataset(ds)
 
 	build := func(accounts ...string) *Aggregates {
 		want := map[string]bool{}
 		for _, a := range accounts {
 			want[a] = true
 		}
-		sc := NewStreamClassifier(StreamConfig{})
+		sc := NewStreamClassifier()
 		for _, a := range ds.Accesses {
 			if want[a.Account] {
 				sc.ObserveAccess(a)
@@ -139,7 +138,7 @@ func TestStreamShardSplitMerge(t *testing.T) {
 		"c-ba": {{"c@x"}, {"b@x"}, {"a@x"}},
 		"bc-a": {{"b@x", "c@x"}, {"a@x"}},
 	} {
-		merged := NewAggregates(nil, nil)
+		merged := NewAggregates()
 		for _, accounts := range order {
 			if err := merged.Merge(build(accounts...)); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -153,8 +152,8 @@ func TestStreamShardSplitMerge(t *testing.T) {
 				t.Fatalf("%s: distance vectors differ for %q", name, region)
 			}
 		}
-		gotKW := merged.KeywordInference(ds.Contents, nil)
-		refKW := ref.KeywordInference(ds.Contents, nil)
+		gotKW := merged.KeywordInference(contents, nil)
+		refKW := ref.KeywordInference(contents, nil)
 		if !reflect.DeepEqual(gotKW.TopSearched(5), refKW.TopSearched(5)) {
 			t.Fatalf("%s: keyword inference differs", name)
 		}
@@ -171,74 +170,18 @@ func TestStreamShardSplitMerge(t *testing.T) {
 }
 
 // TestAggregatesMatchBatchFunctions: each aggregate field agrees with
-// the batch analysis function it replaces.
+// the record-level reference over the fixture.
 func TestAggregatesMatchBatchFunctions(t *testing.T) {
-	ds := streamFixture()
-	agg := AggregatesFromDataset(ds, StreamConfig{})
-	cs := Classify(ds, ClassifyOptions{})
-
-	if got, want := agg.Classes, CountClasses(cs); got != want {
-		t.Fatalf("class counts %+v vs %+v", got, want)
-	}
-	if got, want := agg.PerOutlet, ByOutlet(cs); !reflect.DeepEqual(got, want) {
-		t.Fatalf("per-outlet %+v vs %+v", got, want)
-	}
-	if got, want := agg.Overview(), Summarize(ds); got != want {
-		t.Fatalf("overview %+v vs %+v", got, want)
-	}
-	if got, want := agg.ConfigRows(), SystemConfiguration(ds); !reflect.DeepEqual(got, want) {
-		t.Fatalf("config rows %+v vs %+v", got, want)
-	}
-	for _, region := range []Hint{HintUK, HintUS} {
-		if got, want := agg.DistanceVectorsFor(region), DistanceVectors(ds, region); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s distance vectors %+v vs %+v", region, got, want)
-		}
-		if got, want := agg.MedianRadii(region), MedianRadii(ds, region); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s radii %+v vs %+v", region, got, want)
-		}
-	}
-	// Duration sketches agree with the ECDF of DurationsByClass at
-	// every probe.
-	durations := DurationsByClass(cs)
-	if len(agg.Durations) != len(durations) {
-		t.Fatalf("duration classes %v vs %v", agg.Durations, durations)
-	}
-	for class, sample := range durations {
-		sk := agg.Durations[class]
-		if sk == nil || sk.N() != len(sample) {
-			t.Fatalf("class %q: sketch %v vs sample %v", class, sk, sample)
-		}
-		for i, p := range sk.Probes() {
-			le := 0
-			for _, v := range sample {
-				if v <= p {
-					le++
-				}
-			}
-			if got, want := sk.Frac(i), float64(le)/float64(len(sample)); got != want {
-				t.Fatalf("class %q probe %g: %v vs %v", class, p, got, want)
-			}
-		}
-	}
-	// Timeline buckets agree with Figure 4's bucketing of Timeline.
-	points := Timeline(ds)
-	buckets := map[Outlet]map[int]int{}
-	for _, p := range points {
-		b := int(p.Days) / 10
-		if buckets[p.Outlet] == nil {
-			buckets[p.Outlet] = map[int]int{}
-		}
-		buckets[p.Outlet][b]++
-	}
-	if !reflect.DeepEqual(agg.Timeline, buckets) {
-		t.Fatalf("timeline %v vs %v", agg.Timeline, buckets)
+	ds, contents := streamFixture()
+	if err := MatchesReference(AggregatesFromDataset(ds), ds, contents, nil, 200, 1); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestStreamFactsAnnotation: a facts lookup supplied at Finalize
 // overrides whatever annotations the raw observations carried.
 func TestStreamFactsAnnotation(t *testing.T) {
-	sc := NewStreamClassifier(StreamConfig{})
+	sc := NewStreamClassifier()
 	sc.ObserveAccess(Access{
 		Account: "a@x", Cookie: "k", First: streamLeak.Add(48 * time.Hour),
 		Last: streamLeak.Add(50 * time.Hour), HasPoint: false,
@@ -255,19 +198,5 @@ func TestStreamFactsAnnotation(t *testing.T) {
 	sk := agg.TimeToAccess[OutletForum]
 	if sk == nil || sk.N() != 1 {
 		t.Fatalf("time-to-access sketch missing: %v", agg.TimeToAccess)
-	}
-}
-
-// TestStreamProbeMismatchMergeFails: merging aggregates built on
-// different probe grids reports an error instead of corrupting
-// counts.
-func TestStreamProbeMismatchMergeFails(t *testing.T) {
-	a := AggregatesFromDataset(streamFixture(), StreamConfig{})
-	b := AggregatesFromDataset(streamFixture(), StreamConfig{DurationProbes: []float64{1, 2}})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging mismatched probe grids succeeded")
-	}
-	if fmt.Sprint(a.Classes.Total) == "0" {
-		t.Fatal("fixture produced no accesses")
 	}
 }

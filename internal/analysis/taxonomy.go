@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Class is the taxonomy of §4.2, as inferred from monitoring data.
 type Class uint8
@@ -53,33 +50,27 @@ type Classified struct {
 	Classes Class
 }
 
-// ClassifyOptions tunes attribution.
-type ClassifyOptions struct {
-	// Slack extends each access window to absorb the scan-trigger
-	// delay: a notification can arrive up to one scan interval after
-	// the action. Zero selects 10 minutes (the paper's scan cadence).
-	Slack time.Duration
-}
+// classifySlack extends each access window to absorb the scan-trigger
+// delay: a notification can arrive up to one scan interval after the
+// action (the paper's 10-minute scan cadence).
+const classifySlack = 10 * time.Minute
 
 // Classify attributes actions and password changes to accesses and
 // derives each access's taxonomy classes.
 //
 // Attribution is by time window: an action on account A at time t
-// belongs to the accesses of A whose [First, Last+Slack] window
-// contains t. If no window matches (e.g. the scraper lost the account
-// before the action), the action attaches to the account's access
-// with the latest Last before t — the best the paper's pipeline could
-// do after a hijack froze the activity page.
+// belongs to the accesses of A whose [First, Last+classifySlack]
+// window contains t. If no window matches (e.g. the scraper lost the
+// account before the action), the action attaches to the account's
+// access with the latest Last before t — the best the paper's pipeline
+// could do after a hijack froze the activity page.
 //
 // Attribution is purely per-account (actions on one account never
 // touch another account's accesses) and each action's attribution is
 // independent of the others, so the streaming pipeline reaches the
 // same result by running the same per-account core — classifyAccount
 // — shard by shard; see StreamClassifier.
-func Classify(ds *Dataset, opts ClassifyOptions) []Classified {
-	if opts.Slack <= 0 {
-		opts.Slack = 10 * time.Minute
-	}
+func Classify(ds *Dataset) []Classified {
 	byAccount := make(map[string][]*Classified)
 	out := make([]Classified, len(ds.Accesses))
 	for i, a := range ds.Accesses {
@@ -95,7 +86,7 @@ func Classify(ds *Dataset, opts ClassifyOptions) []Classified {
 		changesBy[pc.Account] = append(changesBy[pc.Account], pc)
 	}
 	for account, accesses := range byAccount {
-		classifyAccount(accesses, actionsBy[account], changesBy[account], opts.Slack)
+		classifyAccount(accesses, actionsBy[account], changesBy[account])
 	}
 	return out
 }
@@ -106,14 +97,14 @@ func Classify(ds *Dataset, opts ClassifyOptions) []Classified {
 // actions and changes; their order decides ties (equal First in the
 // window match, equal Last in the fallback), so callers must present
 // them in a canonical order — both paths use ascending cookie.
-func classifyAccount(accesses []*Classified, actions []Action, changes []PasswordChange, slack time.Duration) {
+func classifyAccount(accesses []*Classified, actions []Action, changes []PasswordChange) {
 	attribute := func(t time.Time, apply func(*Classified)) {
-		// Among accesses whose [First, Last+Slack] window contains t,
+		// Among accesses whose [First, Last+classifySlack] window holds t,
 		// the most recently started one is the most plausible actor;
 		// concurrent lurkers should not inherit the action.
 		var match *Classified
 		for _, c := range accesses {
-			if t.Before(c.Access.First) || t.After(c.Access.Last.Add(slack)) {
+			if t.Before(c.Access.First) || t.After(c.Access.Last.Add(classifySlack)) {
 				continue
 			}
 			if match == nil || c.Access.First.After(match.Access.First) {
@@ -164,17 +155,7 @@ type ClassCounts struct {
 	Hijacker   int
 }
 
-// CountClasses summarises a classification.
-func CountClasses(cs []Classified) ClassCounts {
-	var out ClassCounts
-	for _, c := range cs {
-		out.add(c.Classes)
-	}
-	return out
-}
-
-// add folds one classified access into the tally (also the streaming
-// aggregation primitive).
+// add folds one classified access into the tally.
 func (out *ClassCounts) add(c Class) {
 	out.Total++
 	switch {
@@ -200,79 +181,4 @@ func (out *ClassCounts) merge(o ClassCounts) {
 	out.GoldDigger += o.GoldDigger
 	out.Spammer += o.Spammer
 	out.Hijacker += o.Hijacker
-}
-
-// ByOutlet buckets classifications per outlet (Figure 2's x-axis).
-func ByOutlet(cs []Classified) map[Outlet]ClassCounts {
-	grouped := make(map[Outlet][]Classified)
-	for _, c := range cs {
-		grouped[c.Access.Outlet] = append(grouped[c.Access.Outlet], c)
-	}
-	out := make(map[Outlet]ClassCounts, len(grouped))
-	for o, list := range grouped {
-		out[o] = CountClasses(list)
-	}
-	return out
-}
-
-// DurationsByClass extracts access durations (in hours) per taxonomy
-// class — the series of Figure 1. Overlapping classes contribute to
-// every class they hold.
-func DurationsByClass(cs []Classified) map[string][]float64 {
-	out := make(map[string][]float64)
-	add := func(key string, c Classified) {
-		out[key] = append(out[key], c.Access.Duration().Hours())
-	}
-	for _, c := range cs {
-		if c.Classes == Curious || c.Classes == 0 {
-			add("curious", c)
-			continue
-		}
-		if c.Classes.Has(GoldDigger) {
-			add("gold-digger", c)
-		}
-		if c.Classes.Has(Spammer) {
-			add("spammer", c)
-		}
-		if c.Classes.Has(Hijacker) {
-			add("hijacker", c)
-		}
-	}
-	return out
-}
-
-// TimeToFirstAccess computes, per outlet, the days between an
-// account's leak and each access's first observation — Figure 3's
-// series (unique accesses, not just first per account, matching the
-// paper's CDF over unique accesses).
-func TimeToFirstAccess(ds *Dataset) map[Outlet][]float64 {
-	out := make(map[Outlet][]float64)
-	for _, a := range ds.Accesses {
-		days := a.First.Sub(a.LeakTime).Hours() / 24
-		if days < 0 {
-			continue
-		}
-		out[a.Outlet] = append(out[a.Outlet], days)
-	}
-	for _, v := range out {
-		sort.Float64s(v)
-	}
-	return out
-}
-
-// AccessTimeline returns (day-offset, outlet) points for every unique
-// access — Figure 4's scatter series.
-type TimelinePoint struct {
-	Outlet Outlet
-	Days   float64
-}
-
-// Timeline extracts Figure 4's points ordered by time.
-func Timeline(ds *Dataset) []TimelinePoint {
-	var out []TimelinePoint
-	for _, a := range ds.Accesses {
-		out = append(out, TimelinePoint{Outlet: a.Outlet, Days: a.First.Sub(a.LeakTime).Hours() / 24})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Days < out[j].Days })
-	return out
 }

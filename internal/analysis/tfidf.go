@@ -54,10 +54,18 @@ func ComputeTFIDF(readTokens, allTokens []string) *TFIDFResult {
 		return math.Log((1+nDocs)/(1+float64(df[t]))) + 1
 	}
 	weigh := func(counts map[string]int) map[string]float64 {
+		// Sum the norm in sorted term order: float addition is not
+		// associative, so a map-order sum can differ in the last bits
+		// between two calls on the same tokens.
+		terms := make([]string, 0, len(counts))
+		for t := range counts {
+			terms = append(terms, t)
+		}
+		sort.Strings(terms)
 		w := make(map[string]float64, len(counts))
 		var norm float64
-		for t, c := range counts {
-			v := float64(c) * idf(t)
+		for _, t := range terms {
+			v := float64(counts[t]) * idf(t)
 			w[t] = v
 			norm += v * v
 		}
@@ -118,31 +126,13 @@ func (r *TFIDFResult) rank(n int, key func(TermScore) float64) []TermScore {
 	return rows[:n]
 }
 
-// KeywordInference runs the full §4.6 pipeline over a Dataset: build
-// dR from read actions (seeded content + draft bodies), build dA from
-// all seeded content, preprocess exactly as the paper (≥5 characters,
-// header words removed, honey handles and monitor markers dropped),
-// and return the TF-IDF result.
-func KeywordInference(ds *Dataset, dropWords []string) *TFIDFResult {
-	var reads []ReadEvent
-	var drafts []DraftEvent
-	for _, act := range ds.Actions {
-		switch act.Kind {
-		case ActionRead:
-			reads = append(reads, ReadEvent{Account: act.Account, Message: act.Message})
-		case ActionDraft:
-			drafts = append(drafts, DraftEvent{Account: act.Account, Message: act.Message, Body: act.Body})
-		}
-	}
-	return KeywordInferenceFromEvents(reads, drafts, ds.Contents, dropWords)
-}
-
-// KeywordInferenceFromEvents is the §4.6 pipeline over raw read/draft
-// events — the form the streaming aggregates carry (accounts are
-// disjoint across shards, so shard event lists simply concatenate).
-// TF-IDF weighs term *counts*, so the event order never matters and
-// the result is identical to the dataset path over the same events.
-func KeywordInferenceFromEvents(reads []ReadEvent, drafts []DraftEvent, contents ContentsView, dropWords []string) *TFIDFResult {
+// keywordInference runs the full §4.6 pipeline over read/draft events:
+// build dR from the read messages (seeded content + draft bodies),
+// build dA from all seeded content, preprocess exactly as the paper
+// (≥5 characters, header words removed, honey handles and monitor
+// markers dropped), and return the TF-IDF result. TF-IDF weighs term
+// *counts*, so the event order never matters.
+func keywordInference(reads []ReadEvent, drafts []DraftEvent, contents ContentsView, dropWords []string) *TFIDFResult {
 	opts := corpus.DefaultTokenizeOptions()
 	if len(dropWords) > 0 {
 		opts.DropWords = make(map[string]bool, len(dropWords))
@@ -150,10 +140,6 @@ func KeywordInferenceFromEvents(reads []ReadEvent, drafts []DraftEvent, contents
 			opts.DropWords[w] = true
 		}
 	}
-	if contents == nil {
-		contents = MapContents(nil)
-	}
-
 	// Subject and body tokenize separately here; the tokenizer splits
 	// on the newline that used to join them, so the term counts — the
 	// only thing TF-IDF consumes — are unchanged.

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/geo"
@@ -86,7 +85,10 @@ type PasswordChange struct {
 	Time    time.Time
 }
 
-// Dataset is everything the analyses consume.
+// Dataset is the record-level form of a deployment's observations,
+// such as logs gathered outside the simulator. AggregatesFromDataset
+// turns it into the Aggregates every figure derives from; Classify
+// gives its per-access classes.
 type Dataset struct {
 	Accesses        []Access
 	Actions         []Action
@@ -96,18 +98,15 @@ type Dataset struct {
 	Blacklisted map[string]bool
 	// SuspendedAccounts counts accounts the platform blocked (§4.1).
 	SuspendedAccounts int
-	// Contents exposes the seeded mail text (account → message id →
-	// subject/body); together with draft bodies from notifications it
-	// reconstructs the text of every read email for TF-IDF (§4.6).
-	Contents ContentsView
 }
 
 // ContentsView is a read-only view of the seeded mailbox text: every
 // message the setup phase placed in a honey account, addressable by
-// (account, message id). The honeynet implements it lazily over
-// webmail's columnar message store, so analysis reads the one stored
-// copy instead of a per-experiment duplicate; tests and external
-// callers use MapContents for literal corpora.
+// (account, message id). Together with the draft bodies from
+// notifications it reconstructs the text of every read email for
+// TF-IDF (§4.6). The honeynet implements it lazily over webmail's
+// columnar message store, so analysis reads the one stored copy
+// instead of a per-experiment duplicate.
 type ContentsView interface {
 	// Accounts returns how many accounts the view covers.
 	Accounts() int
@@ -119,39 +118,4 @@ type ContentsView interface {
 	// unspecified — TF-IDF weighs term counts, so consumers must not
 	// depend on it.
 	Each(fn func(account string, id int64, subject, body string))
-}
-
-// MapContents adapts the historical map form — account → id →
-// "subject\nbody" — to ContentsView. A nil map is a valid empty view.
-type MapContents map[string]map[int64]string
-
-// Accounts implements ContentsView.
-func (m MapContents) Accounts() int { return len(m) }
-
-// Message implements ContentsView, splitting the stored text at the
-// first newline (subjects never contain one).
-func (m MapContents) Message(account string, id int64) (subject, body string, ok bool) {
-	text, ok := m[account][id]
-	if !ok {
-		return "", "", false
-	}
-	subject, body = splitSubject(text)
-	return subject, body, true
-}
-
-// Each implements ContentsView.
-func (m MapContents) Each(fn func(account string, id int64, subject, body string)) {
-	for account, msgs := range m {
-		for id, text := range msgs {
-			subject, body := splitSubject(text)
-			fn(account, id, subject, body)
-		}
-	}
-}
-
-func splitSubject(text string) (subject, body string) {
-	if i := strings.IndexByte(text, '\n'); i >= 0 {
-		return text[:i], text[i+1:]
-	}
-	return text, ""
 }

@@ -12,8 +12,8 @@ import (
 // subject+body, ~55KB per account at the default mailbox size — built
 // eagerly during Setup. The columnar webmail store already holds
 // those exact strings, so the view below reads them back lazily
-// instead: Dataset().Contents and SeededContents() now cost a slice
-// of addresses, not a duplicate of the corpus.
+// instead: SeededContents() costs a slice of addresses, not a
+// duplicate of the corpus.
 
 // seededContents implements analysis.ContentsView over webmail's
 // message columns. Seeded ids are exactly 1..maxID per account

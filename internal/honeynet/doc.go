@@ -10,8 +10,8 @@
 //     credentials through its channel.
 //   - §4.7 case studies: scheduled blackmail, quota-notice and
 //     carding-forum scenarios.
-//   - §4.1–§4.6: Dataset (batch) and Aggregates (streaming) export
-//     what internal/analysis and internal/report consume.
+//   - §4.1–§4.6: Aggregates exports what internal/report renders;
+//     Dataset exports the underlying records.
 //
 // The engine is sharded for fleet-scale runs: the experiment plan is
 // partitioned across Config.Shards parallel schedulers (see shard.go
@@ -26,6 +26,6 @@
 // (stream.go). Aggregates merges one aggregate per shard — O(shards) —
 // and is what every report renders from. Dataset rebuilds the merged
 // record-level analysis.Dataset (the paper's post-hoc shape) from the
-// observations the same classifiers retain, for examples and as the
-// tests' reference; both render byte-identical reports.
+// observations the same classifiers retain, as input for record-level
+// checks and for analysis.AggregatesFromDataset.
 package honeynet

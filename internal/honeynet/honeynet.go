@@ -767,7 +767,6 @@ func (e *Experiment) Dataset() *analysis.Dataset {
 	ds := &analysis.Dataset{
 		Blacklisted:       make(map[string]bool),
 		SuspendedAccounts: e.svc.SuspendedCount(),
-		Contents:          e.seededView(),
 	}
 	for _, sh := range e.shards {
 		accesses, actions, changes := sh.sc.Observations()

@@ -141,8 +141,8 @@ func TestEndToEndProducesDataset(t *testing.T) {
 			t.Fatalf("access before leak: %+v", a)
 		}
 	}
-	if ds.Contents.Accounts() != 18 {
-		t.Fatalf("contents for %d accounts", ds.Contents.Accounts())
+	if n := e.SeededContents().Accounts(); n != 18 {
+		t.Fatalf("contents for %d accounts", n)
 	}
 	// The engine's ground truth and the monitor should roughly agree
 	// on volume (monitor misses post-hijack cookies, so <=).
@@ -201,7 +201,7 @@ func TestMalwareAccessesAnonymousAndStealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := e.Dataset()
-	cs := analysis.Classify(ds, analysis.ClassifyOptions{Slack: time.Hour})
+	cs := analysis.Classify(ds)
 	for _, c := range cs {
 		if c.Access.Outlet != analysis.OutletMalware {
 			continue
@@ -244,8 +244,11 @@ func TestFullRun(t *testing.T) {
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	ds := e.Dataset()
-	o := analysis.Summarize(ds)
+	agg, err := e.Aggregates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := agg.Overview()
 
 	// §4.1 shape: hundreds of accesses on 100 accounts, tens of
 	// accounts suspended, reads and sends observed, drafts composed.
@@ -270,8 +273,7 @@ func TestFullRun(t *testing.T) {
 
 	// Figure 2 shape: malware never hijacks; forums have the highest
 	// gold-digger share.
-	cs := analysis.Classify(ds, analysis.ClassifyOptions{})
-	per := analysis.ByOutlet(cs)
+	per := agg.PerOutlet
 	if per[analysis.OutletMalware].Hijacker != 0 || per[analysis.OutletMalware].Spammer != 0 {
 		t.Fatalf("malware classes = %+v", per[analysis.OutletMalware])
 	}
@@ -288,25 +290,25 @@ func TestFullRun(t *testing.T) {
 	}
 
 	// Figure 3 shape: paste pickups concentrate earlier than malware.
-	tt := analysis.TimeToFirstAccess(ds)
-	within := func(days []float64, limit float64) float64 {
-		if len(days) == 0 {
+	within25 := func(o analysis.Outlet) float64 {
+		sk := agg.TimeToAccess[o]
+		if sk == nil {
 			return 0
 		}
-		n := 0
-		for _, d := range days {
-			if d <= limit {
-				n++
+		for i, p := range sk.Probes() {
+			if p == 25 {
+				return sk.Frac(i)
 			}
 		}
-		return float64(n) / float64(len(days))
+		t.Fatalf("no 25-day probe in %v", sk.Probes())
+		return 0
 	}
-	if p, m := within(tt[analysis.OutletPaste], 25), within(tt[analysis.OutletMalware], 25); p <= m {
+	if p, m := within25(analysis.OutletPaste), within25(analysis.OutletMalware); p <= m {
 		t.Fatalf("within-25d: paste %.2f <= malware %.2f (Figure 3)", p, m)
 	}
 
 	// §4.5 location shape: paste UK-hint median < paste no-hint median.
-	radii := analysis.MedianRadii(ds, analysis.HintUK)
+	radii := agg.MedianRadii(analysis.HintUK)
 	var hintMed, plainMed float64
 	for _, r := range radii {
 		if r.Group.Outlet == analysis.OutletPaste && r.Group.Hint == analysis.HintUK {
@@ -321,7 +323,7 @@ func TestFullRun(t *testing.T) {
 	}
 
 	// Table 2 shape: bitcoin vocabulary tops the searched list.
-	tfidf := analysis.KeywordInference(ds, e.DropWords())
+	tfidf := agg.KeywordInference(e.SeededContents(), e.DropWords())
 	top := tfidf.TopSearched(10)
 	seen := map[string]bool{}
 	for _, row := range top {

@@ -130,9 +130,8 @@ func TestSeededContentsViewAllocFree(t *testing.T) {
 	if contents.Accounts() == 0 {
 		t.Fatal("no accounts in view")
 	}
-	ds := e.Dataset()
 	var account string
-	ds.Contents.Each(func(a string, _ int64, _, _ string) {
+	contents.Each(func(a string, _ int64, _, _ string) {
 		if account == "" {
 			account = a
 		}

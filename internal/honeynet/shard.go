@@ -97,7 +97,7 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			wheel: simtime.NewTriggerWheel(sched),
 			sink:  sinkhole.NewStore(clock.Now),
 			store: monitor.NewStore(),
-			sc:    analysis.NewStreamClassifier(analysis.StreamConfig{}),
+			sc:    analysis.NewStreamClassifier(),
 		}
 		sh.store.SetSink(&streamSink{sc: sh.sc})
 		if err := svc.ConfigurePartition(i, clock.Now, sh.sink); err != nil {

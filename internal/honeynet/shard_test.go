@@ -64,7 +64,7 @@ func datasetsIdentical(t *testing.T, label string, a, b *analysis.Dataset) {
 			t.Fatalf("%s: blacklisted IP %s missing", label, ip)
 		}
 	}
-	ra, rb := analysis.Summarize(a), analysis.Summarize(b)
+	ra, rb := analysis.AggregatesFromDataset(a).Overview(), analysis.AggregatesFromDataset(b).Overview()
 	if ra != rb {
 		t.Fatalf("%s: overview differs:\n  %+v\n  %+v", label, ra, rb)
 	}
@@ -132,8 +132,8 @@ func TestScaleFactorReplicatesPlan(t *testing.T) {
 	}
 	// Replicas draw independent randomness: the contents of replica
 	// mailboxes must not be copies of each other.
-	if ds.Contents.Accounts() != wantAccounts {
-		t.Fatalf("contents for %d accounts, want %d", ds.Contents.Accounts(), wantAccounts)
+	if n := e.SeededContents().Accounts(); n != wantAccounts {
+		t.Fatalf("contents for %d accounts, want %d", n, wantAccounts)
 	}
 }
 

@@ -13,11 +13,12 @@ import (
 // feeds its own analysis.StreamClassifier through a monitor.Sink while
 // the simulation runs. At the end, Aggregates finalises each shard's
 // classifier and merges the per-shard aggregates — O(shards) merge
-// work — and Dataset rebuilds the merged record-level view from the
-// observations the same classifiers retain. Both are identical at any
-// shard count (TestShardCountInvariance, and at the repo root
-// TestStreamMatchesBatchReports renders the Dataset through the
-// record-level analysis functions and compares byte for byte).
+// work — and every report renders from them. Dataset rebuilds the
+// merged record-level view from the observations the same classifiers
+// retain. Both are identical at any shard count
+// (TestShardCountInvariance), and TestStreamMatchesReference
+// (internal/analysis) checks every aggregate against the record-level
+// reference over the Dataset.
 
 // actionKind maps a script notification kind to the analysis action
 // it evidences. Heartbeat and quota notifications are liveness, not
@@ -108,7 +109,7 @@ func (e *Experiment) listed(ip string) bool {
 // benchmark harness relies on that); use Aggregates for the cached
 // form.
 func (e *Experiment) BuildAggregates() (*analysis.Aggregates, error) {
-	merged := analysis.NewAggregates(nil, nil)
+	merged := analysis.NewAggregates()
 	for _, sh := range e.shards {
 		if err := merged.Merge(sh.sc.Finalize(e.facts, e.listed)); err != nil {
 			return nil, fmt.Errorf("honeynet: merge shard %d aggregates: %w", sh.id, err)

@@ -8,16 +8,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Aggregate-backed rendering: the streaming pipeline carries probe
-// sketches and bucket maps instead of raw samples, and these
-// renderers print them byte-identically to the ECDF/point-backed
-// figures over the same data (TestStreamMatchesBatchReports asserts
-// it). Both forms coexist: the engine reports from merged shard
-// Aggregates, and the Dataset-backed renderers are the reference the
-// equivalence tests compare against.
+// The timing figures render from analysis.Aggregates: probe sketches
+// for the CDFs of Figures 1 and 3, and 10-day bucket counts for
+// Figure 4. A sketch counts exactly on the probes the figure prints,
+// so each printed value is the ECDF of the underlying sample at that
+// probe (TestSketchSeriesMatchesCDFSeries checks it against an ECDF
+// reference).
 
-// SketchSeries renders a probe sketch exactly as CDFSeries renders
-// the same sample at the sketch's probes.
+// SketchSeries renders a probe sketch as a one-line CDF series:
+// name (n=N): P(x<=p1)=v1 P(x<=p2)=v2 ...
 func SketchSeries(name string, sk *stats.ProbeSketch) string {
 	if sk == nil || sk.N() == 0 {
 		return fmt.Sprintf("%s: (empty)", name)

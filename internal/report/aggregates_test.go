@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,25 +10,43 @@ import (
 	"repro/internal/stats"
 )
 
-// Empty dataset: every aggregate renderer must degrade exactly like
-// its dataset-backed sibling — headers only, "(empty)" series, one
-// zero row for the timeline — and never panic.
-func TestAggregateRenderingEmpty(t *testing.T) {
-	agg := analysis.NewStreamClassifier(analysis.StreamConfig{}).Finalize(nil, nil)
+// CDFSeries renders the ECDF of a sample at the given probe points —
+// the reference SketchSeries must match.
+func CDFSeries(name string, sample []float64, probes []float64) string {
+	if len(sample) == 0 {
+		return fmt.Sprintf("%s: (empty)", name)
+	}
+	e := stats.NewECDF(sample)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s (n=%d):", name, e.N())
+	for _, p := range e.Sample(probes) {
+		fmt.Fprintf(&b, " P(x<=%g)=%.2f", p.X, p.P)
+	}
+	return b.String()
+}
 
-	if got, want := Figure1Sketches(agg.Durations), Figure1(map[string][]float64{}); got != want {
-		t.Fatalf("empty Figure1: sketch %q vs dataset %q", got, want)
+// Empty aggregates: each figure prints its header alone (the timeline
+// keeps one zero row) and no renderer panics.
+func TestAggregateRenderingEmpty(t *testing.T) {
+	agg := analysis.NewStreamClassifier().Finalize(nil, nil)
+
+	if got, want := Figure1Sketches(agg.Durations), "Figure 1: CDF of unique-access length by class (hours)\n"; got != want {
+		t.Fatalf("empty Figure1: %q, want %q", got, want)
 	}
-	if got, want := Figure3Sketches(agg.TimeToAccess), Figure3(map[analysis.Outlet][]float64{}); got != want {
-		t.Fatalf("empty Figure3: sketch %q vs dataset %q", got, want)
+	if got, want := Figure3Sketches(agg.TimeToAccess), "Figure 3: CDF of days from leak to access by outlet\n"; got != want {
+		t.Fatalf("empty Figure3: %q, want %q", got, want)
 	}
-	if got, want := Figure4Buckets(agg.Timeline, agg.TimelineMax), Figure4(nil); got != want {
-		t.Fatalf("empty Figure4: sketch %q vs dataset %q", got, want)
+	wantF4 := "Figure 4: unique accesses per 10-day window since leak\n" +
+		"days  paste  paste-ru  forum  malware\n" +
+		"----  -----  --------  -----  -------\n" +
+		"0-9   0      0         0      0\n"
+	if got := Figure4Buckets(agg.Timeline, agg.TimelineMax); got != wantF4 {
+		t.Fatalf("empty Figure4: %q, want %q", got, wantF4)
 	}
 	if got := Figure2(agg.PerOutlet); !strings.Contains(got, "outlet") {
 		t.Fatalf("empty Figure2 lost its header: %q", got)
 	}
-	if got, want := Overview(agg.Overview()), Overview(analysis.Summarize(&analysis.Dataset{})); got != want {
+	if got, want := Overview(agg.Overview()), Overview(analysis.Overview{}); got != want {
 		t.Fatalf("empty overview: %q vs %q", got, want)
 	}
 	if got := SystemConfig(agg.ConfigRows()); !strings.Contains(got, "outlet") {
@@ -59,8 +78,9 @@ func TestSketchSeriesMatchesCDFSeries(t *testing.T) {
 	}
 }
 
-// singleAccessDataset builds a one-access dataset (a lone curious
-// login) plus its classified form.
+// singleAccessDataset builds a one-access dataset: a lone curious
+// forum login, one hour long, 36 hours after the leak, with no
+// location and no user agent.
 func singleAccessDataset() *analysis.Dataset {
 	leak := time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
 	return &analysis.Dataset{
@@ -73,33 +93,37 @@ func singleAccessDataset() *analysis.Dataset {
 	}
 }
 
-// Single class / single access: the aggregate renderers agree with
-// the dataset renderers on the smallest possible population.
+// Single class / single access: the aggregate renderers print the
+// hand-derived figures on the smallest possible population.
 func TestAggregateRenderingSingleClass(t *testing.T) {
-	ds := singleAccessDataset()
-	agg := analysis.AggregatesFromDataset(ds, analysis.StreamConfig{})
-	cs := analysis.Classify(ds, analysis.ClassifyOptions{})
+	agg := analysis.AggregatesFromDataset(singleAccessDataset())
+	forum := analysis.OutletForum
 
-	if got, want := Figure1Sketches(agg.Durations), Figure1(analysis.DurationsByClass(cs)); got != want {
-		t.Fatalf("Figure1: %q vs %q", got, want)
+	wantF1 := "Figure 1: CDF of unique-access length by class (hours)\n" +
+		"  " + CDFSeries("curious", []float64{1}, analysis.DurationProbes) + "\n"
+	if got := Figure1Sketches(agg.Durations); got != wantF1 {
+		t.Fatalf("Figure1: %q, want %q", got, wantF1)
 	}
-	if !strings.Contains(Figure1Sketches(agg.Durations), "curious (n=1)") {
-		t.Fatalf("single curious access missing from Figure1: %q", Figure1Sketches(agg.Durations))
+	wantF2 := Figure2(map[analysis.Outlet]analysis.ClassCounts{forum: {Total: 1, Curious: 1}})
+	if got := Figure2(agg.PerOutlet); got != wantF2 {
+		t.Fatalf("Figure2: %q, want %q", got, wantF2)
 	}
-	if got, want := Figure2(agg.PerOutlet), Figure2(analysis.ByOutlet(cs)); got != want {
-		t.Fatalf("Figure2: %q vs %q", got, want)
+	wantF3 := "Figure 3: CDF of days from leak to access by outlet\n" +
+		"  " + CDFSeries("forum", []float64{1.5}, analysis.LeakDaysProbes) + "\n"
+	if got := Figure3Sketches(agg.TimeToAccess); got != wantF3 {
+		t.Fatalf("Figure3: %q, want %q", got, wantF3)
 	}
-	if got, want := Figure3Sketches(agg.TimeToAccess), Figure3(analysis.TimeToFirstAccess(ds)); got != want {
-		t.Fatalf("Figure3: %q vs %q", got, want)
+	wantF4 := Figure4Buckets(map[analysis.Outlet]map[int]int{forum: {0: 1}}, 0)
+	if got := Figure4Buckets(agg.Timeline, agg.TimelineMax); got != wantF4 {
+		t.Fatalf("Figure4: %q, want %q", got, wantF4)
 	}
-	if got, want := Figure4Buckets(agg.Timeline, agg.TimelineMax), Figure4(analysis.Timeline(ds)); got != want {
-		t.Fatalf("Figure4: %q vs %q", got, want)
+	wantOverview := Overview(analysis.Overview{UniqueAccesses: 1, WithoutLocation: 1})
+	if got := Overview(agg.Overview()); got != wantOverview {
+		t.Fatalf("Overview: %q, want %q", got, wantOverview)
 	}
-	if got, want := Overview(agg.Overview()), Overview(analysis.Summarize(ds)); got != want {
-		t.Fatalf("Overview: %q vs %q", got, want)
-	}
-	if got, want := SystemConfig(agg.ConfigRows()), SystemConfig(analysis.SystemConfiguration(ds)); got != want {
-		t.Fatalf("SystemConfig: %q vs %q", got, want)
+	wantConfig := SystemConfig([]analysis.ConfigRow{{Outlet: forum, Accesses: 1, EmptyUA: 1}})
+	if got := SystemConfig(agg.ConfigRows()); got != wantConfig {
+		t.Fatalf("SystemConfig: %q, want %q", got, wantConfig)
 	}
 }
 
@@ -128,7 +152,7 @@ func TestAggregateRenderingShardSplit(t *testing.T) {
 			{Time: leak.Add(110 * time.Hour), Account: "b@x", Kind: analysis.ActionSent, Message: 2},
 		},
 	}
-	whole := analysis.AggregatesFromDataset(ds, analysis.StreamConfig{})
+	whole := analysis.AggregatesFromDataset(ds)
 
 	// Shard split: accounts a,c on shard 0, account b on shard 1
 	// (accounts never straddle shards).
@@ -150,8 +174,8 @@ func TestAggregateRenderingShardSplit(t *testing.T) {
 		}
 		return out
 	}
-	merged := analysis.AggregatesFromDataset(part("a@x", "c@x"), analysis.StreamConfig{})
-	if err := merged.Merge(analysis.AggregatesFromDataset(part("b@x"), analysis.StreamConfig{})); err != nil {
+	merged := analysis.AggregatesFromDataset(part("a@x", "c@x"))
+	if err := merged.Merge(analysis.AggregatesFromDataset(part("b@x"))); err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,9 +21,8 @@ func ExampleNewTable() {
 	// forum   38        9
 }
 
-// Figure 2's taxonomy-per-outlet table from class tallies — the same
-// rendering whether the tallies came from a batch Classify pass or
-// from merged streaming aggregates.
+// Figure 2's taxonomy-per-outlet table from the per-outlet class
+// tallies of analysis.Aggregates.
 func ExampleFigure2() {
 	per := map[analysis.Outlet]analysis.ClassCounts{
 		analysis.OutletPaste: {Total: 4, Curious: 2, GoldDigger: 1, Hijacker: 1},

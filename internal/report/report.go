@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/stats"
 )
 
 // Table builds a fixed-width text table.
@@ -72,21 +71,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CDFSeries renders an ECDF at the given probe points as a one-line
-// series: name: p(x1)=v1 p(x2)=v2 ...
-func CDFSeries(name string, sample []float64, probes []float64) string {
-	if len(sample) == 0 {
-		return fmt.Sprintf("%s: (empty)", name)
-	}
-	e := stats.NewECDF(sample)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d):", name, e.N())
-	for _, p := range e.Sample(probes) {
-		fmt.Fprintf(&b, " P(x<=%g)=%.2f", p.X, p.P)
-	}
-	return b.String()
-}
-
 // Overview renders the §4.1/§4.5 headline numbers with the paper's
 // values alongside for comparison.
 func Overview(o analysis.Overview) string {
@@ -119,19 +103,6 @@ type Table1Row struct {
 	Label string
 }
 
-// Figure1 renders the access-length CDFs per taxonomy class
-// (durations in hours).
-func Figure1(durations map[string][]float64) string {
-	probes := analysis.DurationProbes
-	keys := sortedKeys(durations)
-	var b strings.Builder
-	b.WriteString("Figure 1: CDF of unique-access length by class (hours)\n")
-	for _, k := range keys {
-		b.WriteString("  " + CDFSeries(k, durations[k], probes) + "\n")
-	}
-	return b.String()
-}
-
 // Figure2 renders the taxonomy distribution per outlet.
 func Figure2(per map[analysis.Outlet]analysis.ClassCounts) string {
 	t := NewTable("outlet", "accesses", "curious", "gold-digger", "spammer", "hijacker")
@@ -153,38 +124,6 @@ func Figure2(per map[analysis.Outlet]analysis.ClassCounts) string {
 		t.AddRow(string(o), fmt.Sprint(c.Total), pct(c.Curious), pct(c.GoldDigger), pct(c.Spammer), pct(c.Hijacker))
 	}
 	return "Figure 2: distribution of access types per outlet\n" + t.String()
-}
-
-// Figure3 renders the time-to-access CDFs per outlet (days).
-func Figure3(days map[analysis.Outlet][]float64) string {
-	probes := analysis.LeakDaysProbes
-	var b strings.Builder
-	b.WriteString("Figure 3: CDF of days from leak to access by outlet\n")
-	for _, o := range []analysis.Outlet{analysis.OutletPaste, analysis.OutletPasteRussian, analysis.OutletForum, analysis.OutletMalware} {
-		if v, ok := days[o]; ok {
-			b.WriteString("  " + CDFSeries(string(o), v, probes) + "\n")
-		}
-	}
-	return b.String()
-}
-
-// Figure4 renders the access timeline as day-bucket counts per
-// outlet. It buckets the points and delegates to Figure4Buckets, the
-// aggregate-backed renderer, so both paths share one table shape.
-func Figure4(points []analysis.TimelinePoint) string {
-	buckets := map[analysis.Outlet]map[int]int{}
-	maxBucket := 0
-	for _, p := range points {
-		b := int(p.Days) / 10 // 10-day buckets
-		if buckets[p.Outlet] == nil {
-			buckets[p.Outlet] = map[int]int{}
-		}
-		buckets[p.Outlet][b]++
-		if b > maxBucket {
-			maxBucket = b
-		}
-	}
-	return Figure4Buckets(buckets, maxBucket)
 }
 
 // Figure5 renders the median-radius rows for one region.

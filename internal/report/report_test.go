@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/stats"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -47,8 +48,20 @@ func TestOverviewIncludesPaperColumn(t *testing.T) {
 	}
 }
 
+// sketchOf folds a sample into a sketch over the given probes.
+func sketchOf(probes []float64, sample ...float64) *stats.ProbeSketch {
+	sk := stats.NewProbeSketch(probes)
+	for _, v := range sample {
+		sk.Add(v)
+	}
+	return sk
+}
+
 func TestFigureRenderers(t *testing.T) {
-	f1 := Figure1(map[string][]float64{"curious": {0.1, 0.2}, "hijacker": {24, 48}})
+	f1 := Figure1Sketches(map[string]*stats.ProbeSketch{
+		"curious":  sketchOf(analysis.DurationProbes, 0.1, 0.2),
+		"hijacker": sketchOf(analysis.DurationProbes, 24, 48),
+	})
 	if !strings.Contains(f1, "curious") || !strings.Contains(f1, "hijacker") {
 		t.Fatalf("figure1 = %q", f1)
 	}
@@ -58,14 +71,16 @@ func TestFigureRenderers(t *testing.T) {
 	if !strings.Contains(f2, "paste") || !strings.Contains(f2, "20%") {
 		t.Fatalf("figure2 = %q", f2)
 	}
-	f3 := Figure3(map[analysis.Outlet][]float64{analysis.OutletMalware: {10, 30, 120}})
+	f3 := Figure3Sketches(map[analysis.Outlet]*stats.ProbeSketch{
+		analysis.OutletMalware: sketchOf(analysis.LeakDaysProbes, 10, 30, 120),
+	})
 	if !strings.Contains(f3, "malware") {
 		t.Fatalf("figure3 = %q", f3)
 	}
-	f4 := Figure4([]analysis.TimelinePoint{
-		{Outlet: analysis.OutletPaste, Days: 3},
-		{Outlet: analysis.OutletMalware, Days: 101},
-	})
+	f4 := Figure4Buckets(map[analysis.Outlet]map[int]int{
+		analysis.OutletPaste:   {0: 1},
+		analysis.OutletMalware: {10: 1},
+	}, 10)
 	if !strings.Contains(f4, "100-109") {
 		t.Fatalf("figure4 = %q", f4)
 	}
