@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/c3"
+	"repro/internal/livefleet"
 	"repro/internal/report"
 )
 
@@ -58,7 +59,7 @@ func parseFlags(args []string) (config, error) {
 	cfg := config{}
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8033", "listen address (serve) or target address (-replay)")
 	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "index every decoy credential from this honeynet snapshot file")
-	fs.StringVar(&cfg.credsPath, "creds", "", "index an \"address password\" lines file (leakctl/webmaild -creds format)")
+	fs.StringVar(&cfg.credsPath, "creds", "", "index an \"address password\" lines file (webmaild -creds format; blank and # lines skipped)")
 	fs.IntVar(&cfg.synthetic, "synthetic", 0, "additionally index N deterministic synthetic credentials")
 	fs.Int64Var(&cfg.seed, "seed", 1, "seed for -synthetic credentials and the -replay query plan")
 	fs.IntVar(&cfg.bucketBits, "bucket-bits", c3.DefaultBucketBits, "k-anonymity prefix width: queries name one of 2^bits buckets")
@@ -102,11 +103,19 @@ func start(cfg config, out io.Writer) (*instance, error) {
 		fmt.Fprintf(out, "indexed %d credentials from %s\n", n, cfg.snapshotPath)
 	}
 	if cfg.credsPath != "" {
-		n, err := c3.BuildFromCredsFile(cfg.credsPath, store, "creds-file", time.Unix(0, 0))
+		f, err := os.Open(cfg.credsPath)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(out, "indexed %d credentials from %s\n", n, cfg.credsPath)
+		creds, err := livefleet.ReadCredentials(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("c3d: %s: %w", cfg.credsPath, err)
+		}
+		for _, c := range creds {
+			store.Add(c.Address, c.Password, "creds-file", time.Unix(0, 0))
+		}
+		fmt.Fprintf(out, "indexed %d credentials from %s\n", len(creds), cfg.credsPath)
 	}
 	if cfg.synthetic > 0 {
 		c3.Synthetic(cfg.seed, cfg.synthetic, func(a, p string) {

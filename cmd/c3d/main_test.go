@@ -58,7 +58,8 @@ func TestParseFlagsRejectsEmptyIndex(t *testing.T) {
 func TestServeCredsAndVariants(t *testing.T) {
 	dir := t.TempDir()
 	creds := dir + "/creds.txt"
-	if err := os.WriteFile(creds, []byte("alice@example.com pw1\nbob@example.com pw2\n"), 0o644); err != nil {
+	leak := "# a leak file\nalice@example.com pw1\n# note\n\nbob@example.com pw2\n"
+	if err := os.WriteFile(creds, []byte(leak), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-creds", creds, "-variants"})
@@ -75,5 +76,11 @@ func TestServeCredsAndVariants(t *testing.T) {
 	}
 	if !inst.Store.Contains(c3.Hash("alice@example.com", "pw11")) {
 		t.Fatal("variant not indexed with -variants")
+	}
+	if !inst.Store.Contains(c3.Hash("bob@example.com", "pw2")) {
+		t.Fatal("credential after a comment line missing")
+	}
+	if inst.Store.Contains(c3.Hash("#", "note")) {
+		t.Fatal("comment line indexed as a credential")
 	}
 }

@@ -1,21 +1,20 @@
-// Command webmaild serves the webmail platform over TCP — either as a
-// standalone demo (generated honey accounts) or as one shard of a live
-// fleet booted from a snapshot file. On SIGTERM/SIGINT it drains:
+// Command webmaild serves the webmail platform over TCP, as one shard
+// of a live fleet booted from a honeynet snapshot file, or as the
+// router in front of such shards. On SIGTERM/SIGINT it drains:
 // the listener closes, idle connections drop, and in-flight requests
 // finish before the process exits.
 //
 // Usage:
 //
-//	webmaild [-addr host:port] [-accounts N] [-mailbox N] [-seed N]
-//	webmaild -snapshot state.snap [-partition I -partitions N] [-abuse=false] [-creds out.txt]
+//	webmaild -snapshot state.snap [-addr host:port] [-partition I -partitions N] [-abuse=false] [-creds out.txt]
 //	webmaild -router -shards host:port,host:port [-addr host:port]
 //	         [-health-interval D] [-health-timeout D]
 //
-// With -snapshot, only the accounts that webmail.PartitionIndex places
-// on -partition of -partitions are restored — the same placement the
-// livefleet router uses, so a router in front of N such shards finds
-// every account. -creds writes the restored "address password" lines
-// for the load generator.
+// A shard restores only the accounts that webmail.PartitionIndex places
+// on -partition of -partitions — the same placement the livefleet
+// router uses, so a router in front of N such shards finds every
+// account. -creds writes the restored "address password" lines for
+// loadgen and c3d.
 //
 // With -router, the process serves the partition-aware front instead
 // of a shard: it pools connections to the listed shard addresses
@@ -41,20 +40,14 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/livefleet"
 	"repro/internal/report"
-	"repro/internal/rng"
 	"repro/internal/simtime"
-	"repro/internal/snapshot"
 	"repro/internal/webmail"
 )
 
 type config struct {
-	addr     string
-	accounts int
-	mailbox  int
-	seed     int64
+	addr string
 
 	snapshotPath string
 	partition    int
@@ -74,10 +67,7 @@ func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("webmaild", flag.ContinueOnError)
 	cfg := config{}
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8025", "listen address")
-	fs.IntVar(&cfg.accounts, "accounts", 10, "demo honey accounts to create (ignored with -snapshot)")
-	fs.IntVar(&cfg.mailbox, "mailbox", 40, "seeded messages per demo account")
-	fs.Int64Var(&cfg.seed, "seed", 1, "demo content seed")
-	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "boot the account store from this snapshot file")
+	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "boot the account store from this snapshot file (required for a shard)")
 	fs.IntVar(&cfg.partition, "partition", 0, "this shard's index (with -snapshot)")
 	fs.IntVar(&cfg.partitions, "partitions", 1, "total shards in the fleet (with -snapshot)")
 	fs.BoolVar(&cfg.abuse, "abuse", true, "enforce send-rate abuse detection (the virtual clock is static, so the window never slides)")
@@ -92,6 +82,9 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.routerMode && cfg.shards == "" {
 		return config{}, fmt.Errorf("webmaild: -router requires -shards")
+	}
+	if !cfg.routerMode && cfg.snapshotPath == "" {
+		return config{}, fmt.Errorf("webmaild: a shard requires -snapshot")
 	}
 	return cfg, nil
 }
@@ -131,48 +124,22 @@ func startRouter(cfg config, out io.Writer) (*instance, error) {
 	return &instance{Addr: bound, Router: router, srv: router, cfg: cfg, out: out}, nil
 }
 
-// start builds the service (snapshot or demo), begins listening, and
+// start boots the service from the snapshot, begins listening, and
 // returns the running instance.
 func start(cfg config, out io.Writer) (*instance, error) {
 	if cfg.routerMode {
 		return startRouter(cfg, out)
 	}
-	clock := simtime.NewClock(time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC))
-	wcfg := webmail.Config{Clock: clock, Abuse: webmail.AbuseConfig{Disabled: !cfg.abuse}}
-
-	var svc *webmail.Service
-	var creds []livefleet.Credential
-	if cfg.snapshotPath != "" {
-		var err error
-		svc, creds, err = livefleet.BootService(cfg.snapshotPath, cfg.partition, cfg.partitions, wcfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "booted %d accounts from %s (shard %d of %d)\n",
-			len(creds), cfg.snapshotPath, cfg.partition, cfg.partitions)
-	} else {
-		svc = webmail.NewService(wcfg)
-		src := rng.New(cfg.seed)
-		personas := corpus.NewPersonas(src.ForkNamed("personas"), cfg.accounts, "honeymail.example")
-		gen := corpus.NewGenerator(src.ForkNamed("corpus"), corpus.DefaultConfig())
-		seedStart := clock.Now().Add(-120 * 24 * time.Hour)
-		var msgs []corpus.Message
-		var acct snapshot.Account
-		for i, p := range personas {
-			password := fmt.Sprintf("hp-%04d", i)
-			acct = snapshot.Account{Address: p.Email, Password: password, Owner: p.FullName(),
-				NextID: 1, Messages: acct.Messages[:0]}
-			msgs = gen.MailboxAppend(msgs[:0], p, cfg.mailbox, seedStart, clock.Now())
-			for _, m := range msgs {
-				webmail.AppendSeeded(&acct, m.From, m.To, m.Subject, m.Body, m.Date)
-			}
-			if err := svc.RestoreAccountIn(webmail.PartitionIndex(p.Email, svc.Partitions()), &acct); err != nil {
-				return nil, err
-			}
-			creds = append(creds, livefleet.Credential{Address: p.Email, Password: password})
-			fmt.Fprintf(out, "account %-45s password %s\n", p.Email, password)
-		}
+	wcfg := webmail.Config{
+		Clock: simtime.NewClock(time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)),
+		Abuse: webmail.AbuseConfig{Disabled: !cfg.abuse},
 	}
+	svc, creds, err := livefleet.BootService(cfg.snapshotPath, cfg.partition, cfg.partitions, wcfg)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "booted %d accounts from %s (shard %d of %d)\n",
+		len(creds), cfg.snapshotPath, cfg.partition, cfg.partitions)
 	if cfg.credsOut != "" {
 		f, err := os.Create(cfg.credsOut)
 		if err != nil {

@@ -59,38 +59,6 @@ func wireLogin(t *testing.T, addr, account, password string) *webmail.Client {
 	return c
 }
 
-// TestStartDemoMode: the generated-accounts path serves real sessions
-// on an ephemeral port.
-func TestStartDemoMode(t *testing.T) {
-	credsPath := filepath.Join(t.TempDir(), "creds.txt")
-	inst, err := start(config{
-		addr: "127.0.0.1:0", accounts: 3, mailbox: 5, seed: 1,
-		partitions: 1, abuse: true, credsOut: credsPath,
-		drainTimeout: 10 * time.Second,
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { inst.Close() })
-	f, err := os.Open(credsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	creds, err := livefleet.ReadCredentials(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(creds) != 3 {
-		t.Fatalf("wrote %d creds, want 3", len(creds))
-	}
-	c := wireLogin(t, inst.Addr, creds[0].Address, creds[0].Password)
-	resp, err := c.Do(webmail.Request{Op: "list", Folder: "inbox"})
-	if err != nil || !resp.OK {
-		t.Fatalf("list: %v %+v", err, resp)
-	}
-}
-
 // TestSnapshotBootRoundTrip: webmaild -snapshot -partition restores
 // exactly its shard's slice and serves it over the wire.
 func TestSnapshotBootRoundTrip(t *testing.T) {
@@ -187,25 +155,14 @@ func TestConcurrentWireClients(t *testing.T) {
 // TestShutdownDrains: Shutdown closes the listener and idle
 // connections and returns cleanly; later requests fail.
 func TestShutdownDrains(t *testing.T) {
-	credsPath := filepath.Join(t.TempDir(), "creds.txt")
 	inst, err := start(config{
-		addr: "127.0.0.1:0", accounts: 1, mailbox: 2, seed: 1,
-		partitions: 1, abuse: true, credsOut: credsPath,
-		drainTimeout: 10 * time.Second,
+		addr: "127.0.0.1:0", snapshotPath: writeTestSnapshot(t, 1),
+		partitions: 1, abuse: true, drainTimeout: 10 * time.Second,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(credsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	creds, err := livefleet.ReadCredentials(f)
-	f.Close()
-	if err != nil || len(creds) == 0 {
-		t.Fatalf("creds: %v (%d)", err, len(creds))
-	}
-	wireLogin(t, inst.Addr, creds[0].Address, creds[0].Password)
+	wireLogin(t, inst.Addr, "snap000@honeymail.example", "sp-000")
 	if err := inst.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -283,6 +240,9 @@ func TestParseFlags(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-router"}); err == nil {
 		t.Fatal("-router without -shards accepted")
+	}
+	if _, err := parseFlags([]string{"-partition", "1", "-partitions", "2"}); err == nil {
+		t.Fatal("shard without -snapshot accepted")
 	}
 	rcfg, err := parseFlags([]string{"-router", "-shards", "a:1,b:2"})
 	if err != nil {

@@ -1,8 +1,9 @@
-// Live servers: run the webmail platform and the sinkhole mailserver
-// as real TCP services on localhost, then drive an attacker session
-// over the wire protocol — login with stolen credentials, search for
-// valuables, read a hit, leave a ransom draft, hijack the password —
-// and show the sinkhole capturing the outbound blackmail.
+// Live servers: run the webmail platform as a real TCP service on
+// localhost, with its outbound mail going to the sinkhole store, then
+// drive an attacker session over the wire protocol — login with stolen
+// credentials, search for valuables, read a hit, send a ransom
+// demand, hijack the password — and show the sinkhole capturing that
+// mail.
 package main
 
 import (
@@ -22,22 +23,10 @@ import (
 func main() {
 	clock := simtime.NewClock(time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC))
 
-	// Sinkhole mailserver over TCP.
+	// Webmail platform over TCP, with outbound mail captured by the
+	// sinkhole store, which forwards nothing.
 	sinkStore := sinkhole.NewStore(clock.Now)
-	sinkSrv := sinkhole.NewServer(sinkStore)
-	sinkAddr, err := sinkSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sinkSrv.Close()
-	fmt.Println("sinkhole listening on", sinkAddr)
-
-	// Webmail platform over TCP, with outbound mail relayed into the
-	// sinkhole over its SMTP-subset protocol — two real sockets.
-	outbound := webmail.OutboundFunc(func(from, to, subject, body string, at time.Time) error {
-		return sinkhole.Send(sinkAddr, from, to, subject, body)
-	})
-	svc := webmail.NewService(webmail.Config{Clock: clock, Outbound: outbound})
+	svc := webmail.NewService(webmail.Config{Clock: clock, Outbound: sinkStore})
 	if err := svc.CreateAccount("mary.walker@honeymail.example", "hp-c0ffee11", "Mary Walker"); err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer mailSrv.Close()
-	fmt.Println("webmail  listening on", mailAddr)
+	fmt.Println("webmail listening on", mailAddr)
 
 	// The attacker's browser: a wire-protocol client connecting from a
 	// proxy with a spoofed user agent.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/snapshot"
@@ -39,36 +38,6 @@ func BuildFromSnapshotFile(path string, store *Store) (int, error) {
 		}
 		store.Add(a.Address, a.Password, "snapshot", at)
 		n++
-	}
-	return n, nil
-}
-
-// BuildFromCredsFile indexes an "address password" lines file — the
-// format leakctl -creds and webmaild -creds write — tagging entries
-// with the given circulation time. Blank lines are skipped; any other
-// malformed line errors.
-func BuildFromCredsFile(path string, store *Store, site string, at time.Time) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("c3: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	n := 0
-	for line := 1; sc.Scan(); line++ {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return n, fmt.Errorf("c3: %s:%d: want \"address password\", got %q", path, line, text)
-		}
-		store.Add(fields[0], fields[1], site, at)
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return n, fmt.Errorf("c3: %w", err)
 	}
 	return n, nil
 }

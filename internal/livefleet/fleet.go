@@ -20,7 +20,8 @@ type Credential struct {
 }
 
 // WriteCredentials emits one "address password" line per credential —
-// the leak-file format cmd/leakctl produces and cmd/loadgen consumes.
+// the leak-file format webmaild -creds writes and that loadgen and
+// c3d -creds read through ReadCredentials.
 func WriteCredentials(w io.Writer, creds []Credential) error {
 	bw := bufio.NewWriter(w)
 	for _, c := range creds {
@@ -36,14 +37,14 @@ func WriteCredentials(w io.Writer, creds []Credential) error {
 func ReadCredentials(r io.Reader) ([]Credential, error) {
 	var out []Credential
 	sc := bufio.NewScanner(r)
-	for sc.Scan() {
+	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
-			return nil, fmt.Errorf("livefleet: bad credential line %q", line)
+			return nil, fmt.Errorf("livefleet: credentials line %d: want \"address password\", got %q", n, line)
 		}
 		out = append(out, Credential{Address: fields[0], Password: fields[1]})
 	}

@@ -113,7 +113,10 @@ func TestCredentialsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, creds) {
 		t.Fatalf("round trip: %v != %v", got, creds)
 	}
-	if _, err := ReadCredentials(strings.NewReader("only-one-field\n")); err == nil {
-		t.Fatal("bad line accepted")
+	if _, err := ReadCredentials(strings.NewReader("a@x.example p1\nonly-one-field\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("bad line: err = %v, want it rejected at line 2", err)
+	}
+	if _, err := ReadCredentials(strings.NewReader("a@x.example " + strings.Repeat("p", 64<<10) + "\n")); err == nil {
+		t.Fatal("line past the scanner's 64 KiB limit accepted")
 	}
 }

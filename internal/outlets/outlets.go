@@ -231,12 +231,6 @@ func NewRegistry(sites []*Site, sched *simtime.Scheduler, src *rng.Source) *Regi
 	return r
 }
 
-// Get returns an outlet by name.
-func (r *Registry) Get(name string) (*Outlet, bool) {
-	o, ok := r.outlets[name]
-	return o, ok
-}
-
 // SetSink installs one pickup-time credential observer on every
 // outlet in the registry.
 func (r *Registry) SetSink(s Sink) {

@@ -154,14 +154,8 @@ func TestPasteSitesNeverInquire(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	sched := newSched()
 	r := NewRegistry(DefaultSites(), sched, rng.New(6))
-	if _, ok := r.Get("pastebin.example"); !ok {
-		t.Fatal("pastebin.example missing")
-	}
-	if _, ok := r.Get("nope"); ok {
-		t.Fatal("unknown outlet found")
-	}
-	if got := len(r.ByKind(KindPaste, false)); got != 2 {
-		t.Fatalf("popular paste outlets = %d", got)
+	if got := r.ByKind(KindPaste, false); len(got) != 2 || got[0].Site().Name != "pastebin.example" {
+		t.Fatalf("popular paste outlets = %d, want 2 led by pastebin.example", len(got))
 	}
 	if got := len(r.ByKind(KindPaste, true)); got != 2 {
 		t.Fatalf("russian paste outlets = %d", got)
@@ -177,7 +171,15 @@ func TestRegistryDeterministicAcrossDrawOrder(t *testing.T) {
 	run := func() []time.Time {
 		sched := newSched()
 		r := NewRegistry(DefaultSites(), sched, rng.New(7))
-		o, _ := r.Get("hackforums.example")
+		var o *Outlet
+		for _, f := range r.ByKind(KindForum, false) {
+			if f.Site().Name == "hackforums.example" {
+				o = f
+			}
+		}
+		if o == nil {
+			t.Fatal("hackforums.example missing from the forums")
+		}
 		var mu sync.Mutex
 		var times []time.Time
 		o.Post(creds(10), func(p Pickup) {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/c3"
 	"repro/internal/livefleet"
 	"repro/internal/simtime"
-	"repro/internal/sinkhole"
 	"repro/internal/webmail"
 )
 
@@ -30,14 +29,13 @@ func startShard(t *testing.T) string {
 }
 
 // TestOversizedFrameDropsConnection sends one unterminated 64 MiB frame
-// to each of the four servers. Each must drop the connection without a
+// to each of the three servers. Each must drop the connection without a
 // reply after reading about MaxFrame of it, so the server's heap stays
 // flat instead of buffering the whole frame.
 func TestOversizedFrameDropsConnection(t *testing.T) {
 	servers := []struct {
-		name   string
-		start  func(t *testing.T) string
-		banner bool // the server greets first (SMTP)
+		name  string
+		start func(t *testing.T) string
 	}{
 		{name: "webmail", start: startShard},
 		{name: "router", start: func(t *testing.T) string {
@@ -65,15 +63,6 @@ func TestOversizedFrameDropsConnection(t *testing.T) {
 			t.Cleanup(func() { srv.Close() })
 			return addr
 		}},
-		{name: "sinkhole", banner: true, start: func(t *testing.T) string {
-			srv := sinkhole.NewServer(sinkhole.NewStore(nil))
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			return addr
-		}},
 	}
 	const (
 		flood     = 64 << 20
@@ -90,11 +79,6 @@ func TestOversizedFrameDropsConnection(t *testing.T) {
 			defer conn.Close()
 			br := bufio.NewReader(conn)
 			conn.SetDeadline(time.Now().Add(30 * time.Second))
-			if srv.banner {
-				if _, err := br.ReadString('\n'); err != nil {
-					t.Fatalf("banner: %v", err)
-				}
-			}
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)

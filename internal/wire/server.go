@@ -174,31 +174,28 @@ func (s *Server) stop() error {
 // the connection must close once it is not.
 type Conn struct {
 	net.Conn
-	br   *bufio.Reader
-	buf  []byte // reassembles a frame longer than br's buffer
-	used int    // bytes of the current request read so far
+	br  *bufio.Reader
+	buf []byte // reassembles a frame longer than br's buffer
 
 	mu            sync.Mutex
 	busy          bool
 	closeWhenIdle bool
 }
 
-// ReadFrame returns the next frame: the bytes up to and including the
-// next '\n', valid until the next call. The frames of one request —
-// the one Serve reads, plus any its handler reads, such as an SMTP DATA
-// payload — total at most MaxFrame bytes; past that ReadFrame fails
-// with an error, having read at most one buffer beyond the bound.
-func (c *Conn) ReadFrame() ([]byte, error) {
+// readFrame returns the next frame: the bytes up to and including the
+// next '\n', valid until the next call. A frame longer than MaxFrame
+// fails with an error, having read at most one buffer beyond the bound.
+func (c *Conn) readFrame() ([]byte, error) {
 	frame, err := c.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		c.buf = append(c.buf[:0], frame...)
-		for err == bufio.ErrBufferFull && c.used+len(c.buf) <= MaxFrame {
+		for err == bufio.ErrBufferFull && len(c.buf) <= MaxFrame {
 			frame, err = c.br.ReadSlice('\n')
 			c.buf = append(c.buf, frame...)
 		}
 		frame = c.buf
 	}
-	if c.used += len(frame); c.used > MaxFrame {
+	if len(frame) > MaxFrame {
 		return nil, errTooLarge
 	}
 	return frame, err
@@ -211,8 +208,7 @@ func (c *Conn) ReadFrame() ([]byte, error) {
 // drains — a frame read after the drain began is dropped unstarted.
 func (c *Conn) Serve(handle func(frame []byte) bool) {
 	for {
-		c.used = 0
-		frame, err := c.ReadFrame()
+		frame, err := c.readFrame()
 		if err != nil || !c.begin() {
 			return
 		}

@@ -228,33 +228,6 @@ func TestReadFrameBound(t *testing.T) {
 	}
 }
 
-// TestReadFrameBoundsWholeRequest: frames a handler reads while serving
-// one request count against that request's MaxFrame, and the budget
-// resets for the next request.
-func TestReadFrameBoundsWholeRequest(t *testing.T) {
-	// Each request runs from its first frame to a lone ".".
-	srv := NewServer("dot", func(c *Conn) {
-		c.Serve(func(frame []byte) bool {
-			for string(frame) != ".\n" {
-				var err error
-				if frame, err = c.ReadFrame(); err != nil {
-					return false
-				}
-			}
-			_, err := io.WriteString(c, "ok\n")
-			return err == nil
-		})
-	})
-	line := strings.Repeat("l", 1023) + "\n"
-	under := strings.Repeat(line, MaxFrame/len(line)-1) + ".\n"
-	over := strings.Repeat(line, MaxFrame/len(line)+1) + ".\n"
-	conn := &scriptConn{in: strings.NewReader(under + under + over + under)}
-	srv.ServeConn(conn)
-	if got := conn.out.String(); got != "ok\nok\n" {
-		t.Fatalf("replies = %q, want two requests served and the oversized one dropped", got)
-	}
-}
-
 func TestDecode(t *testing.T) {
 	for _, tc := range []struct {
 		frame string
