@@ -57,7 +57,7 @@ func main() {
 
 	space := netsim.NewAddressSpace(rng.New(9), geo.Default())
 	ep := space.OpenProxy()
-	resp, err := client.Login("mary.walker@honeymail.example", "hp-c0ffee11", "", ep)
+	resp, err := client.Do(webmail.LoginRequest("mary.walker@honeymail.example", "hp-c0ffee11", "", ep))
 	if err != nil || !resp.OK {
 		log.Fatalf("login failed: %v %+v", err, resp)
 	}

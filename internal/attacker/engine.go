@@ -86,7 +86,6 @@ type Record struct {
 	HomeCity  string
 	FirstAt   time.Time
 	Visits    int
-	Searches  []string
 }
 
 // Config wires an Engine to the rest of the system.
@@ -427,7 +426,7 @@ func (e *Engine) runSession(rec *Record, leakedPassword string, pop Population, 
 		se.Touch() // opens the inbox; nobody reads the listing
 	}
 	if rec.Classes.Has(ClassGoldDigger) {
-		e.goldDig(rec, se)
+		e.goldDig(se)
 	}
 	if rec.Classes.Has(ClassHijacker) && first {
 		// Hijackers flip the password late in their visit, not at
@@ -461,10 +460,9 @@ func (e *Engine) runSession(rec *Record, leakedPassword string, pop Population, 
 // goldDig searches for sensitive content and reads the hits (§4.6),
 // plus any drafts lying around (how the blackmailer's abandoned drafts
 // got read by later visitors, §4.7).
-func (e *Engine) goldDig(rec *Record, se *webmail.Session) {
+func (e *Engine) goldDig(se *webmail.Session) {
 	queries := rng.PickN(e.src, goldKeywords, 2+e.src.Intn(3))
 	for _, q := range queries {
-		rec.Searches = append(rec.Searches, q)
 		hits, err := se.Search(q)
 		if err != nil {
 			return

@@ -2,13 +2,16 @@ package c3
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // ReplayConfig shapes a deterministic range-query replay against a
@@ -57,22 +60,10 @@ func Replay(cfg ReplayConfig) (report.ServingStats, error) {
 	}
 	buckets := uint64(1) << uint(st.BucketBits)
 
-	// Pace open-loop per connection: each of C connections offers
-	// QPS/C, so the aggregate offered rate is QPS.
-	var interval time.Duration
-	if cfg.QPS > 0 {
-		interval = time.Duration(float64(time.Second) * float64(cfg.Conns) / cfg.QPS)
-	}
-
-	type connResult struct {
-		hist             stats.LatencyHist
-		requests         int64
-		errors, timeouts int64
-		firstErr         error
-	}
-	results := make([]connResult, cfg.Conns)
+	results := make([]report.ServingStats, cfg.Conns)
+	errs := make([]error, cfg.Conns)
+	sched := wire.Schedule{Start: time.Now(), Rate: cfg.QPS, Conns: cfg.Conns}
 	var wg sync.WaitGroup
-	start := time.Now()
 	for ci := 0; ci < cfg.Conns; ci++ {
 		n := cfg.Queries / cfg.Conns
 		if ci < cfg.Queries%cfg.Conns {
@@ -81,63 +72,20 @@ func Replay(cfg ReplayConfig) (report.ServingStats, error) {
 		wg.Add(1)
 		go func(ci, n int) {
 			defer wg.Done()
-			res := &results[ci]
-			src := rng.New(cfg.Seed).ForkNamed(fmt.Sprintf("c3-replay:%d", ci))
-			ctx, cancel := context.WithTimeout(context.Background(), dialTimeout(cfg.Timeout))
-			client, err := Dial(ctx, cfg.Addr)
-			cancel()
-			if err != nil {
-				res.errors++
-				res.firstErr = err
-				return
-			}
-			defer client.Close()
-			next := time.Now()
-			for q := 0; q < n; q++ {
-				prefix := uint64(src.Int63()) % buckets
-				if interval > 0 {
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-					next = next.Add(interval)
-				}
-				if cfg.Timeout > 0 {
-					client.SetDeadline(time.Now().Add(cfg.Timeout))
-				}
-				t0 := time.Now()
-				_, err := client.Range(prefix)
-				res.hist.Record(time.Since(t0))
-				res.requests++
-				if err != nil {
-					if isTimeout(err) {
-						res.timeouts++
-					} else {
-						res.errors++
-					}
-					if res.firstErr == nil {
-						res.firstErr = err
-					}
-					return // the connection state is unknown; stop this worker
-				}
-			}
+			errs[ci] = replayConn(cfg, sched, ci, n, buckets, &results[ci])
 		}(ci, n)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 
-	merged := report.ServingStats{Label: cfg.Label, Hist: &stats.LatencyHist{}, Elapsed: elapsed}
+	merged := report.ServingStats{Label: cfg.Label, Elapsed: time.Since(sched.Start)}
 	if merged.Label == "" {
 		merged.Label = fmt.Sprintf("c3 %d conns", cfg.Conns)
 	}
 	var firstErr error
 	for i := range results {
-		r := &results[i]
-		merged.Hist.Merge(&r.hist)
-		merged.Requests += r.requests
-		merged.Errors += r.errors
-		merged.Timeouts += r.timeouts
-		if firstErr == nil && r.firstErr != nil {
-			firstErr = r.firstErr
+		merged.Add(&results[i])
+		if firstErr == nil {
+			firstErr = errs[i]
 		}
 	}
 	if firstErr != nil {
@@ -147,24 +95,44 @@ func Replay(cfg ReplayConfig) (report.ServingStats, error) {
 	return merged, nil
 }
 
+// replayConn sends connection ci's n queries on the shared schedule,
+// timing each from its due time, and stops at the first failure: the
+// connection's state is then unknown.
+func replayConn(cfg ReplayConfig, sched wire.Schedule, ci, n int, buckets uint64, st *report.ServingStats) error {
+	st.Hist = &stats.LatencyHist{}
+	src := rng.New(cfg.Seed).ForkNamed(fmt.Sprintf("c3-replay:%d", ci))
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout(cfg.Timeout))
+	client, err := Dial(ctx, cfg.Addr)
+	cancel()
+	if err != nil {
+		st.Errors++
+		return err
+	}
+	defer client.Close()
+	for q := 0; q < n; q++ {
+		prefix := uint64(src.Int63()) % buckets
+		due, _ := sched.Wait(context.Background(), ci, q) // never cancelled
+		if cfg.Timeout > 0 {
+			client.SetDeadline(time.Now().Add(cfg.Timeout))
+		}
+		_, err := client.Range(prefix)
+		st.Hist.Record(time.Since(due))
+		st.Requests++
+		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				st.Timeouts++
+			} else {
+				st.Errors++
+			}
+			return err
+		}
+	}
+	return nil
+}
+
 func dialTimeout(t time.Duration) time.Duration {
 	if t <= 0 {
 		return 10 * time.Second
 	}
 	return t
-}
-
-func isTimeout(err error) bool {
-	type timeouter interface{ Timeout() bool }
-	for e := err; e != nil; {
-		if t, ok := e.(timeouter); ok && t.Timeout() {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }

@@ -1,14 +1,9 @@
 package c3
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -88,46 +83,18 @@ func (s *Server) Handle(req *Request) Response {
 	}
 }
 
-// Client is a minimal wire-protocol client.
+// Client is the c3 wire client.
 type Client struct {
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	*wire.Client[Request, Response]
 }
 
 // Dial connects to a c3 server.
 func Dial(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	c, err := wire.Dial[Request, Response](ctx, addr)
 	if err != nil {
-		return nil, fmt.Errorf("c3: dial: %w", err)
+		return nil, err
 	}
-	return &Client{
-		conn: conn,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-	}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// SetDeadline bounds the next round trip (both directions).
-func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
-
-// Do performs one request/response round trip.
-func (c *Client) Do(req Request) (Response, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, fmt.Errorf("c3: send: %w", err)
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Response{}, fmt.Errorf("c3: connection closed: %w", err)
-		}
-		return Response{}, fmt.Errorf("c3: recv: %w", err)
-	}
-	return resp, nil
+	return &Client{c}, nil
 }
 
 // Range queries one bucket and returns its full hashes.

@@ -1,11 +1,10 @@
 package livefleet
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -13,6 +12,8 @@ import (
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/internal/webmail"
+	"repro/internal/wire"
 )
 
 // Mix is the per-visit behaviour mix the load generator replays,
@@ -208,32 +209,6 @@ type RunConfig struct {
 	Label string
 }
 
-// lgConn is the load generator's wire client: a plain webmail
-// connection plus deadline control.
-type lgConn struct {
-	c   net.Conn
-	enc *json.Encoder
-	br  *bufio.Reader
-}
-
-func dialLG(addr string, timeout time.Duration) (*lgConn, error) {
-	c, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &lgConn{c: c, enc: json.NewEncoder(c), br: bufio.NewReader(c)}, nil
-}
-
-// workerTally is one worker's private counters, merged after the run.
-type workerTally struct {
-	hist        stats.LatencyHist
-	requests    int64
-	rejected    int64
-	errors      int64
-	timeouts    int64
-	unavailable int64
-}
-
 // unavailableError reports whether a rejection is the router's
 // fault-surface for a down shard rather than an application refusal
 // (bad password, unknown message). The three strings are the router's
@@ -248,10 +223,10 @@ func unavailableError(msg string) bool {
 }
 
 // Run replays the plan against addr and returns the merged serving
-// stats. Pacing is open-loop per worker (rate = QPS/Workers): a
-// worker sends on schedule regardless of response latency, sleeping
-// only when it is more than a millisecond ahead, so sub-millisecond
-// intervals do not dissolve into timer overhead.
+// stats. Worker w is connection w of one wire.Schedule at QPS, so the
+// workers interleave into one open loop, and each request is timed
+// from its due time: a stalled reply shows in the latency of the
+// requests queued behind it.
 func Run(ctx context.Context, cfg RunConfig, plan *Plan) (report.ServingStats, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
@@ -260,12 +235,8 @@ func Run(ctx context.Context, cfg RunConfig, plan *Plan) (report.ServingStats, e
 	if workers == 0 {
 		return report.ServingStats{}, fmt.Errorf("livefleet: empty plan")
 	}
-	var interval time.Duration
-	if cfg.QPS > 0 {
-		interval = time.Duration(float64(time.Second) * float64(workers) / cfg.QPS)
-	}
-	tallies := make([]workerTally, workers)
-	start := time.Now()
+	tallies := make([]report.ServingStats, workers)
+	sched := wire.Schedule{Start: time.Now(), Rate: cfg.QPS, Conns: workers}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		if len(plan.Workers[w]) == 0 {
@@ -274,19 +245,13 @@ func Run(ctx context.Context, cfg RunConfig, plan *Plan) (report.ServingStats, e
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			runWorker(ctx, cfg, w, plan.Workers[w], interval, &tallies[w])
+			runWorker(ctx, cfg, sched, w, plan.Workers[w], &tallies[w])
 		}(w)
 	}
 	wg.Wait()
-	out := report.ServingStats{Label: cfg.Label, Hist: &stats.LatencyHist{}, Elapsed: time.Since(start)}
+	out := report.ServingStats{Label: cfg.Label, Elapsed: time.Since(sched.Start)}
 	for i := range tallies {
-		t := &tallies[i]
-		out.Hist.Merge(&t.hist)
-		out.Requests += t.requests
-		out.Rejected += t.rejected
-		out.Errors += t.errors
-		out.Timeouts += t.timeouts
-		out.Unavailable += t.unavailable
+		out.Add(&tallies[i])
 	}
 	if cfg.Label == "" {
 		out.Label = fmt.Sprintf("%d workers", workers)
@@ -295,61 +260,60 @@ func Run(ctx context.Context, cfg RunConfig, plan *Plan) (report.ServingStats, e
 }
 
 // runWorker replays one op stream over one connection, reconnecting
-// and resyncing to the next OpLogin after transport failures.
-func runWorker(ctx context.Context, cfg RunConfig, w int, ops []Op, interval time.Duration, t *workerTally) {
+// and resyncing to the next OpLogin after transport failures. The ops
+// it skips while resyncing take no place in the schedule.
+func runWorker(ctx context.Context, cfg RunConfig, sched wire.Schedule, w int, ops []Op, t *report.ServingStats) {
+	t.Hist = &stats.LatencyHist{}
 	// Claimed client identity: parseable, distinct per worker, TEST-NET.
 	ip := fmt.Sprintf("203.0.113.%d", 1+w%254)
-	var conn *lgConn
+	var conn *wire.Client[webmail.Request, wire.Status]
+	hangUp := func() {
+		conn.Close()
+		conn = nil
+	}
 	defer func() {
 		if conn != nil {
-			conn.c.Close()
+			conn.Close()
 		}
 	}()
 	resync := false
-	next := time.Now()
+	sent := 0
 	for _, op := range ops {
-		if ctx.Err() != nil {
-			return
-		}
 		if resync && op.Kind != OpLogin {
 			continue // the session these ops assumed is gone
 		}
-		if interval > 0 {
-			if d := time.Until(next); d > time.Millisecond {
-				select {
-				case <-time.After(d):
-				case <-ctx.Done():
-					return
-				}
-			}
-			next = next.Add(interval)
+		due, err := sched.Wait(ctx, w, sent)
+		if err != nil {
+			return
 		}
+		sent++
 		if conn == nil {
-			c, err := dialLG(cfg.Addr, cfg.Timeout)
+			dctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+			conn, err = wire.Dial[webmail.Request, wire.Status](dctx, cfg.Addr)
+			cancel()
 			if err != nil {
-				t.errors++
+				t.Errors++
 				resync = true
 				continue
 			}
-			conn = c
 			resync = false
 		}
-		req := requestFromOp(&op, ip)
-		began := time.Now()
-		resp, err := doTimed(conn, req, cfg.Timeout)
-		t.requests++
+		// The deadline counts from the send, so falling behind the
+		// schedule never turns into a timeout.
+		conn.SetDeadline(time.Now().Add(cfg.Timeout))
+		resp, err := conn.Do(requestFromOp(&op, ip))
+		t.Requests++
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				t.timeouts++
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Timeouts++
 			} else {
-				t.errors++
+				t.Errors++
 			}
-			conn.c.Close()
-			conn = nil
+			hangUp()
 			resync = true
 			continue
 		}
-		t.hist.Record(time.Since(began))
+		t.Hist.Record(time.Since(due))
 		if !resp.OK {
 			if cfg.TolerateUnavailable && unavailableError(resp.Error) {
 				// Expected down-shard refusal: the router either
@@ -357,13 +321,12 @@ func runWorker(ctx context.Context, cfg RunConfig, w int, ops []Op, interval tim
 				// session, and in the latter case it has already
 				// closed our connection. Reconnect for the next visit
 				// either way.
-				t.unavailable++
-				conn.c.Close()
-				conn = nil
+				t.Unavailable++
+				hangUp()
 				resync = true
 				continue
 			}
-			t.rejected++
+			t.Rejected++
 			if op.Kind == OpLogin {
 				resync = true // visit unusable without a session
 			}
@@ -373,16 +336,15 @@ func runWorker(ctx context.Context, cfg RunConfig, w int, ops []Op, interval tim
 		if op.Kind == OpChpass {
 			// chpass self-invalidates the session server-side state the
 			// plan assumes; start the next visit on a fresh connection.
-			conn.c.Close()
-			conn = nil
+			hangUp()
 			resync = true
 		}
 	}
 }
 
 // requestFromOp converts a planned op to a wire request.
-func requestFromOp(op *Op, ip string) wireRequest {
-	req := wireRequest{Op: op.Kind, Folder: op.Folder, ID: op.ID, Limit: op.Limit,
+func requestFromOp(op *Op, ip string) webmail.Request {
+	req := webmail.Request{Op: op.Kind, Folder: op.Folder, ID: webmail.MessageID(op.ID), Limit: op.Limit,
 		To: op.To, Subject: op.Subject, Body: op.Body, Query: op.Query}
 	switch op.Kind {
 	case OpLogin:
@@ -397,49 +359,4 @@ func requestFromOp(op *Op, ip string) wireRequest {
 		req.Password = op.Password
 	}
 	return req
-}
-
-// wireRequest mirrors webmail.Request's wire shape without importing
-// its MessageID type into the plan layer.
-type wireRequest struct {
-	Op        string  `json:"op"`
-	Account   string  `json:"account,omitempty"`
-	Password  string  `json:"password,omitempty"`
-	IP        string  `json:"ip,omitempty"`
-	City      string  `json:"city,omitempty"`
-	Country   string  `json:"country,omitempty"`
-	Lat       float64 `json:"lat,omitempty"`
-	Lon       float64 `json:"lon,omitempty"`
-	UserAgent string  `json:"user_agent,omitempty"`
-	Folder    string  `json:"folder,omitempty"`
-	ID        int64   `json:"id,omitempty"`
-	Limit     int     `json:"limit,omitempty"`
-	To        string  `json:"to,omitempty"`
-	Subject   string  `json:"subject,omitempty"`
-	Body      string  `json:"body,omitempty"`
-	Query     string  `json:"query,omitempty"`
-}
-
-// wireResponse is the part of the reply the generator inspects.
-type wireResponse struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-}
-
-// doTimed performs one round trip under a deadline.
-func doTimed(conn *lgConn, req wireRequest, timeout time.Duration) (wireResponse, error) {
-	conn.c.SetDeadline(time.Now().Add(timeout))
-	defer conn.c.SetDeadline(time.Time{})
-	if err := conn.enc.Encode(req); err != nil {
-		return wireResponse{}, err
-	}
-	raw, err := conn.br.ReadBytes('\n')
-	if err != nil {
-		return wireResponse{}, err
-	}
-	var resp wireResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return wireResponse{}, err
-	}
-	return resp, nil
 }

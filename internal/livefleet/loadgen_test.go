@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/attacker"
+	"repro/internal/wire"
 )
 
 func testPlanConfig(creds []Credential) PlanConfig {
@@ -205,6 +206,80 @@ func TestLoadgenPacing(t *testing.T) {
 	minSpan := time.Duration(float64(ops) / qps * 0.4 * float64(time.Second))
 	if got := time.Since(start); got < minSpan {
 		t.Fatalf("run finished in %v, pacing demands at least %v for %d ops", got, minSpan, ops)
+	}
+}
+
+// stubFleet stands in for the fleet: answer returns the reply to the
+// n-th frame (from 1) of a connection, and a nil reply leaves that
+// frame unanswered.
+func stubFleet(t *testing.T, answer func(n int) []byte) string {
+	t.Helper()
+	srv := wire.NewServer("stub", func(c *wire.Conn) {
+		n := 0
+		c.Serve(func([]byte) bool {
+			n++
+			reply := answer(n)
+			if reply == nil {
+				return true
+			}
+			_, err := c.Write(reply)
+			return err == nil
+		})
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr
+}
+
+// visit is one worker's plan: a login followed by n-1 inbox lists.
+func visit(n int) *Plan {
+	ops := []Op{{Kind: OpLogin, Account: testAddr(0), Password: testPw(0)}}
+	for len(ops) < n {
+		ops = append(ops, Op{Kind: OpList, Account: testAddr(0), Folder: "inbox"})
+	}
+	return &Plan{Workers: [][]Op{ops}}
+}
+
+// TestRunShowsStall: one connection sends 60 requests at 200 req/s and
+// the third reply stalls 200 ms. The requests queued behind it wait
+// for it, and timing each from its due time puts that wait in their
+// latency, so the median is far above a round trip. Timing from the
+// send would hide the stall.
+func TestRunShowsStall(t *testing.T) {
+	addr := stubFleet(t, func(n int) []byte {
+		if n == 3 {
+			time.Sleep(200 * time.Millisecond)
+		}
+		return []byte("{\"ok\":true}\n")
+	})
+	stats, err := Run(context.Background(), RunConfig{Addr: addr, QPS: 200}, visit(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Requests != 60 || stats.Errors != 0 || stats.Timeouts != 0 || stats.Rejected != 0 {
+		t.Fatalf("%d requests, %d errors, %d timeouts, %d rejected; want 60 clean requests",
+			stats.Requests, stats.Errors, stats.Timeouts, stats.Rejected)
+	}
+	if p50 := stats.Hist.Quantile(0.5); p50 < 20*time.Millisecond {
+		t.Fatalf("p50 %v behind a 200 ms stall, want at least 20ms", p50)
+	}
+}
+
+// TestRunCountsTimeout: a server that never replies costs the first
+// request its deadline. That is a timeout, not a protocol error, and
+// the rest of the visit is skipped with the dropped connection.
+func TestRunCountsTimeout(t *testing.T) {
+	addr := stubFleet(t, func(int) []byte { return nil })
+	stats, err := Run(context.Background(), RunConfig{Addr: addr, Timeout: 50 * time.Millisecond}, visit(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Timeouts != 1 || stats.Errors != 0 || stats.Requests != 1 {
+		t.Fatalf("%d timeouts, %d errors over %d requests; want 1 timeout, 0 errors, 1 request",
+			stats.Timeouts, stats.Errors, stats.Requests)
 	}
 }
 

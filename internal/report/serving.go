@@ -34,6 +34,21 @@ type ServingStats struct {
 	Elapsed time.Duration
 }
 
+// Add merges o's histogram and tallies into s; s keeps its Label and
+// Elapsed. Each worker of a run fills its own ServingStats, and the run
+// adds them up.
+func (s *ServingStats) Add(o *ServingStats) {
+	if s.Hist == nil {
+		s.Hist = &stats.LatencyHist{}
+	}
+	s.Hist.Merge(o.Hist)
+	s.Requests += o.Requests
+	s.Rejected += o.Rejected
+	s.Errors += o.Errors
+	s.Timeouts += o.Timeouts
+	s.Unavailable += o.Unavailable
+}
+
 // Throughput returns achieved requests per second (0 for an empty or
 // instantaneous run).
 func (s ServingStats) Throughput() float64 {

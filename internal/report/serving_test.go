@@ -48,6 +48,25 @@ func TestServingStatsThroughput(t *testing.T) {
 	}
 }
 
+// TestServingStatsAdd: workers' stats add up into the run's. The
+// histograms merge and every tally sums; the run keeps its own label
+// and span.
+func TestServingStatsAdd(t *testing.T) {
+	worker := ServingStats{Label: "w0", Hist: &stats.LatencyHist{}, Requests: 3, Rejected: 1, Errors: 1, Timeouts: 1, Unavailable: 1, Elapsed: time.Hour}
+	worker.Hist.Record(time.Millisecond)
+	run := ServingStats{Label: "run", Elapsed: time.Second}
+	run.Add(&worker)
+	run.Add(&ServingStats{Requests: 2, Unavailable: 4}) // recorded no latency
+	if run.Hist.Count() != 1 || run.Hist.Max() != time.Millisecond {
+		t.Fatalf("merged histogram holds %d samples, max %v; want the worker's one 1ms sample", run.Hist.Count(), run.Hist.Max())
+	}
+	run.Hist = nil
+	want := ServingStats{Label: "run", Requests: 5, Rejected: 1, Errors: 1, Timeouts: 1, Unavailable: 5, Elapsed: time.Second}
+	if run != want {
+		t.Fatalf("sum %+v, want %+v", run, want)
+	}
+}
+
 func TestFmtLatency(t *testing.T) {
 	cases := []struct {
 		d    time.Duration

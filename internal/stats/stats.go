@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -90,137 +89,4 @@ func (e *ECDF) Sample(xs []float64) []CDFPoint {
 type CDFPoint struct {
 	X float64
 	P float64
-}
-
-// Median returns the sample median. It panics on empty input.
-func Median(sample []float64) float64 {
-	return QuantileOf(sample, 0.5)
-}
-
-// QuantileOf returns the q-quantile of an unsorted sample.
-func QuantileOf(sample []float64, q float64) float64 {
-	return NewECDF(sample).Quantile(q)
-}
-
-// Mean returns the arithmetic mean. It panics on empty input.
-func Mean(sample []float64) float64 {
-	if len(sample) == 0 {
-		panic("stats: Mean of empty sample")
-	}
-	sum := 0.0
-	for _, v := range sample {
-		sum += v
-	}
-	return sum / float64(len(sample))
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator); it
-// returns 0 for samples of size < 2.
-func StdDev(sample []float64) float64 {
-	n := len(sample)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(sample)
-	ss := 0.0
-	for _, v := range sample {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Summary bundles the descriptive statistics the report tables print.
-type Summary struct {
-	N      int
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P90    float64
-	Max    float64
-	Mean   float64
-	StdDev float64
-}
-
-// Summarize computes a Summary. It panics on empty input.
-func Summarize(sample []float64) Summary {
-	e := NewECDF(sample)
-	return Summary{
-		N:      e.N(),
-		Min:    e.Min(),
-		P25:    e.Quantile(0.25),
-		Median: e.Quantile(0.5),
-		P75:    e.Quantile(0.75),
-		P90:    e.Quantile(0.90),
-		Max:    e.Max(),
-		Mean:   Mean(sample),
-		StdDev: StdDev(sample),
-	}
-}
-
-// String renders a one-line summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.2f p25=%.2f med=%.2f p75=%.2f p90=%.2f max=%.2f mean=%.2f sd=%.2f",
-		s.N, s.Min, s.P25, s.Median, s.P75, s.P90, s.Max, s.Mean, s.StdDev)
-}
-
-// Histogram counts sample values into the half-open bins
-// [edges[i], edges[i+1]); values below edges[0] and at/above the last
-// edge fall into the under/overflow counts.
-type Histogram struct {
-	Edges     []float64
-	Counts    []int
-	Underflow int
-	Overflow  int
-}
-
-// NewHistogram bins the sample. Edges must be strictly increasing and
-// at least two; otherwise it panics.
-func NewHistogram(sample []float64, edges []float64) *Histogram {
-	if len(edges) < 2 {
-		panic("stats: NewHistogram needs >= 2 edges")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			panic("stats: histogram edges must be strictly increasing")
-		}
-	}
-	h := &Histogram{Edges: edges, Counts: make([]int, len(edges)-1)}
-	for _, v := range sample {
-		switch {
-		case v < edges[0]:
-			h.Underflow++
-		case v >= edges[len(edges)-1]:
-			h.Overflow++
-		default:
-			i := sort.SearchFloat64s(edges, v)
-			// SearchFloat64s returns first index with edges[i] >= v;
-			// adjust to the bin containing v.
-			if i < len(edges) && edges[i] == v {
-				h.Counts[i]++
-			} else {
-				h.Counts[i-1]++
-			}
-		}
-	}
-	return h
-}
-
-// Total returns the number of in-range values binned.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Fraction returns the share of in-range values in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(t)
 }

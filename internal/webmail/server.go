@@ -1,13 +1,9 @@
 package webmail
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/netip"
 
 	"repro/internal/netsim"
@@ -174,52 +170,22 @@ func endpointFromRequest(req *Request) (netsim.Endpoint, error) {
 	return ep, nil
 }
 
-// Client is a minimal wire-protocol client (one connection == one
-// browser tab with one cookie).
-type Client struct {
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-}
+// Client is the webmail wire client: one connection is one browser
+// tab with one cookie.
+type Client = wire.Client[Request, Response]
 
-// Dial connects to a webmail server.
+// Dial connects to a webmail shard or the fleet router.
 func Dial(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("webmail: dial: %w", err)
-	}
-	return &Client{
-		conn: conn,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-	}, nil
+	return wire.Dial[Request, Response](ctx, addr)
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// Do performs one request/response round trip.
-func (c *Client) Do(req Request) (Response, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, fmt.Errorf("webmail: send: %w", err)
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Response{}, fmt.Errorf("webmail: connection closed: %w", err)
-		}
-		return Response{}, fmt.Errorf("webmail: recv: %w", err)
-	}
-	return resp, nil
-}
-
-// Login authenticates over the wire using the endpoint's identity.
-func (c *Client) Login(account, password, cookie string, ep netsim.Endpoint) (Response, error) {
-	return c.Do(Request{
+// LoginRequest builds the login request that presents the endpoint's
+// identity.
+func LoginRequest(account, password, cookie string, ep netsim.Endpoint) Request {
+	return Request{
 		Op: "login", Account: account, Password: password, Cookie: cookie,
 		IP: ep.Addr.String(), City: ep.City, Country: ep.Country,
 		Lat: ep.Point.Lat, Lon: ep.Point.Lon,
 		Tor: ep.Tor, Proxy: ep.Proxy, UserAgent: ep.UserAgent,
-	})
+	}
 }

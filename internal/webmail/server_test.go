@@ -49,7 +49,7 @@ func TestWireLoginAndList(t *testing.T) {
 	c := dialT(t, addr)
 	ep, _ := space.FromCity("Berlin")
 	ep.UserAgent = netsim.UserAgentFor(rng.New(2), netsim.BrowserChrome)
-	resp, err := c.Login("alice@honeymail.example", "hunter2", "", ep)
+	resp, err := c.Do(LoginRequest("alice@honeymail.example", "hunter2", "", ep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWireBadCredentials(t *testing.T) {
 	_, space, addr := newWireFixture(t)
 	c := dialT(t, addr)
 	ep, _ := space.FromCity("Berlin")
-	resp, err := c.Login("alice@honeymail.example", "wrong", "", ep)
+	resp, err := c.Do(LoginRequest("alice@honeymail.example", "wrong", "", ep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestWireFullAttackerFlow(t *testing.T) {
 	svc, space, addr := newWireFixture(t)
 	c := dialT(t, addr)
 	ep, _ := space.FromCity("Bucharest")
-	if resp, err := c.Login("alice@honeymail.example", "hunter2", "", ep); err != nil || !resp.OK {
+	if resp, err := c.Do(LoginRequest("alice@honeymail.example", "hunter2", "", ep)); err != nil || !resp.OK {
 		t.Fatalf("login: %v %+v", err, resp)
 	}
 	// Search for valuables.
@@ -138,7 +138,7 @@ func TestWireUnknownOp(t *testing.T) {
 	_, space, addr := newWireFixture(t)
 	c := dialT(t, addr)
 	ep, _ := space.FromCity("Berlin")
-	c.Login("alice@honeymail.example", "hunter2", "", ep)
+	c.Do(LoginRequest("alice@honeymail.example", "hunter2", "", ep))
 	resp, err := c.Do(Request{Op: "frobnicate"})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestWireConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			ep := space.TorExit()
-			if resp, err := c.Login("alice@honeymail.example", "hunter2", "", ep); err != nil || !resp.OK {
+			if resp, err := c.Do(LoginRequest("alice@honeymail.example", "hunter2", "", ep)); err != nil || !resp.OK {
 				errs <- err
 				return
 			}
@@ -225,7 +225,7 @@ func TestServerDrainFinishesInFlight(t *testing.T) {
 	space := netsim.NewAddressSpace(rng.New(1), geo.Default())
 	busy := dialT(t, addr)
 	ep, _ := space.FromCity("Berlin")
-	if resp, err := busy.Login("alice@honeymail.example", "hunter2", "", ep); err != nil || !resp.OK {
+	if resp, err := busy.Do(LoginRequest("alice@honeymail.example", "hunter2", "", ep)); err != nil || !resp.OK {
 		t.Fatalf("login: %v %+v", err, resp)
 	}
 	idle := dialT(t, addr)

@@ -35,7 +35,6 @@ type account struct {
 	journal journalTable
 
 	passwordChanges int
-	searchLog       []string
 
 	// version increments on every mailbox state change (see
 	// bumpMailboxLocked).
@@ -481,7 +480,8 @@ func (s *Service) Journal(address string) []Event {
 }
 
 // SearchLog returns the ground-truth search queries issued against an
-// account. The paper did NOT have this signal ("we did not have access
+// account: the details of its journal's EventSearch rows, oldest
+// first. The paper did NOT have this signal ("we did not have access
 // to search logs", §4.6) — it exists here to validate how well the
 // TF-IDF inference recovers it.
 func (s *Service) SearchLog(address string) []string {
@@ -490,8 +490,12 @@ func (s *Service) SearchLog(address string) []string {
 		return nil
 	}
 	defer p.mu.Unlock()
-	out := make([]string, len(a.searchLog))
-	copy(out, a.searchLog)
+	var out []string
+	for i, k := range a.journal.kind {
+		if k == EventSearch {
+			out = append(out, a.journal.detail[i])
+		}
+	}
 	return out
 }
 

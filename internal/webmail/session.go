@@ -168,7 +168,6 @@ func (se *Session) Search(query string) ([]Message, error) {
 		return nil, err
 	}
 	q := strings.TrimSpace(query)
-	a.searchLog = append(a.searchLog, q)
 	se.svc.journalLocked(se.part, a, Event{
 		Time: se.part.now(), Kind: EventSearch,
 		Account: se.account, Cookie: se.cookie, Detail: q,

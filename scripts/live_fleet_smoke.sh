@@ -19,7 +19,7 @@
 # Tunables (env): LIVEFLEET_QPS (offered rate, default 7000),
 # LIVEFLEET_MIN_QPS (gate, default 5000), LIVEFLEET_CONNS (default 32),
 # LIVEFLEET_VISITS (per-conn attacker visits, default 240).
-set -eu
+set -euo pipefail
 
 QPS=${LIVEFLEET_QPS:-7000}
 MIN_QPS=${LIVEFLEET_MIN_QPS:-5000}
