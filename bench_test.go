@@ -420,21 +420,20 @@ func BenchmarkAttackerSession(b *testing.B) {
 }
 
 // BenchmarkMonitorScrape measures the scrape tick over 100 tracked
-// accounts in the three regimes dirty tracking distinguishes: all
+// accounts in the two regimes dirty tracking distinguishes: all
 // accounts quiet (the version gate skips everything — the fleet-scale
-// steady state), one account active per tick (one login+delta, 99
-// skips), and the gate disabled (the legacy login-everyone shape).
+// steady state), and one account active per tick (one login+delta, 99
+// skips).
 func BenchmarkMonitorScrape(b *testing.B) {
-	setup := func(gateOff bool) (*simtime.Clock, *webmail.Service, *monitor.Monitor, netsim.Endpoint) {
+	setup := func() (*simtime.Clock, *webmail.Service, *monitor.Monitor, netsim.Endpoint) {
 		clock := simtime.NewClock(time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC))
 		sched := simtime.NewScheduler(clock)
 		svc := webmail.NewService(webmail.Config{Clock: clock})
 		space := netsim.NewAddressSpace(rng.New(1), geo.Default())
-		store := monitor.NewStore()
 		monEP, _ := space.FromCity("London")
 		mon := monitor.New(monitor.Config{
-			Service: svc, Scheduler: sched, Store: store, Endpoint: monEP,
-			DisableVersionGate: gateOff,
+			Service: svc, Wheel: simtime.NewTriggerWheel(sched), Sink: discardSink{},
+			Endpoint: monEP, Cookies: netsim.NewCookieJarPrefixed("mon"),
 		})
 		for i := 0; i < 100; i++ {
 			addr := fmt.Sprintf("m%d@honeymail.example", i)
@@ -445,7 +444,7 @@ func BenchmarkMonitorScrape(b *testing.B) {
 		return clock, svc, mon, ep
 	}
 	b.Run("quiet", func(b *testing.B) {
-		clock, _, mon, _ := setup(false)
+		clock, _, mon, _ := setup()
 		mon.ScrapeAll(clock.Now()) // settle cursors
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -453,7 +452,7 @@ func BenchmarkMonitorScrape(b *testing.B) {
 		}
 	})
 	b.Run("one-active", func(b *testing.B) {
-		clock, svc, mon, ep := setup(false)
+		clock, svc, mon, ep := setup()
 		mon.ScrapeAll(clock.Now())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -464,14 +463,13 @@ func BenchmarkMonitorScrape(b *testing.B) {
 			mon.ScrapeAll(clock.Now())
 		}
 	})
-	b.Run("ungated", func(b *testing.B) {
-		clock, _, mon, _ := setup(true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mon.ScrapeAll(clock.Now())
-		}
-	})
 }
+
+// discardSink drops the scraper's observations.
+type discardSink struct{}
+
+func (discardSink) ObserveAccess(monitor.AccessRecord)   {}
+func (discardSink) ObserveFailure(monitor.ScrapeFailure) {}
 
 // ---------------------------------------------------------------------------
 // Sharded engine: the scaling benchmark behind the fleet-scale design.

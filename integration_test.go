@@ -44,11 +44,35 @@ func runMedium(t *testing.T, seed int64) (*honeynet.Experiment, *analysis.Datase
 	return exp, exp.Dataset()
 }
 
-// TestContainment: every message leaving any honey account terminates
-// in the sinkhole with the rewritten envelope sender; the count of
-// sinkholed messages equals the platform's send events.
+// TestContainment: every honey account sends from the sinkhole
+// address, and the count of sinkholed messages equals the platform's
+// send events.
 func TestContainment(t *testing.T) {
-	exp, ds := runMedium(t, 21)
+	exp, err := honeynet.New(mediumConfig(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	// Only an account without activity exports, so the send-from
+	// override is read at the post-setup boundary; nothing after it
+	// sets one.
+	for _, a := range exp.Assignments() {
+		acct, err := exp.Service().ExportAccount(a.Account)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acct.SendFrom != "capture@sinkhole.example" {
+			t.Fatalf("%s sends from %q", a.Account, acct.SendFrom)
+		}
+	}
+	if err := exp.Leak(); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Run(); err != nil {
+		t.Fatal(err)
+	}
 	sends := 0
 	for _, acct := range exp.Service().Accounts() {
 		for _, ev := range exp.Service().Journal(acct) {
@@ -57,15 +81,12 @@ func TestContainment(t *testing.T) {
 			}
 		}
 	}
+	if sends == 0 {
+		t.Fatal("no mail was sent; the run checks nothing")
+	}
 	if got := exp.SinkholeCount(); got != sends {
-		t.Fatalf("sinkhole holds %d messages, platform journaled %d sends", got, sends)
+		t.Fatalf("sinkhole counted %d messages, platform journaled %d sends", got, sends)
 	}
-	for _, m := range exp.Sinkholed() {
-		if m.From != "capture@sinkhole.example" {
-			t.Fatalf("escaped envelope sender %q", m.From)
-		}
-	}
-	_ = ds
 }
 
 // TestMonitorFidelity: every access in the monitoring dataset

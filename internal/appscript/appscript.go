@@ -72,17 +72,13 @@ type Notification struct {
 	Body    string            // draft copy for NoteDraft
 }
 
-// Notifier receives script notifications; the monitor's collector
-// implements it (the paper's "dedicated webmail account").
+// Notifier receives script notifications — the paper's "dedicated
+// webmail account [used] as a notifications store". The honeynet's
+// per-shard stream sink implements it and feeds the notifications
+// straight to the shard's classifier; nothing keeps a log of them.
 type Notifier interface {
 	Notify(n Notification)
 }
-
-// NotifierFunc adapts a function to Notifier.
-type NotifierFunc func(Notification)
-
-// Notify implements Notifier.
-func (f NotifierFunc) Notify(n Notification) { f(n) }
 
 // Options configures one installed script.
 type Options struct {

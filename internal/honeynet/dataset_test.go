@@ -11,32 +11,57 @@ import (
 	"repro/internal/monitor"
 )
 
-// actionCounter wraps a shard's stream sink and counts the actions it
-// hands on to the classifier.
-type actionCounter struct {
-	monitor.Sink
-	actions *int
+// tap sits between one shard's monitoring pipeline and its stream
+// sink. It keeps the newest scraped row per (account, cookie) — the
+// monitor's raw stream folded the way the delivery contract says — and
+// counts the actions the sink hands on to the classifier.
+type tap struct {
+	observer
+	rows    map[[2]string]monitor.AccessRecord
+	actions int
 }
 
-func (c actionCounter) ObserveNotification(n appscript.Notification) {
+func (t *tap) ObserveAccess(r monitor.AccessRecord) {
+	t.rows[[2]string{r.Account, r.Cookie}] = r
+	t.observer.ObserveAccess(r)
+}
+
+func (t *tap) Notify(n appscript.Notification) {
 	if _, ok := actionKind(n.Kind); ok {
-		*c.actions++
+		t.actions++
 	}
-	c.Sink.ObserveNotification(n)
+	t.observer.Notify(n)
 }
 
-// monitorOracle builds the merged access list from the monitors' own
-// diff state, independently of the classifiers: every shard monitor's
-// end-of-run Dataset rows, annotated with the plan facts of the
-// account's assignment and sorted by (account, cookie).
-func monitorOracle(e *Experiment) []analysis.Access {
+// tapShards rewires every shard's monitoring pipeline through a tap.
+// Call it after New and before Setup, while no script is installed and
+// no account tracked.
+func tapShards(t *testing.T, e *Experiment) []*tap {
+	t.Helper()
+	monEP, err := monitorEndpoint(e.src, e.gaz, len(e.plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	taps := make([]*tap, len(e.shards)) // one per shard: shards run concurrently
+	for i, sh := range e.shards {
+		taps[i] = &tap{observer: &streamSink{sc: sh.sc}, rows: map[[2]string]monitor.AccessRecord{}}
+		sh.attachMonitoring(e.svc, monEP, taps[i])
+	}
+	return taps
+}
+
+// monitorOracle builds the merged access list from the monitors' raw
+// streams, independently of the classifiers: every row a tap kept,
+// annotated with the plan facts of the account's assignment and
+// sorted by (account, cookie).
+func monitorOracle(e *Experiment, taps []*tap) []analysis.Access {
 	group := make(map[string]GroupSpec, len(e.assignments))
 	for _, a := range e.assignments {
 		group[a.Account] = a.Group
 	}
 	var out []analysis.Access
-	for _, sh := range e.shards {
-		for _, rec := range sh.mon.Dataset() {
+	for _, tp := range taps {
+		for _, rec := range tp.rows {
 			g := group[rec.Account]
 			out = append(out, analysis.Access{
 				Account:   rec.Account,
@@ -65,9 +90,9 @@ func monitorOracle(e *Experiment) []analysis.Access {
 }
 
 // TestDatasetMatchesMonitorOracle: the Dataset rebuilt from the shard
-// classifiers holds exactly the rows the monitors' own diff state
-// exports, with plan facts applied, and exactly the actions the
-// classifiers ingested — at one shard and at four.
+// classifiers holds exactly the newest rows the monitors streamed,
+// with plan facts applied, and exactly the actions the classifiers
+// ingested — at one shard and at four.
 func TestDatasetMatchesMonitorOracle(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -77,16 +102,13 @@ func TestDatasetMatchesMonitorOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counts := make([]int, len(e.shards)) // one per shard: shards run concurrently
-			for i, sh := range e.shards {
-				sh.store.SetSink(actionCounter{Sink: sh.store.Sink(), actions: &counts[i]})
-			}
+			taps := tapShards(t, e)
 			if err := e.RunAll(); err != nil {
 				t.Fatal(err)
 			}
 			ds := e.Dataset()
 
-			want := monitorOracle(e)
+			want := monitorOracle(e, taps)
 			if len(want) == 0 {
 				t.Fatal("monitors observed no accesses")
 			}
@@ -100,8 +122,8 @@ func TestDatasetMatchesMonitorOracle(t *testing.T) {
 			}
 
 			ingested := 0
-			for _, n := range counts {
-				ingested += n
+			for _, tp := range taps {
+				ingested += tp.actions
 			}
 			if ingested == 0 {
 				t.Fatal("classifiers ingested no actions")

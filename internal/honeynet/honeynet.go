@@ -17,7 +17,6 @@ import (
 	"repro/internal/outlets"
 	"repro/internal/rng"
 	"repro/internal/simtime"
-	"repro/internal/sinkhole"
 	"repro/internal/snapshot"
 	"repro/internal/webmail"
 )
@@ -109,12 +108,6 @@ type Config struct {
 	// worker count — the knob trades goroutines for cold-start
 	// wall-clock only.
 	SetupWorkers int
-
-	// disableVersionGate makes every scrape tick log into every
-	// tracked account, changed or not (monitor.Config's
-	// DisableVersionGate). Unexported: it exists only so the package's
-	// tests can check the gated scraper against the ungated oracle.
-	disableVersionGate bool
 }
 
 // DefaultStart is the paper's leak date, 2015-06-25 (§3.2) — the
@@ -209,14 +202,9 @@ func New(cfg Config) (*Experiment, error) {
 	gaz := geo.Default()
 	bl := netsim.NewBlacklist()
 
-	// The monitoring infrastructure's network identity: one endpoint,
-	// shared by every shard's scraper, in the researchers' city
-	// (§4.1's self-filter drops all accesses from it). Its address
-	// tenant sits one past the blocks' so it collides with no block.
-	monSpace := netsim.NewAddressSpaceTenant(src.ForkNamed("address-space"), gaz, len(plan))
-	monEP, err := monSpace.FromCity("London")
+	monEP, err := monitorEndpoint(src, gaz, len(plan))
 	if err != nil {
-		return nil, fmt.Errorf("honeynet: monitor endpoint: %w", err)
+		return nil, err
 	}
 
 	svc := webmail.NewService(webmail.Config{
@@ -247,27 +235,29 @@ func New(cfg Config) (*Experiment, error) {
 	return e, nil
 }
 
-// Accessors used by examples, benches and tests.
-func (e *Experiment) Service() *webmail.Service    { return e.svc }
-func (e *Experiment) Blacklist() *netsim.Blacklist { return e.bl }
-func (e *Experiment) Assignments() []Assignment    { return append([]Assignment(nil), e.assignments...) }
-func (e *Experiment) Shards() int                  { return len(e.shards) }
-func (e *Experiment) ShardSet() *simtime.ShardSet  { return e.set }
+// monitorEndpoint is the monitoring infrastructure's network
+// identity: one endpoint, shared by every shard's scraper, in the
+// researchers' city (§4.1's self-filter drops all accesses from it).
+// Its address tenant sits one past the blocks' so it collides with no
+// block. It depends only on the seed and the block count.
+func monitorEndpoint(src *rng.Source, gaz *geo.Gazetteer, blocks int) (netsim.Endpoint, error) {
+	ep, err := netsim.NewAddressSpaceTenant(src.ForkNamed("address-space"), gaz, blocks).FromCity("London")
+	if err != nil {
+		return netsim.Endpoint{}, fmt.Errorf("honeynet: monitor endpoint: %w", err)
+	}
+	return ep, nil
+}
 
-// Plan returns the expanded (scale-applied) plan the experiment runs.
-func (e *Experiment) Plan() []GroupSpec { return append([]GroupSpec(nil), e.plan...) }
+// Accessors used by examples, benches and tests.
+func (e *Experiment) Service() *webmail.Service   { return e.svc }
+func (e *Experiment) Assignments() []Assignment   { return append([]Assignment(nil), e.assignments...) }
+func (e *Experiment) Shards() int                 { return len(e.shards) }
+func (e *Experiment) ShardSet() *simtime.ShardSet { return e.set }
 
 // Config returns the experiment's configuration with defaults
 // applied — the exact config a snapshot of this experiment resumes
 // under (ResumeWith takes it, or a post-fork variation of it).
 func (e *Experiment) Config() Config { return e.cfg }
-
-// Installed reports whether an account still has a live monitoring
-// script (routed to the owning shard's Apps-Script runtime).
-func (e *Experiment) Installed(account string) bool {
-	b, ok := e.blockOf[account]
-	return ok && b.shard.runtime.Installed(account)
-}
 
 // Records merges the ground-truth attacker records of every block,
 // ordered by first activity (cookie breaks ties deterministically).
@@ -316,24 +306,14 @@ func (e *Experiment) AllInquiries() []outlets.Inquiry {
 	return out
 }
 
-// SinkholeCount returns the number of captured outbound messages
-// across all shard sinkholes.
+// SinkholeCount returns the number of outbound messages the shard
+// sinkholes swallowed.
 func (e *Experiment) SinkholeCount() int {
 	n := 0
 	for _, sh := range e.shards {
 		n += sh.sink.Count()
 	}
 	return n
-}
-
-// Sinkholed returns every captured outbound message, merged across
-// shard sinkholes in shard order.
-func (e *Experiment) Sinkholed() []sinkhole.StoredMail {
-	var out []sinkhole.StoredMail
-	for _, sh := range e.shards {
-		out = append(out, sh.sink.All()...)
-	}
-	return out
 }
 
 // setupSeed returns the seed that drives the setup phase: SetupSeed

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/webmail"
 )
 
 // fastConfig keeps unit-test runs quick: fewer accounts, a shorter
@@ -111,7 +112,7 @@ func TestSetupCreatesSeededInstrumentedAccounts(t *testing.T) {
 		if c.Inbox+c.Sent != 25 {
 			t.Fatalf("%s seeded with %d messages, want 25", a, c.Inbox+c.Sent)
 		}
-		if !e.Installed(a) {
+		if !e.blockOf[a].shard.runtime.Installed(a) {
 			t.Fatalf("%s has no script installed", a)
 		}
 	}
@@ -157,15 +158,48 @@ func TestOutboundMailAllSinkholed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunAll(); err != nil {
+	if err := e.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	// Whatever was sent, every captured message must carry the
-	// sinkhole envelope sender (the send-from override).
-	for _, m := range e.Sinkholed() {
-		if m.From != "capture@sinkhole.example" {
-			t.Fatalf("outbound mail escaped with sender %q", m.From)
+	// Every honey account's send-from override points at the sinkhole.
+	// Only an account without activity exports, so this reads the
+	// post-setup boundary; nothing after it sets a send-from.
+	for _, a := range e.assignments {
+		acct, err := e.svc.ExportAccount(a.Account)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if acct.SendFrom != "capture@sinkhole.example" {
+			t.Fatalf("%s sends from %q", a.Account, acct.SendFrom)
+		}
+	}
+	// Whatever is sent reaches a shard's sinkhole with the sinkhole
+	// envelope sender: test code checks each message on its way in.
+	escaped := make([][]string, len(e.shards)) // one per shard: shards run concurrently
+	for i, sh := range e.shards {
+		i, sink := i, sh.sink
+		if err := e.svc.ConfigurePartition(i, nil, webmail.OutboundFunc(func(from, to, subject, body string, at time.Time) error {
+			if from != "capture@sinkhole.example" {
+				escaped[i] = append(escaped[i], from)
+			}
+			return sink.Deliver(from, to, subject, body, at)
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Leak(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, senders := range escaped {
+		if len(senders) > 0 {
+			t.Fatalf("outbound mail escaped with senders %q", senders)
+		}
+	}
+	if e.SinkholeCount() == 0 {
+		t.Fatal("no mail was sent; the run checks nothing")
 	}
 }
 

@@ -23,9 +23,10 @@ import (
 //
 //   - A *shard* is a unit of parallelism: one simulation clock, one
 //     scheduler, one webmail account partition, one monitoring
-//     pipeline (collector store, Apps-Script runtime, scraper) and
-//     one sinkhole. Shards share no mutable simulation state, so the
-//     ShardSet can drive them from concurrent worker goroutines.
+//     pipeline (Apps-Script runtime and scraper, both feeding the
+//     shard's classifier) and one sinkhole. Shards share no mutable
+//     simulation state, so the ShardSet can drive them from
+//     concurrent worker goroutines.
 //
 //   - A *block* is a unit of determinism: one expanded-plan entry
 //     (one Table 1 row, possibly replicated by ScaleFactor). Every
@@ -52,7 +53,6 @@ type shard struct {
 	// per tick instead of O(accounts).
 	wheel   *simtime.TriggerWheel
 	sink    *sinkhole.Store
-	store   *monitor.Store
 	runtime *appscript.Runtime
 	mon     *monitor.Monitor
 	// sc classifies this shard's accesses as the simulation runs.
@@ -95,11 +95,9 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			clock: clock,
 			sched: sched,
 			wheel: simtime.NewTriggerWheel(sched),
-			sink:  sinkhole.NewStore(clock.Now),
-			store: monitor.NewStore(),
+			sink:  &sinkhole.Store{},
 			sc:    analysis.NewStreamClassifier(),
 		}
-		sh.store.SetSink(&streamSink{sc: sh.sc})
 		if err := svc.ConfigurePartition(i, clock.Now, sh.sink); err != nil {
 			return nil, nil, fmt.Errorf("honeynet: bind partition %d: %w", i, err)
 		}
@@ -110,21 +108,33 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			}
 			sh.c3 = frag
 		}
-		sh.runtime = appscript.NewRuntime(svc, sh.sched, sh.store)
-		sh.runtime.UseWheel(sh.wheel)
-		sh.mon = monitor.New(monitor.Config{
-			Service:            svc,
-			Scheduler:          sh.sched,
-			Store:              sh.store,
-			Endpoint:           monEP,
-			Cookies:            netsim.NewCookieJarPrefixed(fmt.Sprintf("mon%d", i)),
-			Wheel:              sh.wheel,
-			DisableVersionGate: cfg.disableVersionGate,
-		})
+		sh.attachMonitoring(svc, monEP, &streamSink{sc: sh.sc})
 		shards[i] = sh
 		set.Add(sh.sched)
 	}
 	return shards, set, nil
+}
+
+// observer is what a shard's monitoring pipeline feeds: the script
+// notifications and the scraper's observations.
+type observer interface {
+	appscript.Notifier
+	monitor.Sink
+}
+
+// attachMonitoring builds the shard's monitoring pipeline — the
+// Apps-Script runtime and the activity-page scraper, both on the
+// shard's wheel — feeding obs.
+func (sh *shard) attachMonitoring(svc *webmail.Service, monEP netsim.Endpoint, obs observer) {
+	sh.runtime = appscript.NewRuntime(svc, sh.sched, obs)
+	sh.runtime.UseWheel(sh.wheel)
+	sh.mon = monitor.New(monitor.Config{
+		Service:  svc,
+		Wheel:    sh.wheel,
+		Sink:     obs,
+		Endpoint: monEP,
+		Cookies:  netsim.NewCookieJarPrefixed(fmt.Sprintf("mon%d", sh.id)),
+	})
 }
 
 // newBlock builds the deterministic machinery for expanded-plan entry

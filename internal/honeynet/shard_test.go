@@ -114,7 +114,7 @@ func TestScaleFactorReplicatesPlan(t *testing.T) {
 	if got := len(e.Service().Accounts()); got != wantAccounts {
 		t.Fatalf("platform accounts = %d, want %d", got, wantAccounts)
 	}
-	if got := len(e.Plan()); got != 3*len(base.Plan) {
+	if got := len(e.plan); got != 3*len(base.Plan) {
 		t.Fatalf("expanded plan rows = %d, want %d", got, 3*len(base.Plan))
 	}
 	// Group totals scale linearly (Table 1 at K×).
@@ -182,29 +182,6 @@ func TestShardedLifecycleGuards(t *testing.T) {
 	if fired := e.ShardSet().Fired(); fired == 0 {
 		t.Fatal("no events fired across shards")
 	}
-}
-
-// TestDirtyTrackingInvariance is the dirty-tracking contract at the
-// experiment level: the version-gated scraper (skip quiet accounts,
-// pull row deltas) and the scrape-everything oracle produce the
-// identical merged dataset — the gate only skips work that would have
-// produced no observation, never an observation itself.
-func TestDirtyTrackingInvariance(t *testing.T) {
-	cfg := fastConfig(42)
-	cfg.Shards = 2
-	run := func(disable bool) *analysis.Dataset {
-		c := cfg
-		c.disableVersionGate = disable
-		e, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		return e.Dataset()
-	}
-	datasetsIdentical(t, "dirty-tracking on vs off", run(false), run(true))
 }
 
 // TestDistinctAttackersNeverShareIPs guards the per-block address

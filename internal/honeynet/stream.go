@@ -10,15 +10,16 @@ import (
 )
 
 // Streaming classification wiring: every shard's monitoring pipeline
-// feeds its own analysis.StreamClassifier through a monitor.Sink while
-// the simulation runs. At the end, Aggregates finalises each shard's
-// classifier and merges the per-shard aggregates — O(shards) merge
-// work — and every report renders from them. Dataset rebuilds the
-// merged record-level view from the observations the same classifiers
-// retain. Both are identical at any shard count
-// (TestShardCountInvariance), and TestStreamMatchesReference
-// (internal/analysis) checks every aggregate against the record-level
-// reference over the Dataset.
+// (the Apps-Script runtime's notifications and the scraper's
+// observations) feeds its own analysis.StreamClassifier through one
+// streamSink while the simulation runs. At the end, Aggregates
+// finalises each shard's classifier and merges the per-shard
+// aggregates — O(shards) merge work — and every report renders from
+// them. Dataset rebuilds the merged record-level view from the
+// observations the same classifiers retain. Both are identical at any
+// shard count (TestShardCountInvariance), and
+// TestStreamMatchesReference (internal/analysis) checks every
+// aggregate against the record-level reference over the Dataset.
 
 // actionKind maps a script notification kind to the analysis action
 // it evidences. Heartbeat and quota notifications are liveness, not
@@ -62,7 +63,7 @@ func (s *streamSink) ObserveAccess(r monitor.AccessRecord) {
 	s.sc.ObserveAccess(a)
 }
 
-func (s *streamSink) ObserveNotification(n appscript.Notification) {
+func (s *streamSink) Notify(n appscript.Notification) {
 	kind, ok := actionKind(n.Kind)
 	if !ok {
 		return

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -11,10 +12,9 @@ import (
 // account's ground-truth journal — the "journal noise" the version
 // gate eliminates for quiet accounts.
 func monitorLogins(f *fixture, account string) int {
-	self := f.mon.MonitorCookies()
 	n := 0
 	for _, ev := range f.svc.Journal(account) {
-		if ev.Kind == webmail.EventLogin && self[ev.Cookie] {
+		if ev.Kind == webmail.EventLogin && strings.HasPrefix(ev.Cookie, monitorCookiePrefix) {
 			n++
 		}
 	}
@@ -31,8 +31,8 @@ func TestVersionGateSkipsIdleAccounts(t *testing.T) {
 	if got := monitorLogins(f, "h1@honeymail.example"); got != 0 {
 		t.Fatalf("idle account journaled %d monitor logins, want 0", got)
 	}
-	if ds := f.mon.Dataset(); len(ds) != 0 {
-		t.Fatalf("idle account produced %d dataset rows", len(ds))
+	if n := len(f.sink.accesses); n != 0 {
+		t.Fatalf("idle account streamed %d rows", n)
 	}
 }
 
@@ -55,9 +55,9 @@ func TestVersionGateScrapesOnlyAfterActivity(t *testing.T) {
 	if got := monitorLogins(f, "h1@honeymail.example"); got != after {
 		t.Fatalf("quiet stretch added %d monitor logins", got-after)
 	}
-	ds := f.mon.Dataset()
+	ds := f.sink.latest()
 	if len(ds) != 1 || ds[0].City != "Bucharest" {
-		t.Fatalf("dataset = %+v", ds)
+		t.Fatalf("stream = %+v", ds)
 	}
 }
 
@@ -114,8 +114,7 @@ func TestVersionGateDetectsSuspensionNextTick(t *testing.T) {
 // is invisible to the streaming classifier, not just cheap.
 func TestVersionGateSkipStreamsNothing(t *testing.T) {
 	f := newFixture(t)
-	sink := &recordingSink{}
-	f.store.SetSink(sink)
+	sink := f.sink
 	f.attackerLogin(t, "Tokyo", "")
 	f.mon.ScrapeAll(f.clock.Now())
 	if len(sink.accesses) != 1 {
@@ -126,29 +125,5 @@ func TestVersionGateSkipStreamsNothing(t *testing.T) {
 	}
 	if len(sink.accesses) != 1 {
 		t.Fatalf("skipped scrapes streamed %d extra rows", len(sink.accesses)-1)
-	}
-}
-
-// The ungated oracle restores the legacy behaviour: with the gate off,
-// every tick logs into every tracked account, changed or not, and the
-// dataset still comes out the same.
-func TestVersionGateEscapeHatch(t *testing.T) {
-	f := newFixture(t)
-	ungated := New(Config{
-		Service: f.svc, Scheduler: f.sched, Store: NewStore(),
-		Endpoint:           f.mon.endpoint,
-		DisableVersionGate: true,
-	})
-	ungated.Track("h1@honeymail.example", "pw1")
-	f.attackerLogin(t, "Madrid", "")
-	for i := 0; i < 5; i++ {
-		ungated.ScrapeAll(f.clock.Now())
-	}
-	if got := monitorLogins(&fixture{svc: f.svc, mon: ungated}, "h1@honeymail.example"); got != 5 {
-		t.Fatalf("ungated monitor logins = %d, want 5 (one per tick)", got)
-	}
-	ds := ungated.Dataset()
-	if len(ds) != 1 || ds[0].City != "Madrid" {
-		t.Fatalf("ungated dataset = %+v", ds)
 	}
 }

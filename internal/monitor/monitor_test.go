@@ -14,13 +14,15 @@ import (
 
 var epoch = time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
 
+// monitorCookiePrefix marks the cookies the fixture's scraper issues.
+const monitorCookiePrefix = "GAPS-mon-"
+
 type fixture struct {
 	clock *simtime.Clock
 	sched *simtime.Scheduler
 	svc   *webmail.Service
 	space *netsim.AddressSpace
-	store *Store
-	sink  *recordingSink // everything the store forwarded
+	sink  *recordingSink // everything the scraper and the scripts reported
 	mon   *Monitor
 	rt    *appscript.Runtime
 }
@@ -31,16 +33,20 @@ func newFixture(t *testing.T) *fixture {
 	sched := simtime.NewScheduler(clock)
 	svc := webmail.NewService(webmail.Config{Clock: clock})
 	space := netsim.NewAddressSpace(rng.New(11), geo.Default())
-	store := NewStore()
 	sink := &recordingSink{}
-	store.SetSink(sink)
 	monEP, err := space.FromCity("London") // the infrastructure's home city
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := New(Config{Service: svc, Scheduler: sched, Store: store, Endpoint: monEP})
-	rt := appscript.NewRuntime(svc, sched, store)
-	f := &fixture{clock: clock, sched: sched, svc: svc, space: space, store: store, sink: sink, mon: mon, rt: rt}
+	mon := New(Config{
+		Service:  svc,
+		Wheel:    simtime.NewTriggerWheel(sched),
+		Sink:     sink,
+		Endpoint: monEP,
+		Cookies:  netsim.NewCookieJarPrefixed("mon"),
+	})
+	rt := appscript.NewRuntime(svc, sched, sink)
+	f := &fixture{clock: clock, sched: sched, svc: svc, space: space, sink: sink, mon: mon, rt: rt}
 	if err := svc.CreateAccount("h1@honeymail.example", "pw1", "Honey One"); err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +59,19 @@ func newFixture(t *testing.T) *fixture {
 
 func (f *fixture) attackerLogin(t *testing.T, city, ua string) *webmail.Session {
 	t.Helper()
+	return f.loginAs(t, "pw1", f.svc.NewCookie(), city, ua)
+}
+
+// loginAs logs into h1 with a chosen password and cookie, from a
+// fresh address in city.
+func (f *fixture) loginAs(t *testing.T, password, cookie, city, ua string) *webmail.Session {
+	t.Helper()
 	ep, err := f.space.FromCity(city)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ep.UserAgent = ua
-	se, err := f.svc.Login("h1@honeymail.example", "pw1", f.svc.NewCookie(), ep)
+	se, err := f.svc.Login("h1@honeymail.example", password, cookie, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +82,9 @@ func TestScrapeCollectsAttackerAccesses(t *testing.T) {
 	f := newFixture(t)
 	f.attackerLogin(t, "Bucharest", "")
 	f.mon.ScrapeAll(f.clock.Now())
-	ds := f.mon.Dataset()
+	ds := f.sink.latest()
 	if len(ds) != 1 {
-		t.Fatalf("dataset = %d records, want 1", len(ds))
+		t.Fatalf("streamed %d records, want 1", len(ds))
 	}
 	if ds[0].City != "Bucharest" || ds[0].Account != "h1@honeymail.example" {
 		t.Fatalf("record = %+v", ds[0])
@@ -86,9 +99,9 @@ func TestSelfAccessesFiltered(t *testing.T) {
 	f.attackerLogin(t, "Tokyo", "")
 	f.mon.ScrapeAll(f.clock.Now())
 	f.mon.ScrapeAll(f.clock.Now()) // monitor's row exists by the 2nd scrape
-	ds := f.mon.Dataset()
+	ds := f.sink.latest()
 	if len(ds) != 1 || ds[0].City != "Tokyo" {
-		t.Fatalf("dataset after self-filter = %+v", ds)
+		t.Fatalf("stream after self-filter = %+v", ds)
 	}
 }
 
@@ -99,11 +112,11 @@ func TestPeriodicScrapingTracksDurations(t *testing.T) {
 	f.sched.RunFor(2 * time.Hour)
 	se.Search("password") // attacker returns mid-window
 	f.sched.RunFor(2 * time.Hour)
-	ds := f.mon.Dataset()
+	ds := f.sink.latest()
 	if len(ds) != 1 {
-		t.Fatalf("dataset = %d", len(ds))
+		t.Fatalf("streamed %d records, want 1", len(ds))
 	}
-	if d := ds[0].Duration(); d < 2*time.Hour-time.Minute {
+	if d := ds[0].Last.Sub(ds[0].First); d < 2*time.Hour-time.Minute {
 		t.Fatalf("tracked duration = %v, want >= ~2h", d)
 	}
 }
@@ -120,9 +133,9 @@ func TestPasswordChangeFreezesScrapes(t *testing.T) {
 		t.Fatalf("failures = %+v", fails)
 	}
 	// The attacker's access row survives from the last good scrape.
-	ds := f.mon.Dataset()
+	ds := f.sink.latest()
 	if len(ds) != 1 || ds[0].City != "Minsk" {
-		t.Fatalf("dataset = %+v", ds)
+		t.Fatalf("stream = %+v", ds)
 	}
 	// ...and notifications keep arriving (scripts still run): read a
 	// message post-hijack.
@@ -137,6 +150,60 @@ func TestPasswordChangeFreezesScrapes(t *testing.T) {
 	}
 	if reads != 1 {
 		t.Fatalf("post-hijack read notifications = %d, want 1", reads)
+	}
+}
+
+// The defender path: UpdatePassword ends the lockout, the next tick
+// resumes from the cursor of the last good scrape and streams every
+// row that changed while the scraper was locked out, and a second
+// hijack reports no second failure (failures are first-only per
+// account).
+func TestUpdatePasswordResumesFromCursor(t *testing.T) {
+	f := newFixture(t)
+	f.mon.Start(30 * time.Minute)
+	hijackerCookie := f.svc.NewCookie()
+	se := f.loginAs(t, "pw1", hijackerCookie, "Minsk", "")
+	f.sched.RunFor(time.Hour)
+	if len(f.sink.accesses) != 1 {
+		t.Fatalf("pre-hijack stream = %+v", f.sink.accesses)
+	}
+	if err := se.ChangePassword("owned"); err != nil {
+		t.Fatal(err)
+	}
+	f.sched.RunFor(time.Hour)
+	if len(f.sink.failures) != 1 || f.sink.failures[0].Reason != "password-changed" {
+		t.Fatalf("failures = %+v", f.sink.failures)
+	}
+
+	// During the lockout the hijacker returns and a buyer logs in.
+	f.loginAs(t, "owned", hijackerCookie, "Minsk", "")
+	f.loginAs(t, "owned", f.svc.NewCookie(), "Lagos", "Mozilla/5.0 Chrome")
+	f.sched.RunFor(2 * time.Hour)
+	if len(f.sink.accesses) != 1 {
+		t.Fatalf("locked-out scraper streamed %+v", f.sink.accesses[1:])
+	}
+
+	if err := f.svc.ResetPassword("h1@honeymail.example", "reset-1"); err != nil {
+		t.Fatal(err)
+	}
+	f.mon.UpdatePassword("h1@honeymail.example", "reset-1")
+	f.sched.RunFor(30 * time.Minute)
+	got := f.sink.accesses[1:]
+	if len(got) != 2 || got[0].Cookie != hijackerCookie || got[0].Visits != 2 || got[1].City != "Lagos" {
+		t.Fatalf("rows streamed after the reset = %+v, want the returning hijacker then the buyer", got)
+	}
+
+	// A second hijack locks the scraper out again, silently.
+	se = f.loginAs(t, "reset-1", f.svc.NewCookie(), "Kyiv", "")
+	if err := se.ChangePassword("owned-again"); err != nil {
+		t.Fatal(err)
+	}
+	f.sched.RunFor(2 * time.Hour)
+	if len(f.sink.failures) != 1 {
+		t.Fatalf("failures after a second hijack = %+v, want the first only", f.sink.failures)
+	}
+	if n := len(f.sink.accesses); n != 3 {
+		t.Fatalf("locked-out scraper streamed %+v", f.sink.accesses[3:])
 	}
 }
 
@@ -175,62 +242,31 @@ func TestHeartbeatTracking(t *testing.T) {
 
 func TestStopEndsScraping(t *testing.T) {
 	f := newFixture(t)
-	f.mon.Start(10 * time.Minute)
-	f.mon.Stop()
+	stop := f.mon.Start(10 * time.Minute)
+	stop()
 	f.attackerLogin(t, "Cairo", "")
 	f.sched.RunFor(2 * time.Hour)
-	if ds := f.mon.Dataset(); len(ds) != 0 {
-		t.Fatalf("dataset after Stop = %d records", len(ds))
+	if n := len(f.sink.accesses); n != 0 {
+		t.Fatalf("streamed %d records after stop", n)
 	}
-	// Stop is idempotent.
-	f.mon.Stop()
+	// Stopping is idempotent.
+	stop()
 }
 
-// countingSink counts notifications without retaining them, so the
-// allocation check below measures the store alone.
-type countingSink struct{ notifications int }
-
-func (c *countingSink) ObserveAccess(AccessRecord)                 {}
-func (c *countingSink) ObserveNotification(appscript.Notification) { c.notifications++ }
-func (c *countingSink) ObserveFailure(ScrapeFailure)               {}
-
-// TestNotifyRetainsNothing: the store forwards each notification to
-// the sink exactly once and keeps no log of its own — Notify does not
-// allocate, with or without a sink.
-func TestNotifyRetainsNothing(t *testing.T) {
-	store := NewStore()
-	n := appscript.Notification{Account: "h1@honeymail.example", Kind: appscript.NoteHeartbeat}
-	if allocs := testing.AllocsPerRun(100, func() { store.Notify(n) }); allocs != 0 {
-		t.Fatalf("Notify without a sink allocated %v times per call", allocs)
-	}
-	sink := &countingSink{}
-	store.SetSink(sink)
-	if allocs := testing.AllocsPerRun(100, func() { store.Notify(n) }); allocs != 0 {
-		t.Fatalf("Notify with a sink allocated %v times per call", allocs)
-	}
-	if sink.notifications != 101 { // AllocsPerRun adds one warm-up call
-		t.Fatalf("sink saw %d notifications, want 101", sink.notifications)
-	}
-}
-
+// The scraper visits accounts in account order, whatever order they
+// were tracked in, so the stream order is deterministic.
 func TestDatasetDeterministicOrder(t *testing.T) {
 	f := newFixture(t)
-	f.svc.CreateAccount("h2@honeymail.example", "pw2", "Honey Two")
-	f.mon.Track("h2@honeymail.example", "pw2")
+	f.svc.CreateAccount("h0@honeymail.example", "pw0", "Honey Zero")
+	f.mon.Track("h0@honeymail.example", "pw0") // tracked after h1, sorts first
 	f.attackerLogin(t, "Lagos", "")
 	ep, _ := f.space.FromCity("Hanoi")
-	if _, err := f.svc.Login("h2@honeymail.example", "pw2", f.svc.NewCookie(), ep); err != nil {
+	if _, err := f.svc.Login("h0@honeymail.example", "pw0", f.svc.NewCookie(), ep); err != nil {
 		t.Fatal(err)
 	}
 	f.mon.ScrapeAll(f.clock.Now())
-	a := f.mon.Dataset()
-	b := f.mon.Dataset()
-	if len(a) != 2 || len(b) != 2 {
-		t.Fatalf("dataset sizes = %d/%d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Account != b[i].Account || a[i].Cookie != b[i].Cookie {
-			t.Fatal("Dataset order not deterministic")
-		}
+	got := f.sink.accesses
+	if len(got) != 2 || got[0].Account != "h0@honeymail.example" || got[1].Account != "h1@honeymail.example" {
+		t.Fatalf("stream = %+v, want h0's row then h1's", got)
 	}
 }

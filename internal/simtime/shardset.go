@@ -66,9 +66,6 @@ func NewWorkerPool(n int) *WorkerPool {
 	return &WorkerPool{sem: make(chan struct{}, n)}
 }
 
-// Size returns the pool's worker budget.
-func (p *WorkerPool) Size() int { return cap(p.sem) }
-
 // Acquire blocks until a worker slot is free and claims it.
 func (p *WorkerPool) Acquire() { p.sem <- struct{}{} }
 

@@ -70,9 +70,6 @@ type Event struct {
 	fn     func(now time.Time)
 }
 
-// When returns the instant the event is due.
-func (e *Event) When() time.Time { return time.Unix(0, e.whenNS).UTC() }
-
 // Name returns the diagnostic label the event was scheduled with.
 func (e *Event) Name() string { return e.name }
 
