@@ -401,6 +401,7 @@ func BenchmarkAttackerSession(b *testing.B) {
 	engine := attacker.New(attacker.Config{
 		Service: svc, Scheduler: sched, Space: space,
 		Blacklist: netsim.NewBlacklist(), Gazetteer: gaz, Src: rng.New(2),
+		Cookies: netsim.NewCookieJar(),
 	})
 	_ = engine
 	for i := 0; i < 50; i++ {

@@ -45,8 +45,8 @@ func main() {
 	// Ground truth: what did attackers actually type into the search
 	// box? (The simulator journals it; a real deployment could not.)
 	truth := map[string]int{}
-	for _, account := range exp.Service().Accounts() {
-		for _, q := range exp.Service().SearchLog(account) {
+	for _, a := range exp.Assignments() {
+		for _, q := range exp.Service(a.Account).SearchLog(a.Account) {
 			truth[q]++
 		}
 	}

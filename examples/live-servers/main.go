@@ -30,7 +30,7 @@ func main() {
 	if err := svc.CreateAccount("mary.walker@honeymail.example", "hp-c0ffee11", "Mary Walker"); err != nil {
 		log.Fatal(err)
 	}
-	svc.SetSendFrom("mary.walker@honeymail.example", "capture@sinkhole.example")
+	svc.SetSendFrom("mary.walker@honeymail.example", sinkhole.Sender)
 	svc.Seed("mary.walker@honeymail.example", webmail.FolderInbox,
 		"treasury@solenix-energy.example", "mary.walker@honeymail.example",
 		"Wire transfer confirmation - EC-2210",

@@ -14,6 +14,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/attacker"
 	"repro/internal/honeynet"
+	"repro/internal/sinkhole"
 )
 
 func mediumConfig(seed int64) honeynet.Config {
@@ -45,8 +46,10 @@ func runMedium(t *testing.T, seed int64) (*honeynet.Experiment, *analysis.Datase
 }
 
 // TestContainment: every honey account sends from the sinkhole
-// address, and the count of sinkholed messages equals the platform's
-// send events.
+// address, and the count of sinkholed messages equals the platforms'
+// send events. The sinkhole refuses, uncounted, any mail with another
+// envelope sender, so an escaped message shows as a count below the
+// journaled sends.
 func TestContainment(t *testing.T) {
 	exp, err := honeynet.New(mediumConfig(21))
 	if err != nil {
@@ -59,11 +62,11 @@ func TestContainment(t *testing.T) {
 	// override is read at the post-setup boundary; nothing after it
 	// sets one.
 	for _, a := range exp.Assignments() {
-		acct, err := exp.Service().ExportAccount(a.Account)
+		acct, err := exp.Service(a.Account).ExportAccount(a.Account)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acct.SendFrom != "capture@sinkhole.example" {
+		if acct.SendFrom != sinkhole.Sender {
 			t.Fatalf("%s sends from %q", a.Account, acct.SendFrom)
 		}
 	}
@@ -74,8 +77,8 @@ func TestContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	sends := 0
-	for _, acct := range exp.Service().Accounts() {
-		for _, ev := range exp.Service().Journal(acct) {
+	for _, a := range exp.Assignments() {
+		for _, ev := range exp.Service(a.Account).Journal(a.Account) {
 			if ev.Kind.String() == "send" {
 				sends++
 			}
@@ -156,8 +159,8 @@ func TestClassificationAccuracy(t *testing.T) {
 func TestKeywordInferenceRecoversSearches(t *testing.T) {
 	exp, _ := runMedium(t, 24)
 	searched := map[string]bool{}
-	for _, acct := range exp.Service().Accounts() {
-		for _, q := range exp.Service().SearchLog(acct) {
+	for _, a := range exp.Assignments() {
+		for _, q := range exp.Service(a.Account).SearchLog(a.Account) {
 			searched[q] = true
 		}
 	}
@@ -188,7 +191,7 @@ func TestLeakChannelIsolation(t *testing.T) {
 		if a.Group.Channel != analysis.OutletMalware {
 			continue
 		}
-		for _, ev := range exp.Service().Journal(a.Account) {
+		for _, ev := range exp.Service(a.Account).Journal(a.Account) {
 			if ev.Kind.String() == "password-change" {
 				t.Fatalf("malware-leaked %s was hijacked", a.Account)
 			}

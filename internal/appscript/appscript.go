@@ -129,7 +129,6 @@ func (sc *script) quotaPending() bool { return sc.opts.QuotaScans > 0 && !sc.quo
 type Runtime struct {
 	mu      sync.Mutex
 	svc     *webmail.Service
-	sched   *simtime.Scheduler
 	wheel   *simtime.TriggerWheel
 	sink    Notifier
 	scripts map[string]*script
@@ -137,48 +136,24 @@ type Runtime struct {
 	quotaSender string // From: address on quota notices
 }
 
-// NewRuntime wires the script engine to a platform and scheduler.
-// Notifications go to sink. Triggers are batched on a trigger wheel:
-// every script installed on the same cadence shares one scheduler
-// event per tick instead of owning its own, so a fleet of N accounts
-// costs O(1) heap operations per scan tick, not O(N).
-func NewRuntime(svc *webmail.Service, sched *simtime.Scheduler, sink Notifier) *Runtime {
-	if svc == nil || sched == nil || sink == nil {
-		panic("appscript: NewRuntime requires service, scheduler and notifier")
+// NewRuntime wires the script engine to a platform and the trigger
+// wheel its scripts run on. Notifications go to sink. Batching the
+// triggers on a wheel means every script installed on the same cadence
+// shares one scheduler event per tick instead of owning its own, so a
+// fleet of N accounts costs O(1) heap operations per scan tick, not
+// O(N). The honeynet passes each shard's wheel, which the shard's
+// scraper shares.
+func NewRuntime(svc *webmail.Service, wheel *simtime.TriggerWheel, sink Notifier) *Runtime {
+	if svc == nil || wheel == nil || sink == nil {
+		panic("appscript: NewRuntime requires service, trigger wheel and notifier")
 	}
 	return &Runtime{
 		svc:         svc,
-		sched:       sched,
+		wheel:       wheel,
 		sink:        sink,
 		scripts:     make(map[string]*script),
 		quotaSender: "apps-script-notifications@platform.example",
 	}
-}
-
-// UseWheel rebinds the runtime's triggers onto a shared wheel (one per
-// shard scheduler in the honeynet, so the runtime and the monitor pool
-// their event chains). The wheel must drive the runtime's scheduler.
-// Must be called before the first Install — installed scripts cannot
-// be moved between wheels, so a late rebind panics instead of
-// silently splitting the trigger chains.
-func (r *Runtime) UseWheel(w *simtime.TriggerWheel) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.scripts) > 0 {
-		panic("appscript: UseWheel after Install would strand existing triggers")
-	}
-	if w != nil {
-		r.wheel = w
-	}
-}
-
-// wheelLocked returns the runtime's wheel, creating a private one on
-// first use when no shared wheel was bound. Callers hold r.mu.
-func (r *Runtime) wheelLocked() *simtime.TriggerWheel {
-	if r.wheel == nil {
-		r.wheel = simtime.NewTriggerWheel(r.sched)
-	}
-	return r.wheel
 }
 
 // Install attaches a script to an account and starts its triggers.
@@ -202,11 +177,10 @@ func (r *Runtime) Install(account string, opts Options) error {
 		old.stopBeat()
 	}
 	sc := &script{account: account, opts: opts.withDefaults(), lastSnap: snap}
-	wheel := r.wheelLocked()
-	sc.mark, sc.stopScan = wheel.OnMark(sc.opts.ScanInterval, "appscript-scan", func(now time.Time) {
+	sc.mark, sc.stopScan = r.wheel.OnMark(sc.opts.ScanInterval, "appscript-scan", func(now time.Time) {
 		r.scan(sc, now)
 	})
-	sc.stopBeat = wheel.Every(sc.opts.HeartbeatInterval, "appscript-heartbeat", func(now time.Time) {
+	sc.stopBeat = r.wheel.Every(sc.opts.HeartbeatInterval, "appscript-heartbeat", func(now time.Time) {
 		r.heartbeat(sc, now)
 	})
 	version, err := r.svc.AttachMark(account, sc.mark)

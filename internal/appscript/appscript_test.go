@@ -55,7 +55,7 @@ func newFixture(t *testing.T) *fixture {
 	rec := &recorder{}
 	f := &fixture{
 		clock: clock, sched: sched, svc: svc, rec: rec,
-		rt:    NewRuntime(svc, sched, rec),
+		rt:    NewRuntime(svc, simtime.NewTriggerWheel(sched), rec),
 		space: netsim.NewAddressSpace(rng.New(3), geo.Default()),
 	}
 	if err := svc.CreateAccount("h1@honeymail.example", "pw", "Honey One"); err != nil {

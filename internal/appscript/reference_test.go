@@ -197,7 +197,7 @@ func TestScanMatchesWalkEveryScriptReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		ops := activityScript(seed)
 		got := runActivity(t, ops, func(svc *webmail.Service, sched *simtime.Scheduler, sink Notifier) scripter {
-			return NewRuntime(svc, sched, sink)
+			return NewRuntime(svc, simtime.NewTriggerWheel(sched), sink)
 		})
 		want := runActivity(t, ops, func(svc *webmail.Service, sched *simtime.Scheduler, sink Notifier) scripter {
 			return &refRuntime{svc: svc, wheel: simtime.NewTriggerWheel(sched), sink: sink, scripts: map[string]*refScript{}}

@@ -62,7 +62,7 @@ func (e *Engine) RunBlackmailCampaign(accounts []string, at time.Time) int {
 				Classes: ClassGoldDigger | ClassSpammer,
 				Proxy:   true, EmptyUA: true,
 				FirstAt: e.sched.Now(),
-				Cookie:  e.newCookie(),
+				Cookie:  e.jar.Issue(),
 				Visits:  1,
 			}
 			e.mu.Lock()
@@ -116,7 +116,7 @@ func (e *Engine) RunQuotaReader(account string, at time.Time) {
 		rec := &Record{
 			Account: account, Outlet: OutletForum,
 			Classes: ClassCurious, Tor: true, EmptyUA: true,
-			FirstAt: e.sched.Now(), Cookie: e.newCookie(), Visits: 1,
+			FirstAt: e.sched.Now(), Cookie: e.jar.Issue(), Visits: 1,
 		}
 		e.mu.Lock()
 		e.records = append(e.records, rec)
@@ -161,7 +161,7 @@ func (e *Engine) RunCardingRegistration(account string, at time.Time) {
 			rec := &Record{
 				Account: account, Outlet: OutletForum,
 				Classes: ClassCurious, Proxy: true, EmptyUA: true,
-				FirstAt: e.sched.Now(), Cookie: e.newCookie(), Visits: 1,
+				FirstAt: e.sched.Now(), Cookie: e.jar.Issue(), Visits: 1,
 			}
 			e.mu.Lock()
 			e.records = append(e.records, rec)

@@ -96,10 +96,10 @@ type Config struct {
 	Blacklist *netsim.Blacklist
 	Gazetteer *geo.Gazetteer
 	Src       *rng.Source
-	// Cookies, when set, issues this engine's browser cookies.
-	// Sharded experiments give each shard-block engine a prefixed jar
-	// so cookie values don't depend on cross-shard interleaving; nil
-	// falls back to the platform's jar.
+	// Cookies issues this engine's browser cookies; required. The
+	// honeynet gives each block's engine a prefixed jar, so cookie
+	// values are unique across the fleet and do not depend on which
+	// shard runs the block.
 	Cookies *netsim.CookieJar
 	// Populations overrides the per-channel attacker calibrations;
 	// nil selects DefaultPopulations (the paper's marginals).
@@ -114,7 +114,7 @@ type Engine struct {
 	bl    *netsim.Blacklist
 	gaz   *geo.Gazetteer
 	src   *rng.Source
-	jar   *netsim.CookieJar // nil -> use the platform's jar
+	jar   *netsim.CookieJar
 	pops  Populations
 
 	mu           sync.Mutex
@@ -129,8 +129,8 @@ type Engine struct {
 // New builds an Engine.
 func New(cfg Config) *Engine {
 	if cfg.Service == nil || cfg.Scheduler == nil || cfg.Space == nil ||
-		cfg.Blacklist == nil || cfg.Gazetteer == nil || cfg.Src == nil {
-		panic("attacker: all Config fields are required")
+		cfg.Blacklist == nil || cfg.Gazetteer == nil || cfg.Src == nil || cfg.Cookies == nil {
+		panic("attacker: every Config field but Populations is required")
 	}
 	pops := DefaultPopulations()
 	if cfg.Populations != nil {
@@ -149,15 +149,6 @@ func New(cfg Config) *Engine {
 		leakTimes:   make(map[string]time.Time),
 		passwords:   make(map[string]string),
 	}
-}
-
-// newCookie issues a browser cookie from the engine's jar (or the
-// platform's when none was configured).
-func (e *Engine) newCookie() string {
-	if e.jar != nil {
-		return e.jar.Issue()
-	}
-	return e.svc.NewCookie()
 }
 
 // Records returns the ground-truth attacker records, sorted by first
@@ -287,7 +278,7 @@ func (e *Engine) spawn(account, password string, label OutletLabel, pop Populati
 		FirstAt: at,
 	}
 	ep := e.chooseEndpoint(rec, pop, hint)
-	rec.Cookie = e.newCookie()
+	rec.Cookie = e.jar.Issue()
 
 	e.mu.Lock()
 	e.records = append(e.records, rec)

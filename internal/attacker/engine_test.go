@@ -40,6 +40,7 @@ func newFixture(t *testing.T, seed int64, accounts int) *fixture {
 	f.engine = New(Config{
 		Service: svc, Scheduler: sched, Space: f.space,
 		Blacklist: f.bl, Gazetteer: gaz, Src: rng.New(seed),
+		Cookies: netsim.NewCookieJar(),
 	})
 	for i := 0; i < accounts; i++ {
 		addr := fmt.Sprintf("h%03d@honeymail.example", i)

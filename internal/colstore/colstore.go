@@ -11,7 +11,7 @@
 // trace on every cycle. The columnar stores keep each field in a
 // parallel typed slice instead — one allocation per column growth,
 // zero per row — and route all string fields through an Arena, so a
-// partition's worth of cookies lives in a handful of 16KiB blocks
+// platform's worth of cookies lives in a handful of 16KiB blocks
 // rather than one allocation each.
 package colstore
 
@@ -28,8 +28,7 @@ const arenaBlock = 1 << 14
 // previously returned strings keep pinning the block they live in.
 //
 // Arena is not safe for concurrent use; callers guard it with the
-// lock that guards the columns it feeds (the webmail partition lock,
-// the monitor store lock).
+// lock that guards the columns it feeds (the webmail Service lock).
 type Arena struct {
 	block []byte
 	// Bytes counts total packed bytes, for introspection/tests.

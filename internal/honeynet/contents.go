@@ -21,10 +21,13 @@ import (
 // in the simulated run deletes or edits seeded mail); later messages
 // — quota notices, attacker drafts — deliberately report absent, so
 // the view exposes precisely the corpus the retired duplicate held.
+// It holds each account's shard platform and nothing else of the
+// engine, so a view that outlives its experiment keeps no shard's
+// scheduler alive.
 type seededContents struct {
-	svc      *webmail.Service
-	accounts []string // plan order
-	maxID    int64    // Config.MailboxSize
+	accounts []string                    // plan order
+	platform map[string]*webmail.Service // account -> its shard's platform
+	maxID    int64                       // Config.MailboxSize
 }
 
 // Accounts implements analysis.ContentsView.
@@ -33,18 +36,19 @@ func (v seededContents) Accounts() int { return len(v.accounts) }
 // Message implements analysis.ContentsView. The returned strings
 // alias the message store — no per-call copy.
 func (v seededContents) Message(account string, id int64) (subject, body string, ok bool) {
-	if id < 1 || id > v.maxID {
+	svc := v.platform[account]
+	if svc == nil || id < 1 || id > v.maxID {
 		return "", "", false
 	}
-	return v.svc.MessageText(account, webmail.MessageID(id))
+	return svc.MessageText(account, webmail.MessageID(id))
 }
 
 // Each implements analysis.ContentsView, scanning each account's
-// seeded rows under a single partition-lock acquisition.
+// seeded rows under a single lock acquisition.
 func (v seededContents) Each(fn func(account string, id int64, subject, body string)) {
 	for _, account := range v.accounts {
 		account := account
-		v.svc.EachMessageText(account, v.maxID, func(id int64, subject, body string) {
+		v.platform[account].EachMessageText(account, v.maxID, func(id int64, subject, body string) {
 			fn(account, id, subject, body)
 		})
 	}
@@ -53,9 +57,14 @@ func (v seededContents) Each(fn func(account string, id int64, subject, body str
 // seededView builds the lazy contents view over the current
 // assignments (plan order).
 func (e *Experiment) seededView() analysis.ContentsView {
-	accounts := make([]string, len(e.assignments))
-	for i, a := range e.assignments {
-		accounts[i] = a.Account
+	v := seededContents{
+		accounts: make([]string, len(e.assignments)),
+		platform: make(map[string]*webmail.Service, len(e.assignments)),
+		maxID:    int64(e.cfg.MailboxSize),
 	}
-	return seededContents{svc: e.svc, accounts: accounts, maxID: int64(e.cfg.MailboxSize)}
+	for i, a := range e.assignments {
+		v.accounts[i] = a.Account
+		v.platform[a.Account] = e.Service(a.Account)
+	}
+	return v
 }

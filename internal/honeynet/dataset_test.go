@@ -45,7 +45,7 @@ func tapShards(t *testing.T, e *Experiment) []*tap {
 	taps := make([]*tap, len(e.shards)) // one per shard: shards run concurrently
 	for i, sh := range e.shards {
 		taps[i] = &tap{observer: &streamSink{sc: sh.sc}, rows: map[[2]string]monitor.AccessRecord{}}
-		sh.attachMonitoring(e.svc, monEP, taps[i])
+		sh.attachMonitoring(monEP, taps[i])
 	}
 	return taps
 }

@@ -126,7 +126,7 @@ func (d *defender) tick(now time.Time) {
 // drops, and the shard's monitor switches to the new password.
 func (e *Experiment) resetAccount(sh *shard, account, oldPassword string) {
 	newPassword := fmt.Sprintf("rs-%016x", c3.Hash(account, oldPassword))
-	if err := e.svc.ResetPassword(account, newPassword); err != nil {
+	if err := sh.svc.ResetPassword(account, newPassword); err != nil {
 		return // suspended/deleted accounts stay detected but unrotated
 	}
 	sh.mon.UpdatePassword(account, newPassword)

@@ -15,12 +15,14 @@
 //
 // The engine is sharded for fleet-scale runs: the experiment plan is
 // partitioned across Config.Shards parallel schedulers (see shard.go
-// for the shard/block split), each shard drives its own webmail
-// account partition, monitoring pipeline and sinkhole. For a fixed
-// seed the results are independent of the shard count, because every
-// stochastic stream derives from the owning plan block, not from the
-// shard executing it. Config.ScaleFactor replicates the plan K× to
-// simulate 100·K-account deployments.
+// for the shard/block split), and each shard drives its own webmail
+// platform (a webmail.Service holding exactly its blocks' accounts),
+// monitoring pipeline and sinkhole; Experiment.Service finds an
+// account's platform. For a fixed seed the results are independent of
+// the shard count, because every stochastic stream derives from the
+// owning plan block, not from the shard executing it.
+// Config.ScaleFactor replicates the plan K× to simulate
+// 100·K-account deployments.
 //
 // Every shard classifies its accesses while simulated time advances
 // (stream.go). Aggregates merges one aggregate per shard — O(shards) —

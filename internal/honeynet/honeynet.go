@@ -17,6 +17,7 @@ import (
 	"repro/internal/outlets"
 	"repro/internal/rng"
 	"repro/internal/simtime"
+	"repro/internal/sinkhole"
 	"repro/internal/snapshot"
 	"repro/internal/webmail"
 )
@@ -160,7 +161,6 @@ type Experiment struct {
 
 	gaz *geo.Gazetteer
 	bl  *netsim.Blacklist
-	svc *webmail.Service
 
 	shards []*shard
 	blocks []*block
@@ -207,12 +207,7 @@ func New(cfg Config) (*Experiment, error) {
 		return nil, err
 	}
 
-	svc := webmail.NewService(webmail.Config{
-		Clock:      simtime.NewClock(cfg.Start),
-		LoginRisk:  cfg.LoginRisk,
-		Partitions: cfg.Shards,
-	})
-	shards, set, err := newShards(cfg.Shards, cfg, svc, monEP)
+	shards, set, err := newShards(cfg.Shards, cfg, monEP)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +217,6 @@ func New(cfg Config) (*Experiment, error) {
 		src:       src,
 		gaz:       gaz,
 		bl:        bl,
-		svc:       svc,
 		shards:    shards,
 		set:       set,
 		blockOf:   make(map[string]*block),
@@ -230,7 +224,7 @@ func New(cfg Config) (*Experiment, error) {
 	}
 	for i, spec := range plan {
 		sh := shards[shardOf(i, len(cfg.Plan), len(shards))]
-		e.blocks = append(e.blocks, newBlock(i, len(plan), spec, sh, src, cfg, gaz, bl, svc))
+		e.blocks = append(e.blocks, newBlock(i, len(plan), spec, sh, src, cfg, gaz, bl))
 	}
 	return e, nil
 }
@@ -249,10 +243,20 @@ func monitorEndpoint(src *rng.Source, gaz *geo.Gazetteer, blocks int) (netsim.En
 }
 
 // Accessors used by examples, benches and tests.
-func (e *Experiment) Service() *webmail.Service   { return e.svc }
 func (e *Experiment) Assignments() []Assignment   { return append([]Assignment(nil), e.assignments...) }
 func (e *Experiment) Shards() int                 { return len(e.shards) }
 func (e *Experiment) ShardSet() *simtime.ShardSet { return e.set }
+
+// Service returns the webmail platform holding account: the platform
+// of the shard that runs the account's block. It is nil for an
+// address outside the plan.
+func (e *Experiment) Service(account string) *webmail.Service {
+	b, ok := e.blockOf[account]
+	if !ok {
+		return nil
+	}
+	return b.shard.svc
+}
 
 // Config returns the experiment's configuration with defaults
 // applied — the exact config a snapshot of this experiment resumes
@@ -312,6 +316,15 @@ func (e *Experiment) SinkholeCount() int {
 	n := 0
 	for _, sh := range e.shards {
 		n += sh.sink.Count()
+	}
+	return n
+}
+
+// suspendedCount sums the accounts every shard's platform blocked.
+func (e *Experiment) suspendedCount() int {
+	n := 0
+	for _, sh := range e.shards {
+		n += sh.svc.SuspendedCount()
 	}
 	return n
 }
@@ -398,7 +411,7 @@ func (e *Experiment) setupLegacy(n int, locale corpus.Locale) error {
 // then fans out with one goroutine per shard — all gated by a
 // Config.SetupWorkers pool.
 // Each goroutine walks its own shard's blocks in plan order, so every
-// scheduler-visible sequence — webmail partition layout, script
+// scheduler-visible sequence — platform account order, script
 // installs, trigger-wheel registrations, monitor tracking — is
 // exactly the serial one, which is what keeps snapshots and reports
 // byte-identical at any worker count (determinism contract #6).
@@ -463,9 +476,8 @@ func (e *Experiment) setupParallel(n int, locale corpus.Locale) error {
 	}
 
 	// Parallel pass: one goroutine per shard materializes that shard's
-	// accounts. Shards own disjoint webmail partitions, appscript
-	// runtimes and monitors, so workers only meet on the service's
-	// address index (briefly, inside RestoreAccountIn).
+	// accounts. Shards own their platforms, appscript runtimes and
+	// monitors, so the workers share no lock.
 	errs := make([]error, len(e.shards))
 	for si := range e.shards {
 		si := si
@@ -507,10 +519,6 @@ type loader struct {
 	acct snapshot.Account
 }
 
-// sinkholeSender is the envelope sender every honey account's outgoing
-// mail carries, so replies and bounces land in the sinkhole domain.
-const sinkholeSender = "capture@sinkhole.example"
-
 // createAccount renders one honey account's mailbox with gen and
 // materializes the account through loadAccount, the path snapshot
 // resume takes too. Seeded message IDs are exactly 1..MailboxSize,
@@ -523,7 +531,7 @@ func (e *Experiment) createAccount(l *loader, gen *corpus.Generator, b *block, p
 		Address:  p.Email,
 		Password: password,
 		Owner:    p.FullName(),
-		SendFrom: sinkholeSender,
+		SendFrom: sinkhole.Sender,
 		NextID:   1,
 		Messages: l.acct.Messages[:0],
 	}
@@ -533,11 +541,11 @@ func (e *Experiment) createAccount(l *loader, gen *corpus.Generator, b *block, p
 	return e.loadAccount(b, &l.acct)
 }
 
-// loadAccount restores one account onto its block's shard partition
-// with a single RestoreAccountIn and instruments it: the per-account
+// loadAccount restores one account onto its block's shard platform
+// with a single RestoreAccount and instruments it: the per-account
 // sequence Setup and the snapshot restore path share.
 func (e *Experiment) loadAccount(b *block, acct *snapshot.Account) error {
-	if err := e.svc.RestoreAccountIn(b.shard.id, acct); err != nil {
+	if err := b.shard.svc.RestoreAccount(acct); err != nil {
 		return fmt.Errorf("honeynet: load %s: %w", acct.Address, err)
 	}
 	if err := e.instrument(b, acct.Address, acct.Password); err != nil {
@@ -703,25 +711,20 @@ func (e *Experiment) scheduleCaseStudies() {
 }
 
 // Run advances every shard to the end of the observation window,
-// executing shards concurrently.
+// executing shards concurrently, one worker per shard.
 func (e *Experiment) Run() error {
-	if !e.leaked {
-		return fmt.Errorf("honeynet: Run before Leak")
-	}
-	e.set.RunUntil(e.cfg.Start.Add(e.cfg.Duration), len(e.shards))
-	return nil
+	return e.RunPooled(simtime.NewWorkerPool(len(e.shards)))
 }
 
 // RunPooled is Run drawing its shard workers from a shared
-// simtime.WorkerPool instead of one goroutine per shard — the matrix
-// engine's entry point, letting N concurrent scenarios jointly
-// respect one worker budget. The merged results are identical to
-// Run's for the same seed.
+// simtime.WorkerPool — the matrix engine's entry point, letting N
+// concurrent scenarios jointly respect one worker budget. The merged
+// results are identical to Run's for the same seed.
 func (e *Experiment) RunPooled(pool *simtime.WorkerPool) error {
 	if !e.leaked {
 		return fmt.Errorf("honeynet: Run before Leak")
 	}
-	e.set.RunUntilPool(e.cfg.Start.Add(e.cfg.Duration), pool)
+	e.set.RunUntil(e.cfg.Start.Add(e.cfg.Duration), pool)
 	return nil
 }
 
@@ -746,7 +749,7 @@ func (e *Experiment) RunAll() error {
 func (e *Experiment) Dataset() *analysis.Dataset {
 	ds := &analysis.Dataset{
 		Blacklisted:       make(map[string]bool),
-		SuspendedAccounts: e.svc.SuspendedCount(),
+		SuspendedAccounts: e.suspendedCount(),
 	}
 	for _, sh := range e.shards {
 		accesses, actions, changes := sh.sc.Observations()

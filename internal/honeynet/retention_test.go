@@ -6,21 +6,22 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/webmail"
+	"repro/internal/analysis"
 )
 
 // TestServiceDoesNotRetainShardEngines pins what a finished
-// experiment's webmail.Service keeps alive. The scenario matrix hands
-// every scenario's Service back to its caller after the run, so
-// anything the Service reaches outlives the experiment: a per-account
-// hook that captured a callback would pin every shard's scheduler,
-// trigger wheel and attacker engines with it. Keeping only the
-// Service, every shard's scheduler must become garbage.
+// experiment's seeded-contents view keeps alive. The scenario matrix
+// hands every scenario's SeededContents back to its caller after the
+// run, so anything the view reaches outlives the experiment: the view
+// holds every shard's webmail.Service, and a per-account hook that
+// captured a callback would pin every shard's scheduler, trigger wheel
+// and attacker engines with it. Keeping only the view, every shard's
+// scheduler must become garbage.
 func TestServiceDoesNotRetainShardEngines(t *testing.T) {
 	cfg := fastConfig(3)
 	cfg.Duration = 14 * 24 * time.Hour
 	cfg.Shards = 2
-	svc, freed, total := runKeepingService(t, cfg)
+	contents, freed, total := runKeepingContents(t, cfg)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for freed.Load() < total && time.Now().Before(deadline) {
@@ -28,22 +29,24 @@ func TestServiceDoesNotRetainShardEngines(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := freed.Load(); got != total {
-		t.Fatalf("%d of %d shard schedulers still reachable from the Service", total-got, total)
+		t.Fatalf("%d of %d shard schedulers still reachable from the seeded contents", total-got, total)
 	}
-	if len(svc.Accounts()) == 0 {
-		t.Fatal("service lost its accounts")
+	messages := 0
+	contents.Each(func(string, int64, string, string) { messages++ })
+	if want := contents.Accounts() * cfg.MailboxSize; messages != want || want == 0 {
+		t.Fatalf("seeded contents hold %d messages, want %d", messages, want)
 	}
 }
 
-// runKeepingService runs one experiment to completion and returns only
-// its Service. Each shard scheduler gets a pending far-future event
-// holding a sentinel with a finalizer that counts frees. The finalizer
-// sits on the sentinel rather than the scheduler itself because a
-// scheduler is reachable from its own pending events (Every chains
-// reschedule through it), and the collector never runs a finalizer on
-// an object in a cycle. The sentinel points at nothing, so it is freed
-// exactly when its scheduler is.
-func runKeepingService(t *testing.T, cfg Config) (svc *webmail.Service, freed *atomic.Int32, total int32) {
+// runKeepingContents runs one experiment to completion and returns
+// only its SeededContents. Each shard scheduler gets a pending
+// far-future event holding a sentinel with a finalizer that counts
+// frees. The finalizer sits on the sentinel rather than the scheduler
+// itself because a scheduler is reachable from its own pending events
+// (Every chains reschedule through it), and the collector never runs a
+// finalizer on an object in a cycle. The sentinel points at nothing,
+// so it is freed exactly when its scheduler is.
+func runKeepingContents(t *testing.T, cfg Config) (contents analysis.ContentsView, freed *atomic.Int32, total int32) {
 	t.Helper()
 	e, err := New(cfg)
 	if err != nil {
@@ -60,5 +63,5 @@ func runKeepingService(t *testing.T, cfg Config) (svc *webmail.Service, freed *a
 		runtime.SetFinalizer(sentinel, func(*[64]byte) { freed.Add(1) })
 		sh.sched.After(100*365*24*time.Hour, "retention-sentinel", func(time.Time) { runtime.KeepAlive(sentinel) })
 	}
-	return e.Service(), freed, int32(len(e.shards))
+	return e.SeededContents(), freed, int32(len(e.shards))
 }

@@ -155,7 +155,7 @@ func TestSeededContentsViewAllocFree(t *testing.T) {
 
 // TestSetupAllocationBudget pins what set-up allocates per account in
 // both layouts. Each mailbox renders into the generator's text arena
-// and loads with one RestoreAccountIn, so New+Setup of the Table 1
+// and loads with one RestoreAccount, so New+Setup of the Table 1
 // fleet measures 46 (legacy) and 50 (parallel) allocations per
 // account; seeding each message on its own cost 342 and 345.
 func TestSetupAllocationBudget(t *testing.T) {

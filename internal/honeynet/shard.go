@@ -22,11 +22,11 @@ import (
 // The sharded engine splits one experiment into two granularities:
 //
 //   - A *shard* is a unit of parallelism: one simulation clock, one
-//     scheduler, one webmail account partition, one monitoring
-//     pipeline (Apps-Script runtime and scraper, both feeding the
-//     shard's classifier) and one sinkhole. Shards share no mutable
-//     simulation state, so the ShardSet can drive them from
-//     concurrent worker goroutines.
+//     scheduler, one webmail platform holding exactly its blocks'
+//     accounts, one monitoring pipeline (Apps-Script runtime and
+//     scraper, both feeding the shard's classifier) and one sinkhole.
+//     Shards share no mutable simulation state, so the ShardSet can
+//     drive them from concurrent worker goroutines.
 //
 //   - A *block* is a unit of determinism: one expanded-plan entry
 //     (one Table 1 row, possibly replicated by ScaleFactor). Every
@@ -51,8 +51,11 @@ type shard struct {
 	// (all Apps-Script scans, all heartbeats, the monitor scrape) onto
 	// one scheduler event per tick, so the heap pays O(1) operations
 	// per tick instead of O(accounts).
-	wheel   *simtime.TriggerWheel
-	sink    *sinkhole.Store
+	wheel *simtime.TriggerWheel
+	sink  *sinkhole.Store
+	// svc is the shard's webmail platform: its blocks' accounts, on
+	// the shard's clock, sending into the shard's sinkhole.
+	svc     *webmail.Service
 	runtime *appscript.Runtime
 	mon     *monitor.Monitor
 	// sc classifies this shard's accesses as the simulation runs.
@@ -81,10 +84,9 @@ type block struct {
 	start, end int
 }
 
-// newShards builds n isolated shard fabrics over a shared platform.
-// The service must have n partitions; partition i is bound to shard
-// i's clock and sinkhole.
-func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) ([]*shard, *simtime.ShardSet, error) {
+// newShards builds n isolated shard fabrics, each with its own
+// platform.
+func newShards(n int, cfg Config, monEP netsim.Endpoint) ([]*shard, *simtime.ShardSet, error) {
 	shards := make([]*shard, n)
 	set := simtime.NewShardSet()
 	for i := 0; i < n; i++ {
@@ -98,9 +100,11 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			sink:  &sinkhole.Store{},
 			sc:    analysis.NewStreamClassifier(),
 		}
-		if err := svc.ConfigurePartition(i, clock.Now, sh.sink); err != nil {
-			return nil, nil, fmt.Errorf("honeynet: bind partition %d: %w", i, err)
-		}
+		sh.svc = webmail.NewService(webmail.Config{
+			Clock:     clock,
+			Outbound:  sh.sink,
+			LoginRisk: cfg.LoginRisk,
+		})
 		if cfg.DefenderCadence > 0 {
 			frag, err := c3.New(c3.Config{BucketBits: cfg.C3BucketBits, Variants: cfg.C3Variants})
 			if err != nil {
@@ -108,7 +112,7 @@ func newShards(n int, cfg Config, svc *webmail.Service, monEP netsim.Endpoint) (
 			}
 			sh.c3 = frag
 		}
-		sh.attachMonitoring(svc, monEP, &streamSink{sc: sh.sc})
+		sh.attachMonitoring(monEP, &streamSink{sc: sh.sc})
 		shards[i] = sh
 		set.Add(sh.sched)
 	}
@@ -124,12 +128,11 @@ type observer interface {
 
 // attachMonitoring builds the shard's monitoring pipeline — the
 // Apps-Script runtime and the activity-page scraper, both on the
-// shard's wheel — feeding obs.
-func (sh *shard) attachMonitoring(svc *webmail.Service, monEP netsim.Endpoint, obs observer) {
-	sh.runtime = appscript.NewRuntime(svc, sh.sched, obs)
-	sh.runtime.UseWheel(sh.wheel)
+// shard's platform and wheel — feeding obs.
+func (sh *shard) attachMonitoring(monEP netsim.Endpoint, obs observer) {
+	sh.runtime = appscript.NewRuntime(sh.svc, sh.wheel, obs)
 	sh.mon = monitor.New(monitor.Config{
-		Service:  svc,
+		Service:  sh.svc,
 		Wheel:    sh.wheel,
 		Sink:     obs,
 		Endpoint: monEP,
@@ -144,7 +147,7 @@ func (sh *shard) attachMonitoring(svc *webmail.Service, monEP netsim.Endpoint, o
 // populations come from cfg (scenario overrides); defaults reproduce
 // the paper's deployment.
 func newBlock(idx, total int, spec GroupSpec, sh *shard, root *rng.Source, cfg Config,
-	gaz *geo.Gazetteer, bl *netsim.Blacklist, svc *webmail.Service) *block {
+	gaz *geo.Gazetteer, bl *netsim.Blacklist) *block {
 	src := root.ForkShard(idx, total)
 	b := &block{
 		idx:   idx,
@@ -170,7 +173,7 @@ func newBlock(idx, total int, spec GroupSpec, sh *shard, root *rng.Source, cfg C
 		})
 	}
 	b.engine = attacker.New(attacker.Config{
-		Service:     svc,
+		Service:     sh.svc,
 		Scheduler:   sh.sched,
 		Space:       b.space,
 		Blacklist:   bl,

@@ -1,11 +1,14 @@
 package honeynet
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/netsim"
+	"repro/internal/webmail"
 )
 
 // runSharded executes a fastConfig deployment at the given shard
@@ -111,7 +114,7 @@ func TestScaleFactorReplicatesPlan(t *testing.T) {
 	if got := len(e.Assignments()); got != wantAccounts {
 		t.Fatalf("assignments = %d, want %d", got, wantAccounts)
 	}
-	if got := len(e.Service().Accounts()); got != wantAccounts {
+	if got := platformAccounts(e); got != wantAccounts {
 		t.Fatalf("platform accounts = %d, want %d", got, wantAccounts)
 	}
 	if got := len(e.plan); got != 3*len(base.Plan) {
@@ -134,6 +137,65 @@ func TestScaleFactorReplicatesPlan(t *testing.T) {
 	// mailboxes must not be copies of each other.
 	if n := e.SeededContents().Accounts(); n != wantAccounts {
 		t.Fatalf("contents for %d accounts, want %d", n, wantAccounts)
+	}
+}
+
+// TestShardPlatformsAreDisjoint is shard isolation in its structural
+// form: each shard's webmail platform holds exactly the accounts of
+// the blocks shardOf places on it, after Setup and again after Run,
+// and Service finds that platform for every account. No shard could
+// reach another shard's account: its platform does not hold it.
+func TestShardPlatformsAreDisjoint(t *testing.T) {
+	cfg := fastConfig(11)
+	cfg.Shards = 3
+	cfg.ScaleFactor = 2
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		want := make([][]string, len(e.shards))
+		for _, b := range e.blocks {
+			sh := shardOf(b.idx, len(cfg.Plan), len(e.shards))
+			for _, a := range e.assignments[b.start:b.end] {
+				want[sh] = append(want[sh], a.Account)
+			}
+		}
+		owner := make(map[string]*webmail.Service)
+		for i, sh := range e.shards {
+			got := sh.svc.Accounts()
+			sort.Strings(want[i])
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s: shard %d platform holds %d accounts, want its %d block accounts:\n got %v\nwant %v",
+					when, i, len(got), len(want[i]), got, want[i])
+			}
+			for _, a := range got {
+				owner[a] = sh.svc
+			}
+		}
+		if len(owner) != len(e.assignments) {
+			t.Fatalf("%s: platforms hold %d accounts, plan has %d", when, len(owner), len(e.assignments))
+		}
+		for _, a := range e.assignments {
+			if got := e.Service(a.Account); got == nil || got != owner[a.Account] {
+				t.Fatalf("%s: Service(%s) is not the platform holding it", when, a.Account)
+			}
+		}
+	}
+	if err := e.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Setup")
+	if err := e.Leak(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Run")
+	if svc := e.Service("nobody@honeymail.example"); svc != nil {
+		t.Fatal("Service returned a platform for an address outside the plan")
 	}
 }
 

@@ -174,9 +174,10 @@ func (e *Experiment) WriteSnapshotFile(path string) error {
 	return werr
 }
 
-// exportAccount reads one account's snapshot record from the service.
+// exportAccount reads one account's snapshot record from its shard's
+// platform.
 func (e *Experiment) exportAccount(account string) (snapshot.Account, error) {
-	acct, err := e.svc.ExportAccount(account)
+	acct, err := e.blockOf[account].shard.svc.ExportAccount(account)
 	if err != nil {
 		return snapshot.Account{}, fmt.Errorf("honeynet: snapshot %s: %w", account, err)
 	}

@@ -116,7 +116,7 @@ func (e *Experiment) BuildAggregates() (*analysis.Aggregates, error) {
 			return nil, fmt.Errorf("honeynet: merge shard %d aggregates: %w", sh.id, err)
 		}
 	}
-	merged.SuspendedAccounts = e.svc.SuspendedCount()
+	merged.SuspendedAccounts = e.suspendedCount()
 	return merged, nil
 }
 

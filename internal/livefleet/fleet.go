@@ -90,7 +90,7 @@ func BootService(path string, part, parts int, cfg webmail.Config) (*webmail.Ser
 		if webmail.PartitionIndex(a.Address, parts) != part {
 			continue
 		}
-		if err := svc.RestoreAccountIn(webmail.PartitionIndex(a.Address, svc.Partitions()), &a); err != nil {
+		if err := svc.RestoreAccount(&a); err != nil {
 			return nil, nil, fmt.Errorf("livefleet: restore %s: %w", a.Address, err)
 		}
 		creds = append(creds, Credential{Address: a.Address, Password: a.Password})

@@ -218,7 +218,7 @@ func (m *Monitor) scrapeOne(t *tracked, now time.Time) {
 	// Collect the self-filtered delta (§4.1: the monitor's cookie for
 	// this account is the only one of its cookies that can appear on
 	// this page) into a reusable buffer, and stream it once the
-	// partition lock ActivitySince holds is released, so a sink never
+	// platform lock ActivitySince holds is released, so a sink never
 	// runs under it and the steady-state scrape allocates nothing.
 	m.rowScratch = m.rowScratch[:0]
 	version, err := session.ActivitySince(t.lastSeen, func(a webmail.Access) {

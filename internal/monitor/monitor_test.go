@@ -45,7 +45,7 @@ func newFixture(t *testing.T) *fixture {
 		Endpoint: monEP,
 		Cookies:  netsim.NewCookieJarPrefixed("mon"),
 	})
-	rt := appscript.NewRuntime(svc, sched, sink)
+	rt := appscript.NewRuntime(svc, simtime.NewTriggerWheel(sched), sink)
 	f := &fixture{clock: clock, sched: sched, svc: svc, space: space, sink: sink, mon: mon, rt: rt}
 	if err := svc.CreateAccount("h1@honeymail.example", "pw1", "Honey One"); err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 // shard owns one Scheduler (and therefore one Clock), shards never
 // share mutable state, and the set drives all of them to a common
 // deadline across worker goroutines. Because every scheduler is
-// isolated, the outcome is identical whether the shards run serially,
-// on one worker, or fully in parallel.
+// isolated, the outcome is identical whether the shards run on one
+// worker or fully in parallel.
 type ShardSet struct {
 	scheds []*Scheduler
 }
@@ -72,18 +72,15 @@ func (p *WorkerPool) Acquire() { p.sem <- struct{}{} }
 // Release returns a claimed slot to the pool.
 func (p *WorkerPool) Release() { <-p.sem }
 
-// RunUntilPool advances every shard to the common deadline like
-// RunUntil, but draws its concurrency from a shared WorkerPool
-// instead of spawning a private worker count: each shard runs on its
-// own goroutine that first claims a pool slot, so concurrently
-// running ShardSets (one per scenario in a matrix) jointly respect
-// one budget. A nil pool falls back to RunUntil with one worker per
-// shard. The executed-event total is returned; because shards share
-// no mutable state, results are identical however slots interleave.
-func (ss *ShardSet) RunUntilPool(deadline time.Time, pool *WorkerPool) int {
-	if pool == nil {
-		return ss.RunUntil(deadline, 0)
-	}
+// RunUntil advances every shard to the common deadline on one
+// goroutine per shard, each of which first claims a slot of pool, so
+// concurrently running ShardSets (one per scenario in a matrix)
+// jointly respect one budget. Each shard's Run loop stays
+// single-threaded — the Scheduler contract — while distinct shards
+// proceed concurrently. The executed-event total is returned; because
+// shards share no mutable state, results are identical however slots
+// interleave.
+func (ss *ShardSet) RunUntil(deadline time.Time, pool *WorkerPool) int {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
@@ -100,52 +97,6 @@ func (ss *ShardSet) RunUntilPool(deadline time.Time, pool *WorkerPool) int {
 			mu.Lock()
 			total += ran
 			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return total
-}
-
-// RunUntil advances every shard to the common deadline, spawning at
-// most workers goroutines (workers <= 0 or >= len selects one
-// goroutine per shard). It returns the total number of events
-// executed. Each shard's Run loop stays single-threaded — the
-// Scheduler contract — while distinct shards proceed concurrently.
-func (ss *ShardSet) RunUntil(deadline time.Time, workers int) int {
-	n := len(ss.scheds)
-	if n == 0 {
-		return 0
-	}
-	if workers <= 0 || workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		total := 0
-		for _, s := range ss.scheds {
-			total += s.RunUntil(deadline)
-		}
-		return total
-	}
-	var (
-		wg    sync.WaitGroup
-		next  = make(chan *Scheduler, n)
-		mu    sync.Mutex
-		total int
-	)
-	for _, s := range ss.scheds {
-		next <- s
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range next {
-				ran := s.RunUntil(deadline)
-				mu.Lock()
-				total += ran
-				mu.Unlock()
-			}
 		}()
 	}
 	wg.Wait()

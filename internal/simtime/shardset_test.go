@@ -22,7 +22,7 @@ func TestShardSetRunsAllToDeadline(t *testing.T) {
 		s.Every(time.Hour, "tick", func(time.Time) { fired[i]++ })
 		set.Add(s)
 	}
-	total := set.RunUntil(deadline, 4)
+	total := set.RunUntil(deadline, NewWorkerPool(4))
 	for i, n := range fired {
 		if n != 24 {
 			t.Fatalf("shard %d fired %d events, want 24", i, n)
@@ -46,7 +46,7 @@ func TestShardSetRunsAllToDeadline(t *testing.T) {
 
 func TestShardSetWorkerCountsEquivalent(t *testing.T) {
 	// The same shard workloads must produce identical per-shard event
-	// counts regardless of worker parallelism.
+	// counts regardless of the pool size.
 	run := func(workers int) [3]uint64 {
 		start := testStart()
 		set := NewShardSet()
@@ -56,7 +56,7 @@ func TestShardSetWorkerCountsEquivalent(t *testing.T) {
 			s.Every(interval, "tick", func(time.Time) {})
 			set.Add(s)
 		}
-		set.RunUntil(start.Add(48*time.Hour), workers)
+		set.RunUntil(start.Add(48*time.Hour), NewWorkerPool(workers))
 		var out [3]uint64
 		for i := 0; i < 3; i++ {
 			out[i] = set.Scheduler(i).Fired()
@@ -66,13 +66,13 @@ func TestShardSetWorkerCountsEquivalent(t *testing.T) {
 	serial := run(1)
 	for _, workers := range []int{2, 3, 0, 16} {
 		if got := run(workers); got != serial {
-			t.Fatalf("workers=%d fired %v, serial fired %v", workers, got, serial)
+			t.Fatalf("pool of %d fired %v, pool of 1 fired %v", workers, got, serial)
 		}
 	}
 }
 
 func TestShardSetEmpty(t *testing.T) {
-	if n := NewShardSet().RunUntil(testStart(), 4); n != 0 {
+	if n := NewShardSet().RunUntil(testStart(), NewWorkerPool(4)); n != 0 {
 		t.Fatalf("empty set ran %d events", n)
 	}
 }

@@ -2,10 +2,12 @@
 // Paper-section map:
 //
 //   - §3.1 (architecture) and §3.4 (ethics): every honey account's
-//     send-from address points at the sinkhole, it accepts every
+//     send-from address is the sinkhole's Sender, it accepts every
 //     message a honey account sends, counts it, and never forwards
 //     anything — so no spam or blackmail composed on a honey account
-//     can reach a victim.
+//     can reach a victim. Mail with another envelope sender escaped
+//     that override; the sinkhole refuses it uncounted, so the
+//     containment tests see it as a count below the journaled sends.
 //   - §4.1: the captured outbound volume ("845 email messages sent"
 //     in the paper) is the sinkhole's count.
 //

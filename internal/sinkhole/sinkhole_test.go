@@ -13,11 +13,15 @@ func TestStoreDeliverAndQuery(t *testing.T) {
 	if st.Count() != 0 {
 		t.Fatalf("fresh store count = %d", st.Count())
 	}
-	if err := st.Deliver("a@x", "b@y", "subj", "body", epoch.Add(time.Hour)); err != nil {
+	if err := st.Deliver(Sender, "b@y", "subj", "body", epoch.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Deliver("a@x", "c@z", "subj2", "body2", time.Time{}); err != nil {
+	if err := st.Deliver(Sender, "c@z", "subj2", "body2", time.Time{}); err != nil {
 		t.Fatal(err)
+	}
+	// Mail that escaped the send-from override is refused, uncounted.
+	if err := st.Deliver("a@x", "c@z", "subj3", "body3", epoch); err == nil {
+		t.Fatal("mail from a foreign envelope sender accepted")
 	}
 	if st.Count() != 2 {
 		t.Fatalf("count = %d", st.Count())
@@ -25,8 +29,8 @@ func TestStoreDeliverAndQuery(t *testing.T) {
 }
 
 func TestStoreNeverForwards(t *testing.T) {
-	// The Outbound contract: Deliver always succeeds and has no side
-	// effects beyond the count, even from concurrent senders.
+	// The Outbound contract: Deliver always succeeds for Sender and has
+	// no side effects beyond the count, even from concurrent senders.
 	var st Store
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -34,7 +38,7 @@ func TestStoreNeverForwards(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if err := st.Deliver("spammer@honey", "victim@real", "buy", "spam", epoch); err != nil {
+				if err := st.Deliver(Sender, "victim@real", "buy", "spam", epoch); err != nil {
 					t.Error(err)
 				}
 			}

@@ -16,8 +16,8 @@ import (
 // journal as parallel typed columns instead of slices of heap-boxed
 // structs. A million-account fleet then carries one slice header per
 // column instead of one GC-traced object per row, and every string
-// field (cookies, user agents, geo names) lives in the owning
-// partition's arena-backed string table.
+// field (cookies, user agents, geo names) lives in the Service's
+// arena-backed string table.
 
 // accessTable is the columnar activity page: row i describes one
 // cookie's access row. order is the permutation sorted by
@@ -52,9 +52,9 @@ func (t *accessTable) lookup(cookie string) (int32, bool) {
 }
 
 // add appends a new access row, interning its strings into the
-// partition's table, and splices it into display order. The cookie is
+// Service's table, and splices it into display order. The cookie is
 // unique by construction so it takes the no-dedup arena path; user
-// agents and geo names deduplicate across the whole partition.
+// agents and geo names deduplicate across the whole platform.
 func (t *accessTable) add(sym *colstore.Interner, cookie string, firstNS int64, ep netsim.Endpoint, browser netsim.Browser, device netsim.DeviceClass) int32 {
 	i := int32(len(t.cookie))
 	t.cookie = append(t.cookie, sym.Copy(cookie))
@@ -120,7 +120,7 @@ func (t *accessTable) materialize(i int32) Access {
 type msgText struct {
 	from, to, subject, body string
 	labels                  []string
-	ascii                   textClass // see allASCII; guarded by the partition lock
+	ascii                   textClass // see allASCII; guarded by the Service lock
 }
 
 // textClass caches whether a message's text is pure ASCII; the zero
@@ -138,7 +138,7 @@ const (
 // search instead of running at Seed or restore time: most seeded
 // messages are never searched, and a fleet-wide pass would land on
 // set-up. Stored text is never rewritten, so the answer holds for the
-// message's lifetime. Callers hold the partition lock.
+// message's lifetime. Callers hold the Service lock.
 func (t *msgText) allASCII() bool {
 	if t.ascii == textUnknown {
 		t.ascii = textUnicode

@@ -17,11 +17,11 @@ import (
 // past the boundary this export models, and silently dropping its
 // activity would corrupt a resumed run.
 func (s *Service) ExportAccount(address string) (snapshot.Account, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return snapshot.Account{}, err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	if a.journal.len() > 0 || a.acc.len() > 0 || a.suspended ||
 		a.version != 0 || a.accessVersion.Load() != 0 {
 		return snapshot.Account{}, fmt.Errorf("webmail: account %s has live activity; only pre-activity accounts export", address)
@@ -55,7 +55,7 @@ func (s *Service) ExportAccount(address string) (snapshot.Account, error) {
 // to Sent and counts as read, as Service.Seed marks sent mail, and
 // anything else lands unread in the Inbox. IDs run 1..n in call order
 // and NextID follows, the shape ExportAccount emits and
-// RestoreAccountIn accepts, so a bulk loader can build a whole mailbox
+// RestoreAccount accepts, so a bulk loader can build a whole mailbox
 // here and restore it in one call.
 func AppendSeeded(acct *snapshot.Account, from, to, subject, body string, date time.Time) {
 	folder := FolderInbox
@@ -70,10 +70,10 @@ func AppendSeeded(acct *snapshot.Account, from, to, subject, body string, date t
 	acct.NextID = id + 1
 }
 
-// RestoreAccountIn recreates an exported account on an explicit
-// partition, exactly as a CreateAccountIn + Seed sequence would have
-// left it: version counters start at zero and no journal entries
-// exist. The record is treated as read-only, so one decoded snapshot
+// RestoreAccount recreates an exported account exactly as a
+// CreateAccount + SetSendFrom + Seed sequence would have left it:
+// version counters start at zero and no journal entries exist. The
+// record is treated as read-only, so one decoded snapshot
 // can seed many experiments concurrently (the warm-started scenario
 // matrix does).
 //
@@ -84,10 +84,7 @@ func AppendSeeded(acct *snapshot.Account, from, to, subject, body string, date t
 // allocated keeps one crafted ID from sizing the mailbox. Each message
 // column is then allocated once at n rows, and the n text payloads as
 // one slab.
-func (s *Service) RestoreAccountIn(part int, exp *snapshot.Account) error {
-	if part < 0 || part >= len(s.parts) {
-		return fmt.Errorf("webmail: partition %d out of range [0,%d)", part, len(s.parts))
-	}
+func (s *Service) RestoreAccount(exp *snapshot.Account) error {
 	if exp.Address == "" {
 		return fmt.Errorf("webmail: restore of account with empty address")
 	}
@@ -128,16 +125,5 @@ func (s *Service) RestoreAccountIn(part int, exp *snapshot.Account) error {
 			ms.text[i] = t
 		}
 	}
-	p := s.parts[part]
-	// Same lock order as CreateAccountIn: index lock, then partition.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[exp.Address]; ok {
-		return ErrAccountExists
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s.index[exp.Address] = p
-	p.accounts[exp.Address] = a
-	return nil
+	return s.insert(a)
 }

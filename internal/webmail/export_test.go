@@ -16,7 +16,7 @@ import (
 
 func exportTestService(t *testing.T) *Service {
 	t.Helper()
-	return NewService(Config{Clock: simtime.NewClock(time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)), Partitions: 2})
+	return NewService(Config{Clock: simtime.NewClock(time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC))})
 }
 
 // TestExportRestoreRoundTrip: a seeded account exports, restores onto
@@ -24,7 +24,7 @@ func exportTestService(t *testing.T) *Service {
 // searchable text (via Search) included.
 func TestExportRestoreRoundTrip(t *testing.T) {
 	svc := exportTestService(t)
-	if err := svc.CreateAccountIn(1, "kim@x.example", "pw", "Kim Q"); err != nil {
+	if err := svc.CreateAccount("kim@x.example", "pw", "Kim Q"); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.SetSendFrom("kim@x.example", "capture@sinkhole.example"); err != nil {
@@ -47,7 +47,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 
 	svc2 := exportTestService(t)
-	if err := svc2.RestoreAccountIn(0, &exp); err != nil {
+	if err := svc2.RestoreAccount(&exp); err != nil {
 		t.Fatal(err)
 	}
 	exp2, err := svc2.ExportAccount("kim@x.example")
@@ -69,7 +69,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if len(hits) != 2 {
 		t.Fatalf("search over restored mailbox found %d messages, want 2", len(hits))
 	}
-	if err := svc2.RestoreAccountIn(0, &exp); err != ErrAccountExists {
+	if err := svc2.RestoreAccount(&exp); err != ErrAccountExists {
 		t.Fatalf("duplicate restore: got %v, want ErrAccountExists", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 // the post-setup boundary and must not export.
 func TestExportRefusesLiveAccounts(t *testing.T) {
 	svc := exportTestService(t)
-	if err := svc.CreateAccountIn(0, "liv@x.example", "pw", "Liv"); err != nil {
+	if err := svc.CreateAccount("liv@x.example", "pw", "Liv"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Login("liv@x.example", "pw", "c9", netsim.Endpoint{}); err != nil {
@@ -106,23 +106,21 @@ func TestRestoreRejectsMalformedExports(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name string
-		part int
 		exp  snapshot.Account
 	}{
-		{"message id beyond NextID", 0, snapshot.Account{Address: "b@x.example", NextID: 2, Messages: msgs(5)}},
-		{"duplicate message id", 0, snapshot.Account{Address: "b@x.example", NextID: 3, Messages: msgs(1, 1)}},
-		{"gap in the ids", 0, snapshot.Account{Address: "b@x.example", NextID: 4, Messages: msgs(1, 3)}},
-		{"descending ids", 0, snapshot.Account{Address: "b@x.example", NextID: 3, Messages: msgs(2, 1)}},
-		{"NextID past n+1", 0, snapshot.Account{Address: "b@x.example", NextID: 5, Messages: msgs(1, 2)}},
-		{"NextID short of n+1", 0, snapshot.Account{Address: "b@x.example", NextID: 2, Messages: msgs(1, 2)}},
-		{"NextID zero", 0, snapshot.Account{Address: "b@x.example"}},
-		{"id 2^40", 0, snapshot.Account{Address: "b@x.example", NextID: 1<<40 + 1, Messages: msgs(1 << 40)}},
-		{"id 2^22-1", 0, snapshot.Account{Address: "b@x.example", NextID: 1 << 22, Messages: msgs(1<<22 - 1)}},
-		{"empty address", 0, snapshot.Account{NextID: 1}},
-		{"out-of-range partition", 7, snapshot.Account{Address: "c@x.example", NextID: 1}},
+		{"message id beyond NextID", snapshot.Account{Address: "b@x.example", NextID: 2, Messages: msgs(5)}},
+		{"duplicate message id", snapshot.Account{Address: "b@x.example", NextID: 3, Messages: msgs(1, 1)}},
+		{"gap in the ids", snapshot.Account{Address: "b@x.example", NextID: 4, Messages: msgs(1, 3)}},
+		{"descending ids", snapshot.Account{Address: "b@x.example", NextID: 3, Messages: msgs(2, 1)}},
+		{"NextID past n+1", snapshot.Account{Address: "b@x.example", NextID: 5, Messages: msgs(1, 2)}},
+		{"NextID short of n+1", snapshot.Account{Address: "b@x.example", NextID: 2, Messages: msgs(1, 2)}},
+		{"NextID zero", snapshot.Account{Address: "b@x.example"}},
+		{"id 2^40", snapshot.Account{Address: "b@x.example", NextID: 1<<40 + 1, Messages: msgs(1 << 40)}},
+		{"id 2^22-1", snapshot.Account{Address: "b@x.example", NextID: 1 << 22, Messages: msgs(1<<22 - 1)}},
+		{"empty address", snapshot.Account{NextID: 1}},
 	} {
 		var err error
-		if grew := heapGrowth(func() { err = svc.RestoreAccountIn(c.part, &c.exp) }); grew > 64<<10 {
+		if grew := heapGrowth(func() { err = svc.RestoreAccount(&c.exp) }); grew > 64<<10 {
 			t.Errorf("%s: refusing it allocated %d bytes", c.name, grew)
 		}
 		if err == nil {
@@ -145,9 +143,9 @@ func heapGrowth(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestRestoreMatchesSeed: an account loaded with one RestoreAccountIn
+// TestRestoreMatchesSeed: an account loaded with one RestoreAccount
 // is indistinguishable from one built message by message with
-// CreateAccountIn + SetSendFrom + Seed: the same export, zero version
+// CreateAccount + SetSendFrom + Seed: the same export, zero version
 // counters, an empty journal, and the same search and listing results.
 func TestRestoreMatchesSeed(t *testing.T) {
 	const addr = "ada.lee@honeymail.example"
@@ -156,7 +154,7 @@ func TestRestoreMatchesSeed(t *testing.T) {
 	mailbox := corpus.NewGenerator(rng.New(3), corpus.DefaultConfig()).Mailbox(owner, 90, end.Add(-180*24*time.Hour), end)
 
 	seeded := exportTestService(t)
-	if err := seeded.CreateAccountIn(1, addr, "pw", owner.FullName()); err != nil {
+	if err := seeded.CreateAccount(addr, "pw", owner.FullName()); err != nil {
 		t.Fatal(err)
 	}
 	if err := seeded.SetSendFrom(addr, "capture@sinkhole.example"); err != nil {
@@ -180,7 +178,7 @@ func TestRestoreMatchesSeed(t *testing.T) {
 		t.Fatalf("mailbox has %d sent of %d; the test needs both folders", sent, len(mailbox))
 	}
 	restored := exportTestService(t)
-	if err := restored.RestoreAccountIn(1, &exp); err != nil {
+	if err := restored.RestoreAccount(&exp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,7 +256,7 @@ func FuzzRestoreAccount(f *testing.F) {
 			})
 		}
 		svc := NewService(Config{Clock: simtime.NewClock(date)})
-		if err := svc.RestoreAccountIn(0, &exp); err != nil {
+		if err := svc.RestoreAccount(&exp); err != nil {
 			if _, err := svc.ExportAccount(exp.Address); err != ErrNoSuchAccount {
 				t.Fatalf("refused restore left an account behind (%v)", err)
 			}

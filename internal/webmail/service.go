@@ -1,7 +1,6 @@
 package webmail
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,7 +28,7 @@ type account struct {
 	sendFrom string
 
 	// acc holds the activity page as parallel columns in display
-	// order (First, then Cookie); strings live in the partition's
+	// order (First, then Cookie); strings live in the Service's
 	// arena-backed table.
 	acc     accessTable
 	journal journalTable
@@ -53,41 +52,21 @@ type account struct {
 	// bump it precisely so the gate never delays their detection.
 	accessVersion atomic.Uint64
 
+	// sends is the abuse detector's sliding window of this account's
+	// outgoing mail, oldest first (see abuse.go).
+	sends []sendRecord
+
 	suspended bool
 }
 
 // bumpAccessLocked advances the scraper-visible change counter and
 // stamps the changed row (-1 for row-less events: password change,
-// suspension). Callers hold the owning partition's lock.
+// suspension). Callers hold the Service lock.
 func (a *account) bumpAccessLocked(row int32) {
 	v := a.accessVersion.Add(1)
 	if row >= 0 {
 		a.acc.rev[row] = v
 	}
-}
-
-// partition is one shard of the account store: its own lock, its own
-// account map, and its own time/outbound bindings. Accounts in
-// different partitions never contend on a mutex, which is what lets
-// the sharded experiment engine drive disjoint account populations
-// from parallel schedulers against a single Service.
-type partition struct {
-	id int
-
-	mu       sync.Mutex
-	accounts map[string]*account
-
-	// sym is the partition's arena-backed string table: cookies, user
-	// agents, IPs and geo names across every account in the partition
-	// share it. Guarded by mu.
-	sym colstore.Interner
-
-	// now supplies virtual time for this partition's accounts. In a
-	// sharded experiment every partition is bound to its shard's
-	// clock; single-partition services use the service clock.
-	now func() time.Time
-	// outbound receives this partition's sent mail.
-	outbound Outbound
 }
 
 // Config parameterises a Service.
@@ -96,34 +75,32 @@ type Config struct {
 	Clock *simtime.Clock
 	// Outbound receives all sent mail; defaults to DiscardOutbound.
 	Outbound Outbound
-	// Abuse configures the platform's abuse detection. Zero value
-	// enables defaults; see AbuseConfig.
+	// Abuse switches the platform's abuse detection; the zero value
+	// enforces the fixed thresholds in abuse.go.
 	Abuse AbuseConfig
 	// LoginRisk blocks suspicious logins the way Google's filters
 	// would; the zero value blocks nothing. The paper had these filters
 	// DISABLED on honey accounts (§3.4); the ablation bench turns them
 	// on.
 	LoginRisk LoginRiskConfig
-	// Partitions splits the account store into this many
-	// independently locked shards (default 1). Accounts placed in
-	// different partitions never contend; each partition can be bound
-	// to its own clock and outbound sink via ConfigurePartition.
-	Partitions int
 }
 
-// Service is the webmail platform. It is safe for concurrent use.
-// Internally the account store is split into partitions (see Config.
-// Partitions): the service-level lock only guards the address index,
-// which is read-mostly, while all per-account state sits behind the
-// owning partition's lock.
+// Service is one webmail platform: one lock over one account map and
+// its string table. It is safe for concurrent use. The sharded
+// experiment engine gives every shard its own Service, bound to the
+// shard's clock and sinkhole, and every live-fleet shard boots one.
 type Service struct {
-	abuse *abuseDetector
-	risk  LoginRiskConfig
-	jar   *netsim.CookieJar
+	clock    *simtime.Clock
+	outbound Outbound
+	abuse    abuseDetector
+	risk     LoginRiskConfig
+	jar      *netsim.CookieJar
 
-	mu    sync.RWMutex // guards index; partitions are fixed at construction
-	index map[string]*partition
-	parts []*partition
+	mu       sync.Mutex
+	accounts map[string]*account
+	// sym is the arena-backed string table: cookies, user agents, IPs
+	// and geo names across every account share it. Guarded by mu.
+	sym colstore.Interner
 }
 
 // NewService creates an empty platform.
@@ -135,56 +112,20 @@ func NewService(cfg Config) *Service {
 	if out == nil {
 		out = DiscardOutbound
 	}
-	n := cfg.Partitions
-	if n <= 0 {
-		n = 1
+	return &Service{
+		clock:    cfg.Clock,
+		outbound: out,
+		abuse:    newAbuseDetector(cfg.Abuse),
+		risk:     cfg.LoginRisk,
+		jar:      netsim.NewCookieJar(),
+		accounts: make(map[string]*account),
 	}
-	s := &Service{
-		abuse: newAbuseDetector(cfg.Abuse),
-		risk:  cfg.LoginRisk,
-		jar:   netsim.NewCookieJar(),
-		index: make(map[string]*partition),
-		parts: make([]*partition, n),
-	}
-	for i := range s.parts {
-		s.parts[i] = &partition{
-			id:       i,
-			accounts: make(map[string]*account),
-			now:      cfg.Clock.Now,
-			outbound: out,
-		}
-	}
-	return s
 }
 
-// Partitions returns the number of account-store shards.
-func (s *Service) Partitions() int { return len(s.parts) }
-
-// ConfigurePartition rebinds one partition's clock and outbound sink.
-// The sharded experiment engine calls it once per shard, before any
-// account in the partition is exercised; now and outbound may be nil
-// to keep the current binding.
-func (s *Service) ConfigurePartition(i int, now func() time.Time, outbound Outbound) error {
-	if i < 0 || i >= len(s.parts) {
-		return fmt.Errorf("webmail: partition %d out of range [0,%d)", i, len(s.parts))
-	}
-	p := s.parts[i]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if now != nil {
-		p.now = now
-	}
-	if outbound != nil {
-		p.outbound = outbound
-	}
-	return nil
-}
-
-// PartitionIndex hashes an address onto one of n partitions (FNV-1a).
-// It is THE fleet-wide placement function: the in-process service, the
-// live-fleet router, the per-shard snapshot boot and the load
-// generator's client-side routing all call it, so an account lands on
-// the same shard whichever layer asks.
+// PartitionIndex hashes an address onto one of n shards (FNV-1a). It
+// is the live fleet's placement function: the router, the per-shard
+// snapshot boot and the load generator's client-side routing all call
+// it, so an account lands on the same shard whichever layer asks.
 func PartitionIndex(address string, n int) int {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(address); i++ {
@@ -194,88 +135,46 @@ func PartitionIndex(address string, n int) int {
 	return int(h % uint64(n))
 }
 
-// partitionFor hashes an address onto a partition, the default
-// placement for accounts created without an explicit shard.
-func (s *Service) partitionFor(address string) int {
-	return PartitionIndex(address, len(s.parts))
-}
-
-// lookup resolves an address to its partition without touching any
-// partition lock.
-func (s *Service) lookup(address string) (*partition, bool) {
-	s.mu.RLock()
-	p, ok := s.index[address]
-	s.mu.RUnlock()
-	return p, ok
-}
-
-// acquire resolves and locks the partition owning an address. Callers
-// must p.mu.Unlock() when done.
-func (s *Service) acquire(address string) (*partition, *account, error) {
-	p, ok := s.lookup(address)
-	if !ok {
-		return nil, nil, ErrNoSuchAccount
-	}
-	p.mu.Lock()
-	a, ok := p.accounts[address]
-	if !ok {
-		p.mu.Unlock()
-		return nil, nil, ErrNoSuchAccount
-	}
-	return p, a, nil
-}
-
-// CreateAccount registers a mailbox, placing it on a hash-selected
-// partition.
-func (s *Service) CreateAccount(address, password, ownerName string) error {
-	return s.CreateAccountIn(s.partitionFor(address), address, password, ownerName)
-}
-
-// CreateAccountIn registers a mailbox on an explicit partition. The
-// sharded experiment engine uses it to co-locate each shard's
-// accounts so parallel shards never share an account-store lock.
-func (s *Service) CreateAccountIn(part int, address, password, ownerName string) error {
-	if part < 0 || part >= len(s.parts) {
-		return fmt.Errorf("webmail: partition %d out of range [0,%d)", part, len(s.parts))
-	}
-	p := s.parts[part]
-	// Insert into the partition before the index entry becomes
-	// visible (lock order s.mu -> p.mu, used nowhere else), so a
-	// concurrent acquire() never finds an indexed-but-absent account.
+// acquire locks the Service and resolves an address. On success the
+// caller must s.mu.Unlock(); on error the lock is already released.
+func (s *Service) acquire(address string) (*account, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[address]; ok {
-		return ErrAccountExists
+	a, ok := s.accounts[address]
+	if !ok {
+		s.mu.Unlock()
+		return nil, ErrNoSuchAccount
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s.index[address] = p
-	p.accounts[address] = &account{
+	return a, nil
+}
+
+// CreateAccount registers a mailbox.
+func (s *Service) CreateAccount(address, password, ownerName string) error {
+	return s.insert(&account{
 		address:  address,
 		password: password,
 		owner:    ownerName,
 		nextID:   1,
-	}
-	return nil
+	})
 }
 
-// PartitionOf reports which partition holds an address (-1 if the
-// account does not exist).
-func (s *Service) PartitionOf(address string) int {
-	p, ok := s.lookup(address)
-	if !ok {
-		return -1
+// insert registers a new account, refusing an address already taken.
+func (s *Service) insert(a *account) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.accounts[a.address]; ok {
+		return ErrAccountExists
 	}
-	return p.id
+	s.accounts[a.address] = a
+	return nil
 }
 
 // SetSendFrom sets the account's outgoing envelope-sender override.
 func (s *Service) SetSendFrom(address, sendFrom string) error {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	a.sendFrom = sendFrom
 	return nil
 }
@@ -283,11 +182,11 @@ func (s *Service) SetSendFrom(address, sendFrom string) error {
 // Seed stores a message directly into a folder without journaling —
 // used to populate honey mailboxes before the leak (§3.2).
 func (s *Service) Seed(address string, folder Folder, from, to, subject, body string, date time.Time) (MessageID, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return 0, err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	id := a.nextID
 	a.nextID++
 	a.msgs.append(folder, &msgText{from: from, to: to, subject: subject, body: body},
@@ -302,11 +201,11 @@ func (s *Service) Seed(address string, folder Folder, from, to, subject, body st
 // layer's lazy contents view reads seeded mail through this instead of
 // keeping a per-experiment duplicate of every message.
 func (s *Service) MessageText(address string, id MessageID) (subject, body string, ok bool) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return "", "", false
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	i := a.msgs.index(id)
 	if i < 0 {
 		return "", "", false
@@ -316,17 +215,16 @@ func (s *Service) MessageText(address string, id MessageID) (subject, body strin
 }
 
 // EachMessageText visits messages 1..maxID of one mailbox in ID order
-// under a single partition-lock acquisition, passing the stored
-// subject and body columns without copying — the bulk form of
-// MessageText for corpus-wide scans (TF-IDF's "all seeded mail"
-// document). fn runs under the partition lock and must not call back
-// into the Service.
+// under a single lock acquisition, passing the stored subject and body
+// columns without copying — the bulk form of MessageText for
+// corpus-wide scans (TF-IDF's "all seeded mail" document). fn runs
+// under the Service lock and must not call back into the Service.
 func (s *Service) EachMessageText(address string, maxID int64, fn func(id int64, subject, body string)) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	n := len(a.msgs.text)
 	if maxID < int64(n) {
 		n = int(maxID)
@@ -346,20 +244,20 @@ func (s *Service) NewCookie() string { return s.jar.Issue() }
 // network endpoint. A new Access row appears on the activity page for
 // first-time cookies; repeat cookies update tlast and the visit count.
 func (s *Service) Login(address, password, cookie string, ep netsim.Endpoint) (*Session, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return nil, err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	if a.suspended {
 		return nil, ErrSuspended
 	}
 	if a.password != password {
 		return nil, ErrBadPassword
 	}
-	now := p.now()
+	now := s.clock.Now()
 	if s.risky(ep) {
-		s.journalLocked(p, a, Event{Time: now, Kind: EventLoginBlocked, Account: address, Cookie: cookie, Detail: ep.Addr.String()})
+		s.journalLocked(a, Event{Time: now, Kind: EventLoginBlocked, Account: address, Cookie: cookie, Detail: ep.Addr.String()})
 		return nil, ErrLoginBlocked
 	}
 	if cookie == "" {
@@ -368,13 +266,13 @@ func (s *Service) Login(address, password, cookie string, ep netsim.Endpoint) (*
 	row, seen := a.acc.lookup(cookie)
 	if !seen {
 		browser, device := netsim.ClassifyUserAgent(ep.UserAgent)
-		row = a.acc.add(&p.sym, cookie, now.UnixNano(), ep, browser, device)
+		row = a.acc.add(&s.sym, cookie, now.UnixNano(), ep, browser, device)
 	}
 	a.acc.lastNS[row] = now.UnixNano()
 	a.acc.visits[row]++
 	a.bumpAccessLocked(row)
-	s.journalLocked(p, a, Event{Time: now, Kind: EventLogin, Account: address, Cookie: cookie, Detail: ep.Addr.String()})
-	return &Session{svc: s, part: p, account: address, cookie: cookie, passwordAt: a.passwordChanges}, nil
+	s.journalLocked(a, Event{Time: now, Kind: EventLogin, Account: address, Cookie: cookie, Detail: ep.Addr.String()})
+	return &Session{svc: s, account: address, cookie: cookie, passwordAt: a.passwordChanges}, nil
 }
 
 // risky is the Google-style suspicious-login heuristic used only by
@@ -393,15 +291,15 @@ type LoginRiskConfig struct {
 
 // Suspend blocks an account (Google's enforcement, §4.1).
 func (s *Service) Suspend(address, reason string) error {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	if !a.suspended {
 		a.suspended = true
 		a.bumpAccessLocked(-1) // scraper-visible: the next login fails
-		s.journalLocked(p, a, Event{Time: p.now(), Kind: EventSuspend, Account: address, Detail: reason})
+		s.journalLocked(a, Event{Time: s.clock.Now(), Kind: EventSuspend, Account: address, Detail: reason})
 	}
 	return nil
 }
@@ -412,16 +310,16 @@ func (s *Service) Suspend(address, reason string) error {
 // hijacker's move), so every live session — the attacker's included —
 // is invalidated at once.
 func (s *Service) ResetPassword(address, newPassword string) error {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	a.password = newPassword
 	a.passwordChanges++
 	a.bumpAccessLocked(-1) // scraper-visible: the monitor must learn the new credential
-	s.journalLocked(p, a, Event{
-		Time: p.now(), Kind: EventPasswordChange,
+	s.journalLocked(a, Event{
+		Time: s.clock.Now(), Kind: EventPasswordChange,
 		Account: address, Detail: "reset",
 	})
 	return nil
@@ -429,37 +327,35 @@ func (s *Service) ResetPassword(address, newPassword string) error {
 
 // Suspended reports whether the account is blocked.
 func (s *Service) Suspended(address string) bool {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return false
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	return a.suspended
 }
 
 // SuspendedCount returns how many accounts the platform has blocked.
 func (s *Service) SuspendedCount() int {
 	n := 0
-	for _, p := range s.parts {
-		p.mu.Lock()
-		for _, a := range p.accounts {
-			if a.suspended {
-				n++
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, a := range s.accounts {
+		if a.suspended {
+			n++
 		}
-		p.mu.Unlock()
 	}
 	return n
 }
 
 // Accounts returns all account addresses, sorted.
 func (s *Service) Accounts() []string {
-	s.mu.RLock()
-	out := make([]string, 0, len(s.index))
-	for addr := range s.index {
+	s.mu.Lock()
+	out := make([]string, 0, len(s.accounts))
+	for addr := range s.accounts {
 		out = append(out, addr)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
@@ -467,11 +363,11 @@ func (s *Service) Accounts() []string {
 // Journal returns a copy of the ground-truth event journal for an
 // account (empty for unknown accounts).
 func (s *Service) Journal(address string) []Event {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return nil
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	out := make([]Event, a.journal.len())
 	for i := range out {
 		out[i] = a.journal.materialize(i, a.address)
@@ -485,11 +381,11 @@ func (s *Service) Journal(address string) []Event {
 // to search logs", §4.6) — it exists here to validate how well the
 // TF-IDF inference recovers it.
 func (s *Service) SearchLog(address string) []string {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return nil
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	var out []string
 	for i, k := range a.journal.kind {
 		if k == EventSearch {
@@ -501,7 +397,7 @@ func (s *Service) SearchLog(address string) []string {
 
 // bumpMailboxLocked records a change to what Snapshot reports: it
 // advances the mailbox version and sets the attached mark, if any.
-// Callers hold the owning partition's lock.
+// Callers hold the Service lock.
 func (a *account) bumpMailboxLocked() {
 	a.version++
 	if a.mark != nil {
@@ -509,13 +405,13 @@ func (a *account) bumpMailboxLocked() {
 	}
 }
 
-// journalLocked appends an event. Callers hold the owning partition's
-// lock. The snapshot version only advances for events that change what
-// Snapshot reports (reads, stars, sends, drafts) so that pollers can
-// skip accounts whose mailbox is untouched — logins and searches alone
-// do not force a rescan.
-func (s *Service) journalLocked(p *partition, a *account, e Event) {
-	a.journal.append(&p.sym, e)
+// journalLocked appends an event. Callers hold the Service lock. The
+// snapshot version only advances for events that change what Snapshot
+// reports (reads, stars, sends, drafts) so that pollers can skip
+// accounts whose mailbox is untouched — logins and searches alone do
+// not force a rescan.
+func (s *Service) journalLocked(a *account, e Event) {
+	a.journal.append(&s.sym, e)
 	switch e.Kind {
 	case EventRead, EventStar, EventSend, EventDraftCreate:
 		a.bumpMailboxLocked()
@@ -525,11 +421,11 @@ func (s *Service) journalLocked(p *partition, a *account, e Event) {
 // Version returns a counter that changes whenever the account's
 // mailbox state does. Unknown accounts report 0.
 func (s *Service) Version(address string) uint64 {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return 0
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	return a.version
 }
 
@@ -539,11 +435,11 @@ func (s *Service) Version(address string) uint64 {
 // the mailbox changed before it started watching. The Apps-Script
 // runtime attaches its scan trigger's mark here.
 func (s *Service) AttachMark(address string, m *simtime.Mark) (uint64, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return 0, err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	a.mark = m
 	return a.version, nil
 }
@@ -552,21 +448,21 @@ func (s *Service) AttachMark(address string, m *simtime.Mark) (uint64, error) {
 // activity-page scraper could observe does: a new or updated access
 // row, a password change, a suspension. Unknown accounts report 0.
 func (s *Service) AccessVersion(address string) uint64 {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return 0
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	return a.accessVersion.Load()
 }
 
 // VersionProbe is a lock-free handle for polling one account's
 // scraper-visible change counter. The activity-page scraper's version
 // gate holds one per account so that deciding "nothing changed — skip
-// this account" costs a single atomic load instead of an index lookup
-// plus two lock round-trips per account per tick. Accounts are never deleted, so a probe stays valid for the
-// life of the service. The zero value is invalid (Valid reports
-// false).
+// this account" costs a single atomic load instead of a locked lookup
+// per account per tick. Accounts are never deleted, so a probe stays
+// valid for the life of the service. The zero value is invalid (Valid
+// reports false).
 type VersionProbe struct{ a *account }
 
 // Valid reports whether the probe is bound to an account.
@@ -577,11 +473,11 @@ func (p VersionProbe) AccessVersion() uint64 { return p.a.accessVersion.Load() }
 
 // Probe returns a version probe for an account.
 func (s *Service) Probe(address string) (VersionProbe, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return VersionProbe{}, err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	return VersionProbe{a: a}, nil
 }
 
@@ -593,11 +489,11 @@ type FolderCounts struct {
 
 // Counts summarises an account's folders.
 func (s *Service) Counts(address string) (FolderCounts, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return FolderCounts{}, err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	var c FolderCounts
 	// Pure column scan: folder/read/starred only, text untouched.
 	for i, f := range a.msgs.folder {
@@ -625,15 +521,15 @@ func (s *Service) Counts(address string) (FolderCounts, error) {
 // would for mail arriving from outside (forum registration
 // confirmations, Apps-Script quota notices, §4.7).
 func (s *Service) DeliverInbound(address, from, subject, body string) (MessageID, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return 0, err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	id := a.nextID
 	a.nextID++
 	a.msgs.append(FolderInbox, &msgText{from: from, to: address, subject: subject, body: body},
-		p.now().UnixNano(), false)
+		s.clock.Now().UnixNano(), false)
 	a.bumpMailboxLocked()
 	return id, nil
 }
@@ -652,12 +548,12 @@ type Snapshot struct {
 // suspended accounts and after password changes — the paper notes the
 // embedded scripts keep running in both cases (§4.2).
 func (s *Service) Snapshot(address string) (Snapshot, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	defer p.mu.Unlock()
-	snap := Snapshot{Taken: p.now()}
+	defer s.mu.Unlock()
+	snap := Snapshot{Taken: s.clock.Now()}
 	// Rows are ID-ascending by construction — a single column scan
 	// replaces the collect-then-sort the map store needed. The Drafts
 	// map is only allocated when a draft actually exists (most
@@ -690,11 +586,11 @@ func (s *Service) Snapshot(address string) (Snapshot, error) {
 // through the normal path). Rows are kept insertion-sorted, so this is
 // a straight copy — no per-call sort.
 func (s *Service) ActivityPage(address string) ([]Access, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return nil, err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	out := make([]Access, len(a.acc.order))
 	for i, row := range a.acc.order {
 		out[i] = a.acc.materialize(row)
@@ -705,11 +601,11 @@ func (s *Service) ActivityPage(address string) ([]Access, error) {
 // Password returns the current password; the honeynet uses it to model
 // "the password no longer matches the leaked one" after hijacks.
 func (s *Service) Password(address string) (string, error) {
-	p, a, err := s.acquire(address)
+	a, err := s.acquire(address)
 	if err != nil {
 		return "", err
 	}
-	defer p.mu.Unlock()
+	defer s.mu.Unlock()
 	return a.password, nil
 }
 

@@ -9,13 +9,10 @@ import (
 // Session is an authenticated view of one account bound to a cookie.
 // A password change invalidates every session opened before it, which
 // is how hijackers lock out both the legitimate owner and our
-// activity-page scraper (§4.2). The session pins the partition that
-// owns its account, so session operations only ever take that
-// partition's lock — sessions on different shards proceed without
-// contention.
+// activity-page scraper (§4.2). Every session operation takes the
+// Service lock once.
 type Session struct {
 	svc        *Service
-	part       *partition
 	account    string
 	cookie     string
 	passwordAt int // password generation at login time
@@ -28,9 +25,9 @@ func (se *Session) Account() string { return se.account }
 func (se *Session) Cookie() string { return se.cookie }
 
 // touch revalidates the session, updates the activity row's tlast, and
-// returns the account. Callers must hold se.part.mu.
+// returns the account. Callers must hold se.svc.mu.
 func (se *Session) touch() (*account, error) {
-	a, ok := se.part.accounts[se.account]
+	a, ok := se.svc.accounts[se.account]
 	if !ok {
 		return nil, ErrNoSuchAccount
 	}
@@ -41,7 +38,7 @@ func (se *Session) touch() (*account, error) {
 		return nil, ErrSessionExpired
 	}
 	if row, ok := a.acc.lookup(se.cookie); ok {
-		nowNS := se.part.now().UnixNano()
+		nowNS := se.svc.clock.Now().UnixNano()
 		if nowNS > a.acc.lastNS[row] {
 			a.acc.lastNS[row] = nowNS
 			// tlast is on the activity page: a scraper can observe it.
@@ -56,8 +53,8 @@ func (se *Session) touch() (*account, error) {
 // way in, and nothing else. A visit that opens a page without reading
 // it uses this instead of materializing a listing it drops.
 func (se *Session) Touch() error {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	_, err := se.touch()
 	return err
 }
@@ -82,8 +79,8 @@ func (se *Session) List(folder Folder) ([]Message, error) {
 // cannot grow with mailbox size: the newest-N rows are selected on
 // the compact date column before any message text is materialized.
 func (se *Session) ListN(folder Folder, limit int) ([]Message, error) {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return nil, err
@@ -115,8 +112,8 @@ func (se *Session) ListN(folder Folder, limit int) ([]Message, error) {
 // Read opens a message, marking it read and journaling the action —
 // the signal the Apps-Script scan picks up (§3.1).
 func (se *Session) Read(id MessageID) (Message, error) {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return Message{}, err
@@ -127,8 +124,8 @@ func (se *Session) Read(id MessageID) (Message, error) {
 	}
 	if !a.msgs.read[i] {
 		a.msgs.read[i] = true
-		se.svc.journalLocked(se.part, a, Event{
-			Time: se.part.now(), Kind: EventRead,
+		se.svc.journalLocked(a, Event{
+			Time: se.svc.clock.Now(), Kind: EventRead,
 			Account: se.account, Cookie: se.cookie, Message: id,
 		})
 	}
@@ -137,8 +134,8 @@ func (se *Session) Read(id MessageID) (Message, error) {
 
 // Star marks a message starred (favorited).
 func (se *Session) Star(id MessageID) error {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return err
@@ -149,8 +146,8 @@ func (se *Session) Star(id MessageID) error {
 	}
 	if !a.msgs.starred[i] {
 		a.msgs.starred[i] = true
-		se.svc.journalLocked(se.part, a, Event{
-			Time: se.part.now(), Kind: EventStar,
+		se.svc.journalLocked(a, Event{
+			Time: se.svc.clock.Now(), Kind: EventStar,
 			Account: se.account, Cookie: se.cookie, Message: id,
 		})
 	}
@@ -161,15 +158,15 @@ func (se *Session) Star(id MessageID) error {
 // returns matches oldest-first. Ground truth only: the paper's
 // analysts could not see queries and inferred them via TF-IDF (§4.6).
 func (se *Session) Search(query string) ([]Message, error) {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return nil, err
 	}
 	q := strings.TrimSpace(query)
-	se.svc.journalLocked(se.part, a, Event{
-		Time: se.part.now(), Kind: EventSearch,
+	se.svc.journalLocked(a, Event{
+		Time: se.svc.clock.Now(), Kind: EventSearch,
 		Account: se.account, Cookie: se.cookie, Detail: q,
 	})
 	terms := strings.Fields(strings.ToLower(q))
@@ -185,8 +182,8 @@ func (se *Session) Search(query string) ([]Message, error) {
 
 // CreateDraft stores a new draft and returns its ID.
 func (se *Session) CreateDraft(to, subject, body string) (MessageID, error) {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return 0, err
@@ -194,9 +191,9 @@ func (se *Session) CreateDraft(to, subject, body string) (MessageID, error) {
 	id := a.nextID
 	a.nextID++
 	a.msgs.append(FolderDrafts, &msgText{from: se.account, to: to, subject: subject, body: body},
-		se.part.now().UnixNano(), true)
-	se.svc.journalLocked(se.part, a, Event{
-		Time: se.part.now(), Kind: EventDraftCreate,
+		se.svc.clock.Now().UnixNano(), true)
+	se.svc.journalLocked(a, Event{
+		Time: se.svc.clock.Now(), Kind: EventDraftCreate,
 		Account: se.account, Cookie: se.cookie, Message: id,
 	})
 	return id, nil
@@ -209,13 +206,13 @@ func (se *Session) CreateDraft(to, subject, body string) (MessageID, error) {
 // The sent copy lands in the Sent folder either way; suspension takes
 // effect for subsequent operations.
 func (se *Session) Send(to, subject, body string) (MessageID, error) {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return 0, err
 	}
-	now := se.part.now()
+	now := se.svc.clock.Now()
 	from := se.account
 	if a.sendFrom != "" {
 		from = a.sendFrom
@@ -224,17 +221,17 @@ func (se *Session) Send(to, subject, body string) (MessageID, error) {
 	a.nextID++
 	a.msgs.append(FolderSent, &msgText{from: se.account, to: to, subject: subject, body: body},
 		now.UnixNano(), true)
-	se.svc.journalLocked(se.part, a, Event{
+	se.svc.journalLocked(a, Event{
 		Time: now, Kind: EventSend,
 		Account: se.account, Cookie: se.cookie, Message: id, Detail: to,
 	})
-	if err := se.part.outbound.Deliver(from, to, subject, body, now); err != nil {
+	if err := se.svc.outbound.Deliver(from, to, subject, body, now); err != nil {
 		return id, err
 	}
-	if verdict := se.svc.abuse.recordSend(se.account, to, now); verdict != "" {
+	if verdict := se.svc.abuse.recordSend(a, to, now); verdict != "" {
 		a.suspended = true
 		a.bumpAccessLocked(-1) // scraper-visible: the next login fails
-		se.svc.journalLocked(se.part, a, Event{Time: now, Kind: EventSuspend, Account: se.account, Detail: verdict})
+		se.svc.journalLocked(a, Event{Time: now, Kind: EventSuspend, Account: se.account, Detail: verdict})
 	}
 	return id, nil
 }
@@ -243,8 +240,8 @@ func (se *Session) Send(to, subject, body string) (MessageID, error) {
 // sessions (including the monitor's scraper — the hijacker behaviour
 // of §4.2). The calling session stays valid.
 func (se *Session) ChangePassword(newPassword string) error {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return err
@@ -257,8 +254,8 @@ func (se *Session) ChangePassword(newPassword string) error {
 	// visibility-loss signal §4.2 describes — the version gate must
 	// open so that attempt happens on the very next scrape tick.
 	a.bumpAccessLocked(-1)
-	se.svc.journalLocked(se.part, a, Event{
-		Time: se.part.now(), Kind: EventPasswordChange,
+	se.svc.journalLocked(a, Event{
+		Time: se.svc.clock.Now(), Kind: EventPasswordChange,
 		Account: se.account, Cookie: se.cookie,
 	})
 	return nil
@@ -267,9 +264,9 @@ func (se *Session) ChangePassword(newPassword string) error {
 // ActivityPage returns the account's access rows; this is what the
 // monitoring scraper reads after logging in (§3.1).
 func (se *Session) ActivityPage() ([]Access, error) {
-	se.part.mu.Lock()
+	se.svc.mu.Lock()
 	_, err := se.touch()
-	se.part.mu.Unlock()
+	se.svc.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -284,11 +281,11 @@ func (se *Session) ActivityPage() ([]Access, error) {
 // whole page on every tick; the returned version is the cursor for the
 // next scrape. Rows are materialized on the stack straight from the
 // columnar store, so a delta scrape allocates nothing the visitor does
-// not. The visitor runs under the partition lock and must not call
-// back into the Service.
+// not. The visitor runs under the Service lock and must not call back
+// into the Service.
 func (se *Session) ActivitySince(cursor uint64, visit func(Access)) (uint64, error) {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return 0, err
@@ -303,8 +300,8 @@ func (se *Session) ActivitySince(cursor uint64, visit func(Access)) (uint64, err
 
 // Delete moves a message to trash.
 func (se *Session) Delete(id MessageID) error {
-	se.part.mu.Lock()
-	defer se.part.mu.Unlock()
+	se.svc.mu.Lock()
+	defer se.svc.mu.Unlock()
 	a, err := se.touch()
 	if err != nil {
 		return err
