@@ -404,6 +404,7 @@ func BenchmarkAttackerSession(b *testing.B) {
 		Cookies: netsim.NewCookieJar(),
 	})
 	_ = engine
+	jar := netsim.NewCookieJar()
 	for i := 0; i < 50; i++ {
 		addr := fmt.Sprintf("b%d@honeymail.example", i)
 		svc.CreateAccount(addr, "pw", "B")
@@ -412,7 +413,7 @@ func BenchmarkAttackerSession(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := fmt.Sprintf("b%d@honeymail.example", i%50)
-		se, err := svc.Login(addr, "pw", svc.NewCookie(), space.TorExit())
+		se, err := svc.Login(addr, "pw", jar.Issue(), space.TorExit())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -454,11 +455,12 @@ func BenchmarkMonitorScrape(b *testing.B) {
 	})
 	b.Run("one-active", func(b *testing.B) {
 		clock, svc, mon, ep := setup()
+		jar := netsim.NewCookieJar()
 		mon.ScrapeAll(clock.Now())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			addr := fmt.Sprintf("m%d@honeymail.example", i%100)
-			if _, err := svc.Login(addr, "pw", svc.NewCookie(), ep); err != nil {
+			if _, err := svc.Login(addr, "pw", jar.Issue(), ep); err != nil {
 				b.Fatal(err)
 			}
 			mon.ScrapeAll(clock.Now())

@@ -40,7 +40,7 @@
 // byte-identically to an uninterrupted one (TestSnapshotInvariance).
 //
 // -scenario runs one declarative experiment variant (an embedded
-// preset name such as "baseline" or "paste-only", or a TOML/JSON spec
+// preset name such as "baseline" or "paste-only", or a JSON spec
 // file) and prints its full report. -matrix runs several variants
 // concurrently on one worker budget (-workers, default NumCPU) and
 // prints the comparative report: one column per scenario, deltas
@@ -78,7 +78,7 @@ func main() {
 		resamples    = flag.Int("resamples", 2000, "Cramér–von Mises permutation resamples")
 		shards       = flag.Int("shards", 1, "parallel shard schedulers (0 = one per CPU; output is shard-count invariant)")
 		scale        = flag.Int("scale", 1, "replicate the deployment plan K× (simulates 100·K accounts for Table 1)")
-		scen         = flag.String("scenario", "", "run one scenario (preset name or TOML/JSON file) and print its full report")
+		scen         = flag.String("scenario", "", "run one scenario (preset name or JSON spec file) and print its full report")
 		matrix       = flag.String("matrix", "", "comma-separated scenarios to run concurrently and compare (first is the baseline column)")
 		outDir       = flag.String("out", "", "directory for per-scenario JSON aggregate artifacts")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "matrix-wide worker budget shared by all scenarios (default: one per CPU)")

@@ -35,7 +35,7 @@ func startFleet(t *testing.T, accounts int) (string, string) {
 		})
 	}
 	snapPath := filepath.Join(t.TempDir(), "fleet.snap")
-	if err := st.WriteFile(snapPath); err != nil {
+	if err := os.WriteFile(snapPath, st.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

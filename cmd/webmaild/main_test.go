@@ -33,7 +33,7 @@ func writeTestSnapshot(t *testing.T, nAccounts int) string {
 		})
 	}
 	path := filepath.Join(t.TempDir(), "boot.snap")
-	if err := st.WriteFile(path); err != nil {
+	if err := os.WriteFile(path, st.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -45,6 +45,7 @@ type fixture struct {
 	rt    *Runtime
 	rec   *recorder
 	space *netsim.AddressSpace
+	jar   *netsim.CookieJar // the attackers' browsers
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -57,6 +58,7 @@ func newFixture(t *testing.T) *fixture {
 		clock: clock, sched: sched, svc: svc, rec: rec,
 		rt:    NewRuntime(svc, simtime.NewTriggerWheel(sched), rec),
 		space: netsim.NewAddressSpace(rng.New(3), geo.Default()),
+		jar:   netsim.NewCookieJar(),
 	}
 	if err := svc.CreateAccount("h1@honeymail.example", "pw", "Honey One"); err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func (f *fixture) session(t *testing.T) *webmail.Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := f.svc.Login("h1@honeymail.example", "pw", f.svc.NewCookie(), ep)
+	se, err := f.svc.Login("h1@honeymail.example", "pw", f.jar.Issue(), ep)
 	if err != nil {
 		t.Fatal(err)
 	}

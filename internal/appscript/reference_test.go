@@ -140,6 +140,7 @@ func runActivity(t *testing.T, ops []activityOp, build func(*webmail.Service, *s
 	clock := simtime.NewClock(epoch)
 	sched := simtime.NewScheduler(clock)
 	svc := webmail.NewService(webmail.Config{Clock: clock})
+	jar := netsim.NewCookieJar()
 	rec := &recorder{}
 	rt := build(svc, sched, rec)
 	sessions := make([]*webmail.Session, refAccounts)
@@ -151,7 +152,7 @@ func runActivity(t *testing.T, ops []activityOp, build func(*webmail.Service, *s
 		for m := 0; m < 5; m++ {
 			svc.Seed(addr, webmail.FolderInbox, "boss@corp.example", addr, fmt.Sprintf("memo %d", m), "numbers", epoch.Add(-time.Hour))
 		}
-		se, err := svc.Login(addr, "pw", svc.NewCookie(), netsim.Endpoint{UserAgent: "Mozilla/5.0"})
+		se, err := svc.Login(addr, "pw", jar.Issue(), netsim.Endpoint{UserAgent: "Mozilla/5.0"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -121,7 +121,6 @@ type Engine struct {
 	records      []*Record
 	madeNonTor   bool // the one non-Tor malware access (§4.5)
 	resaleWaves  map[string][]time.Time
-	leakTimes    map[string]time.Time
 	passwords    map[string]string // latest known-good password per account
 	blackmailers int
 }
@@ -146,7 +145,6 @@ func New(cfg Config) *Engine {
 		jar:         cfg.Cookies,
 		pops:        pops,
 		resaleWaves: make(map[string][]time.Time),
-		leakTimes:   make(map[string]time.Time),
 		passwords:   make(map[string]string),
 	}
 }
@@ -183,9 +181,6 @@ func (e *Engine) HandlePickup(p outlets.Pickup) {
 		hint = &h
 	}
 	e.mu.Lock()
-	if _, ok := e.leakTimes[p.Credential.Account]; !ok {
-		e.leakTimes[p.Credential.Account] = p.PostedAt
-	}
 	if _, ok := e.passwords[p.Credential.Account]; !ok {
 		e.passwords[p.Credential.Account] = p.Credential.Password
 	}
@@ -200,9 +195,6 @@ func (e *Engine) HandlePickup(p outlets.Pickup) {
 func (e *Engine) HandleExfil(ex malnet.Exfiltration) {
 	now := e.sched.Now()
 	e.mu.Lock()
-	if _, ok := e.leakTimes[ex.Credential.Account]; !ok {
-		e.leakTimes[ex.Credential.Account] = now
-	}
 	if _, ok := e.passwords[ex.Credential.Account]; !ok {
 		e.passwords[ex.Credential.Account] = ex.Credential.Password
 	}

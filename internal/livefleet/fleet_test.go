@@ -2,6 +2,7 @@ package livefleet
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -41,7 +42,7 @@ func buildTestSnapshot(t *testing.T, nAccounts int) string {
 		})
 	}
 	path := filepath.Join(t.TempDir(), "seed.snap")
-	if err := st.WriteFile(path); err != nil {
+	if err := os.WriteFile(path, st.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -22,7 +22,8 @@ type fixture struct {
 	sched *simtime.Scheduler
 	svc   *webmail.Service
 	space *netsim.AddressSpace
-	sink  *recordingSink // everything the scraper and the scripts reported
+	jar   *netsim.CookieJar // the attackers' browsers
+	sink  *recordingSink    // everything the scraper and the scripts reported
 	mon   *Monitor
 	rt    *appscript.Runtime
 }
@@ -46,7 +47,7 @@ func newFixture(t *testing.T) *fixture {
 		Cookies:  netsim.NewCookieJarPrefixed("mon"),
 	})
 	rt := appscript.NewRuntime(svc, simtime.NewTriggerWheel(sched), sink)
-	f := &fixture{clock: clock, sched: sched, svc: svc, space: space, sink: sink, mon: mon, rt: rt}
+	f := &fixture{clock: clock, sched: sched, svc: svc, space: space, jar: netsim.NewCookieJar(), sink: sink, mon: mon, rt: rt}
 	if err := svc.CreateAccount("h1@honeymail.example", "pw1", "Honey One"); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func newFixture(t *testing.T) *fixture {
 
 func (f *fixture) attackerLogin(t *testing.T, city, ua string) *webmail.Session {
 	t.Helper()
-	return f.loginAs(t, "pw1", f.svc.NewCookie(), city, ua)
+	return f.loginAs(t, "pw1", f.jar.Issue(), city, ua)
 }
 
 // loginAs logs into h1 with a chosen password and cookie, from a
@@ -161,7 +162,7 @@ func TestPasswordChangeFreezesScrapes(t *testing.T) {
 func TestUpdatePasswordResumesFromCursor(t *testing.T) {
 	f := newFixture(t)
 	f.mon.Start(30 * time.Minute)
-	hijackerCookie := f.svc.NewCookie()
+	hijackerCookie := f.jar.Issue()
 	se := f.loginAs(t, "pw1", hijackerCookie, "Minsk", "")
 	f.sched.RunFor(time.Hour)
 	if len(f.sink.accesses) != 1 {
@@ -177,7 +178,7 @@ func TestUpdatePasswordResumesFromCursor(t *testing.T) {
 
 	// During the lockout the hijacker returns and a buyer logs in.
 	f.loginAs(t, "owned", hijackerCookie, "Minsk", "")
-	f.loginAs(t, "owned", f.svc.NewCookie(), "Lagos", "Mozilla/5.0 Chrome")
+	f.loginAs(t, "owned", f.jar.Issue(), "Lagos", "Mozilla/5.0 Chrome")
 	f.sched.RunFor(2 * time.Hour)
 	if len(f.sink.accesses) != 1 {
 		t.Fatalf("locked-out scraper streamed %+v", f.sink.accesses[1:])
@@ -194,7 +195,7 @@ func TestUpdatePasswordResumesFromCursor(t *testing.T) {
 	}
 
 	// A second hijack locks the scraper out again, silently.
-	se = f.loginAs(t, "reset-1", f.svc.NewCookie(), "Kyiv", "")
+	se = f.loginAs(t, "reset-1", f.jar.Issue(), "Kyiv", "")
 	if err := se.ChangePassword("owned-again"); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestDatasetDeterministicOrder(t *testing.T) {
 	f.mon.Track("h0@honeymail.example", "pw0") // tracked after h1, sorts first
 	f.attackerLogin(t, "Lagos", "")
 	ep, _ := f.space.FromCity("Hanoi")
-	if _, err := f.svc.Login("h0@honeymail.example", "pw0", f.svc.NewCookie(), ep); err != nil {
+	if _, err := f.svc.Login("h0@honeymail.example", "pw0", f.jar.Issue(), ep); err != nil {
 		t.Fatal(err)
 	}
 	f.mon.ScrapeAll(f.clock.Now())

@@ -222,6 +222,7 @@ func runScrapes(t *testing.T, ops []scrapeOp, build func(*webmail.Service, *simt
 	clock := simtime.NewClock(epoch)
 	sched := simtime.NewScheduler(clock)
 	svc := webmail.NewService(webmail.Config{Clock: clock})
+	jar := netsim.NewCookieJar()
 	rec := &streamRecorder{}
 	mon := build(svc, simtime.NewTriggerWheel(sched), rec)
 	password := make([]string, scrapeAccounts) // what the attackers know
@@ -250,7 +251,7 @@ func runScrapes(t *testing.T, ops []scrapeOp, build func(*webmail.Service, *simt
 			i, addr := op.account, scrapeAddress(op.account)
 			switch op.kind {
 			case "login":
-				cookie := svc.NewCookie()
+				cookie := jar.Issue()
 				if login(i, cookie, op.ep) != nil {
 					cookies[i] = append(cookies[i], cookie)
 				}
@@ -263,7 +264,7 @@ func runScrapes(t *testing.T, ops []scrapeOp, build func(*webmail.Service, *simt
 					sessions[i][op.pick%len(sessions[i])].Search("invoice")
 				}
 			case "hijack":
-				cookie := svc.NewCookie()
+				cookie := jar.Issue()
 				if se := login(i, cookie, op.ep); se != nil {
 					cookies[i] = append(cookies[i], cookie)
 					if se.ChangePassword(fmt.Sprintf("owned-%d", n)) == nil {

@@ -8,11 +8,10 @@
 // mix. A Spec varies any of those axes without touching Go code: plan
 // composition, outlet catalogue and cadence, attacker-calibration
 // overrides per channel, decoy locale/timezone, leak date, scan and
-// scrape cadences, and the engine toggles (streaming, dirty
-// tracking, visible scripts). Specs load from embedded named presets
-// (Presets, e.g. "baseline", "paste-only", "malware-heavy") or from
-// user TOML/JSON files (LoadFile; the TOML dialect is the small
-// subset parseTOML documents).
+// scrape cadences, the §4.7 case studies and the C3 defender. Specs
+// are strict JSON, one format for the embedded named presets (Preset,
+// e.g. "baseline", "paste-only", "malware-heavy") and for user files
+// (LoadFile); both go through ParseJSON.
 //
 // RunMatrix executes N scenarios concurrently: every scenario keeps
 // the sharded engine's determinism contract (per-scenario seeds via

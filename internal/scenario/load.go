@@ -9,15 +9,21 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
-//go:embed presets/*.toml
+//go:embed presets/*.json
 var presetFS embed.FS
 
-// ParseJSON decodes and validates a scenario spec from JSON. Unknown
-// fields are rejected so typos fail loudly instead of silently
-// reverting an axis to the paper default.
+// ParseJSON decodes and validates a scenario spec from JSON, the one
+// spec format. Unknown fields, duplicate keys and bytes that are not
+// UTF-8 are rejected, so a typo, a key written twice or a mangled
+// string fails loudly instead of silently reverting an axis to the
+// paper default or letting the last value win.
 func ParseJSON(data []byte) (Spec, error) {
+	if !utf8.Valid(data) {
+		return Spec{}, fmt.Errorf("scenario: JSON spec is not valid UTF-8")
+	}
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -28,42 +34,70 @@ func ParseJSON(data []byte) (Spec, error) {
 	if dec.More() {
 		return Spec{}, fmt.Errorf("scenario: trailing data after JSON spec")
 	}
+	// The typed decode lets the last of two equal keys win, so a token
+	// walk looks for them. It runs second: a document the typed decode
+	// accepted is Spec-shaped, at most three levels deep, which bounds
+	// the walk's recursion.
+	if err := checkKeys(json.NewDecoder(bytes.NewReader(data))); err != nil {
+		return Spec{}, fmt.Errorf("scenario: bad JSON spec: %w", err)
+	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
 }
 
-// ParseTOML decodes and validates a scenario spec from the TOML
-// subset parseTOML documents. The parsed tree is re-encoded as JSON
-// and decoded through the same strict path as ParseJSON, so both
-// formats share one field set and one validator.
-func ParseTOML(data []byte) (Spec, error) {
-	tree, err := parseTOML(data)
+// checkKeys reads one JSON value token by token and refuses any
+// object, at any depth, that names a key twice. encoding/json matches
+// field names case-insensitively, so keys are compared folded the way
+// it folds them.
+func checkKeys(dec *json.Decoder) error {
+	tok, err := dec.Token()
 	if err != nil {
-		return Spec{}, fmt.Errorf("scenario: bad TOML spec: %w", err)
+		return err
 	}
-	bridge, err := json.Marshal(tree)
-	if err != nil {
-		return Spec{}, fmt.Errorf("scenario: bad TOML spec: %w", err)
+	switch tok {
+	case json.Delim('{'):
+		seen := map[string]bool{}
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				return err
+			}
+			// Token returns only a string in key position.
+			fold := strings.ToUpper(strings.ToLower(key.(string)))
+			if seen[fold] {
+				return fmt.Errorf("key %q named twice in one object", key)
+			}
+			seen[fold] = true
+			if err := checkKeys(dec); err != nil {
+				return err
+			}
+		}
+		_, err = dec.Token() // the closing '}'
+		return err
+	case json.Delim('['):
+		for dec.More() {
+			if err := checkKeys(dec); err != nil {
+				return err
+			}
+		}
+		_, err = dec.Token() // the closing ']'
+		return err
 	}
-	return ParseJSON(bridge)
+	return nil
 }
 
-// LoadFile reads a spec from a .toml or .json file.
+// LoadFile reads a spec from a .json file.
 func LoadFile(path string) (Spec, error) {
+	if !strings.EqualFold(filepath.Ext(path), ".json") {
+		return Spec{}, fmt.Errorf("scenario: %s: unsupported extension (want a .json spec)", path)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".toml":
-		return ParseTOML(data)
-	case ".json":
-		return ParseJSON(data)
-	default:
-		return Spec{}, fmt.Errorf("scenario: %s: unsupported extension (want .toml or .json)", path)
-	}
+	return ParseJSON(data)
 }
 
 // PresetNames lists the embedded preset scenarios, sorted.
@@ -74,7 +108,7 @@ func PresetNames() []string {
 	}
 	out := make([]string, 0, len(entries))
 	for _, e := range entries {
-		out = append(out, strings.TrimSuffix(e.Name(), ".toml"))
+		out = append(out, strings.TrimSuffix(e.Name(), ".json"))
 	}
 	sort.Strings(out)
 	return out
@@ -82,11 +116,11 @@ func PresetNames() []string {
 
 // Preset loads an embedded preset by name.
 func Preset(name string) (Spec, error) {
-	data, err := presetFS.ReadFile("presets/" + name + ".toml")
+	data, err := presetFS.ReadFile("presets/" + name + ".json")
 	if err != nil {
 		return Spec{}, fmt.Errorf("scenario: unknown preset %q (have: %s)", name, strings.Join(PresetNames(), ", "))
 	}
-	s, err := ParseTOML(data)
+	s, err := ParseJSON(data)
 	if err != nil {
 		return Spec{}, fmt.Errorf("scenario: preset %q: %w", name, err)
 	}
@@ -94,7 +128,7 @@ func Preset(name string) (Spec, error) {
 }
 
 // Resolve turns a CLI argument into a spec: a preset name if one
-// matches, otherwise a TOML/JSON file path.
+// matches, otherwise a JSON file path.
 func Resolve(arg string) (Spec, error) {
 	if !strings.ContainsAny(arg, "./\\") {
 		return Preset(arg)

@@ -15,7 +15,7 @@ import (
 // Spec is one declarative experiment variant. The zero value of every
 // field means "the paper's choice", so the baseline scenario is the
 // empty spec with a name; each field varies exactly one axis of the
-// deployment. Specs marshal 1:1 to the TOML/JSON scenario files.
+// deployment. Specs marshal 1:1 to the JSON scenario files.
 type Spec struct {
 	// Name identifies the scenario in reports and artifact filenames
 	// (lowercase letters, digits, ".", "_", "-").

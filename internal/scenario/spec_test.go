@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestPresetsLoadAndValidate: every embedded preset parses through
-// the TOML loader, validates, and compiles to a honeynet config —
+// the JSON loader, validates, and compiles to a honeynet config —
 // the catalog can never ship a broken scenario.
 func TestPresetsLoadAndValidate(t *testing.T) {
 	names := PresetNames()
@@ -210,14 +211,8 @@ func TestParseJSONRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseJSON([]byte(`{"name": "x"} {"name": "y"}`)); err == nil {
 		t.Fatal("trailing document accepted")
 	}
-	if _, err := ParseTOML([]byte("name = \"x\"\ndaays = 90\n")); err == nil {
-		t.Fatal("unknown TOML key accepted")
-	}
 	// A deleted axis is unknown like any typo: a spec written for an
 	// older build fails instead of running without it.
-	if _, err := ParseTOML([]byte("name = \"x\"\nvisible_scripts = true\n")); err == nil {
-		t.Fatal("removed visible_scripts key accepted in TOML")
-	}
 	if _, err := ParseJSON([]byte(`{"name": "x", "visible_scripts": true}`)); err == nil {
 		t.Fatal("removed visible_scripts key accepted in JSON")
 	}
@@ -231,11 +226,71 @@ func TestResolve(t *testing.T) {
 	if _, err := Resolve("no-such-preset"); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
-	if _, err := Resolve("/no/such/file.toml"); err == nil {
+	if _, err := Resolve("/no/such/file.json"); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	if _, err := Resolve("file.yaml"); err == nil {
 		t.Fatal("unsupported extension accepted")
+	}
+	// JSON is the one spec format; a TOML file is refused by name.
+	if _, err := Resolve("spam-wave.toml"); err == nil || !strings.Contains(err.Error(), ".json") {
+		t.Fatalf("TOML spec: err = %v, want a refusal naming .json", err)
+	}
+}
+
+// TestParseJSONStrictInput: an object that names a key twice, at any
+// depth, and bytes that are not UTF-8 fail loudly instead of letting
+// the last value win or running a mangled string. The same key in
+// distinct objects is no duplicate.
+func TestParseJSONStrictInput(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		want      string // error substring; "" means accepted
+	}{
+		{"top-level duplicate", `{"name": "x", "days": 30, "days": 90}`, "named twice"},
+		{"nested duplicate", `{"name": "x", "calibration": {"paste": {"tor_prob": 0.5, "tor_prob": 0.9}}}`, "named twice"},
+		{"duplicate in one plan element", `{"name": "x", "plan": [{"id": 1, "count": 5, "count": 6, "channel": "paste"}]}`, "named twice"},
+		// encoding/json matches field names case-insensitively, so
+		// "Days" sets the same field as "days".
+		{"duplicate differing in case", `{"name": "x", "days": 30, "Days": 90}`, "named twice"},
+		{"not utf8", "{\"name\": \"x\", \"description\": \"caf\xe9\"}", "UTF-8"},
+		{"two plan blocks", `{"name": "x", "plan": [{"id": 1, "count": 5, "channel": "paste"}, {"id": 3, "count": 5, "channel": "forum"}]}`, ""},
+		{"spammer_prob in paste and forum", `{"name": "x", "calibration": {"paste": {"spammer_prob": 0.1}, "forum": {"spammer_prob": 0.2}}}`, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ParseJSON([]byte(c.src))
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case c.want != "" && err == nil:
+				t.Fatal("accepted")
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Fatalf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestPresetFilesAreCanonical: each embedded preset file is the
+// indented marshal of the Spec it decodes to, so no preset spells out
+// a default or orders its fields differently from Spec.
+func TestPresetFilesAreCanonical(t *testing.T) {
+	for _, name := range PresetNames() {
+		data, err := presetFS.ReadFile("presets/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseJSON(data)
+		if err != nil {
+			t.Fatalf("preset %s: %v", name, err)
+		}
+		want, err := json.MarshalIndent(spec, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(data, want) {
+			t.Errorf("presets/%s.json is not its spec's indented marshal; want:\n%s", name, want)
+		}
 	}
 }
 

@@ -601,35 +601,6 @@ func (s *Stream) decode(r *reader, what string) error {
 	return err
 }
 
-// WriteFile streams the canonical encoding to path (0644) through an
-// Encoder, never holding more than one frame of encoded bytes.
-func (s *State) WriteFile(path string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, readChunk)
-	werr := func() error {
-		enc, err := NewEncoder(bw, s, len(s.Accounts))
-		if err != nil {
-			return err
-		}
-		for i := range s.Accounts {
-			if err := enc.WriteAccount(&s.Accounts[i]); err != nil {
-				return err
-			}
-		}
-		if err := enc.Close(); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}()
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("snapshot: %w", cerr)
-	}
-	return werr
-}
-
 // ReadFile streams and decodes a snapshot file.
 func ReadFile(path string) (*State, error) {
 	f, err := os.Open(path)

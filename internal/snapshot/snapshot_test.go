@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -108,11 +109,12 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-// TestFileRoundTrip: WriteFile/ReadFile preserve the canonical bytes.
+// TestFileRoundTrip: ReadFile decodes a file of canonical bytes back
+// to the state they encode.
 func TestFileRoundTrip(t *testing.T) {
 	s := sampleState()
 	path := t.TempDir() + "/exp.snap"
-	if err := s.WriteFile(path); err != nil {
+	if err := os.WriteFile(path, s.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)

@@ -235,11 +235,6 @@ func (s *Service) EachMessageText(address string, maxID int64, fn func(id int64,
 	}
 }
 
-// NewCookie issues a browser cookie identifier. Attacker sessions
-// reuse one cookie across visits from the same browser, exactly the
-// identity Google uses to distinguish unique accesses (§4.3).
-func (s *Service) NewCookie() string { return s.jar.Issue() }
-
 // Login authenticates and opens a session bound to a cookie and a
 // network endpoint. A new Access row appears on the activity page for
 // first-time cookies; repeat cookies update tlast and the visit count.
@@ -272,7 +267,7 @@ func (s *Service) Login(address, password, cookie string, ep netsim.Endpoint) (*
 	a.acc.visits[row]++
 	a.bumpAccessLocked(row)
 	s.journalLocked(a, Event{Time: now, Kind: EventLogin, Account: address, Cookie: cookie, Detail: ep.Addr.String()})
-	return &Session{svc: s, account: address, cookie: cookie, passwordAt: a.passwordChanges}, nil
+	return &Session{svc: s, acct: a, cookie: cookie, passwordAt: a.passwordChanges}, nil
 }
 
 // risky is the Google-style suspicious-login heuristic used only by

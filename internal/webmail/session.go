@@ -13,13 +13,13 @@ import (
 // Service lock once.
 type Session struct {
 	svc        *Service
-	account    string
+	acct       *account // accounts are never removed or replaced
 	cookie     string
 	passwordAt int // password generation at login time
 }
 
 // Account returns the mailbox address the session is bound to.
-func (se *Session) Account() string { return se.account }
+func (se *Session) Account() string { return se.acct.address }
 
 // Cookie returns the browser cookie identifier of this session.
 func (se *Session) Cookie() string { return se.cookie }
@@ -27,10 +27,7 @@ func (se *Session) Cookie() string { return se.cookie }
 // touch revalidates the session, updates the activity row's tlast, and
 // returns the account. Callers must hold se.svc.mu.
 func (se *Session) touch() (*account, error) {
-	a, ok := se.svc.accounts[se.account]
-	if !ok {
-		return nil, ErrNoSuchAccount
-	}
+	a := se.acct
 	if a.suspended {
 		return nil, ErrSuspended
 	}
@@ -126,7 +123,7 @@ func (se *Session) Read(id MessageID) (Message, error) {
 		a.msgs.read[i] = true
 		se.svc.journalLocked(a, Event{
 			Time: se.svc.clock.Now(), Kind: EventRead,
-			Account: se.account, Cookie: se.cookie, Message: id,
+			Account: a.address, Cookie: se.cookie, Message: id,
 		})
 	}
 	return a.msgs.materialize(i), nil
@@ -148,7 +145,7 @@ func (se *Session) Star(id MessageID) error {
 		a.msgs.starred[i] = true
 		se.svc.journalLocked(a, Event{
 			Time: se.svc.clock.Now(), Kind: EventStar,
-			Account: se.account, Cookie: se.cookie, Message: id,
+			Account: a.address, Cookie: se.cookie, Message: id,
 		})
 	}
 	return nil
@@ -167,7 +164,7 @@ func (se *Session) Search(query string) ([]Message, error) {
 	q := strings.TrimSpace(query)
 	se.svc.journalLocked(a, Event{
 		Time: se.svc.clock.Now(), Kind: EventSearch,
-		Account: se.account, Cookie: se.cookie, Detail: q,
+		Account: a.address, Cookie: se.cookie, Detail: q,
 	})
 	terms := strings.Fields(strings.ToLower(q))
 	var out []Message
@@ -190,11 +187,11 @@ func (se *Session) CreateDraft(to, subject, body string) (MessageID, error) {
 	}
 	id := a.nextID
 	a.nextID++
-	a.msgs.append(FolderDrafts, &msgText{from: se.account, to: to, subject: subject, body: body},
+	a.msgs.append(FolderDrafts, &msgText{from: a.address, to: to, subject: subject, body: body},
 		se.svc.clock.Now().UnixNano(), true)
 	se.svc.journalLocked(a, Event{
 		Time: se.svc.clock.Now(), Kind: EventDraftCreate,
-		Account: se.account, Cookie: se.cookie, Message: id,
+		Account: a.address, Cookie: se.cookie, Message: id,
 	})
 	return id, nil
 }
@@ -213,17 +210,17 @@ func (se *Session) Send(to, subject, body string) (MessageID, error) {
 		return 0, err
 	}
 	now := se.svc.clock.Now()
-	from := se.account
+	from := a.address
 	if a.sendFrom != "" {
 		from = a.sendFrom
 	}
 	id := a.nextID
 	a.nextID++
-	a.msgs.append(FolderSent, &msgText{from: se.account, to: to, subject: subject, body: body},
+	a.msgs.append(FolderSent, &msgText{from: a.address, to: to, subject: subject, body: body},
 		now.UnixNano(), true)
 	se.svc.journalLocked(a, Event{
 		Time: now, Kind: EventSend,
-		Account: se.account, Cookie: se.cookie, Message: id, Detail: to,
+		Account: a.address, Cookie: se.cookie, Message: id, Detail: to,
 	})
 	if err := se.svc.outbound.Deliver(from, to, subject, body, now); err != nil {
 		return id, err
@@ -231,7 +228,7 @@ func (se *Session) Send(to, subject, body string) (MessageID, error) {
 	if verdict := se.svc.abuse.recordSend(a, to, now); verdict != "" {
 		a.suspended = true
 		a.bumpAccessLocked(-1) // scraper-visible: the next login fails
-		se.svc.journalLocked(a, Event{Time: now, Kind: EventSuspend, Account: se.account, Detail: verdict})
+		se.svc.journalLocked(a, Event{Time: now, Kind: EventSuspend, Account: a.address, Detail: verdict})
 	}
 	return id, nil
 }
@@ -256,7 +253,7 @@ func (se *Session) ChangePassword(newPassword string) error {
 	a.bumpAccessLocked(-1)
 	se.svc.journalLocked(a, Event{
 		Time: se.svc.clock.Now(), Kind: EventPasswordChange,
-		Account: se.account, Cookie: se.cookie,
+		Account: a.address, Cookie: se.cookie,
 	})
 	return nil
 }
@@ -270,7 +267,7 @@ func (se *Session) ActivityPage() ([]Access, error) {
 	if err != nil {
 		return nil, err
 	}
-	return se.svc.ActivityPage(se.account)
+	return se.svc.ActivityPage(se.acct.address)
 }
 
 // ActivitySince streams the activity rows that changed since the
