@@ -171,9 +171,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if st.Config.CustomSites || st.Config.CustomPopulations || st.Config.CustomLocale {
-			log.Fatal("honeynet: snapshot depends on a scenario-provided outlet catalogue, calibration or locale; re-run the scenario matrix instead (its warm starts resume such snapshots)")
-		}
 		cfg, err := honeynet.ConfigFromSnapshot(st)
 		if err != nil {
 			log.Fatal(err)

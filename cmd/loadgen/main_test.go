@@ -58,7 +58,7 @@ func startFleet(t *testing.T, accounts int) (string, string) {
 		}
 		t.Cleanup(func() { srv.Close() })
 	}
-	router, err := livefleet.NewRouter(livefleet.RouterConfig{Shards: addrs, PoolSize: 4, MaxInFlight: 128})
+	router, err := livefleet.NewRouter(livefleet.RouterConfig{Shards: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,20 +133,17 @@ func (r *TFIDFResult) rank(n int, key func(TermScore) float64) []TermScore {
 // markers dropped), and return the TF-IDF result. TF-IDF weighs term
 // *counts*, so the event order never matters.
 func keywordInference(reads []ReadEvent, drafts []DraftEvent, contents ContentsView, dropWords []string) *TFIDFResult {
-	opts := corpus.DefaultTokenizeOptions()
-	if len(dropWords) > 0 {
-		opts.DropWords = make(map[string]bool, len(dropWords))
-		for _, w := range dropWords {
-			opts.DropWords[w] = true
-		}
+	drop := make(map[string]bool, len(dropWords))
+	for _, w := range dropWords {
+		drop[w] = true
 	}
 	// Subject and body tokenize separately here; the tokenizer splits
 	// on the newline that used to join them, so the term counts — the
 	// only thing TF-IDF consumes — are unchanged.
 	var readTokens, allTokens []string
 	contents.Each(func(_ string, _ int64, subject, body string) {
-		allTokens = append(allTokens, corpus.Tokenize(subject, opts)...)
-		allTokens = append(allTokens, corpus.Tokenize(body, opts)...)
+		allTokens = append(allTokens, corpus.Tokenize(subject, drop)...)
+		allTokens = append(allTokens, corpus.Tokenize(body, drop)...)
 	})
 	// Attacker-authored drafts are known only from the script's draft
 	// copies; index them so later reads of those drafts contribute
@@ -166,14 +163,14 @@ func keywordInference(reads []ReadEvent, drafts []DraftEvent, contents ContentsV
 	}
 	for _, r := range reads {
 		if subject, body, ok := contents.Message(r.Account, r.Message); ok {
-			readTokens = append(readTokens, corpus.Tokenize(subject, opts)...)
-			readTokens = append(readTokens, corpus.Tokenize(body, opts)...)
+			readTokens = append(readTokens, corpus.Tokenize(subject, drop)...)
+			readTokens = append(readTokens, corpus.Tokenize(body, drop)...)
 		} else if body, ok := draftBodies[r.Account][r.Message]; ok {
-			readTokens = append(readTokens, corpus.Tokenize(body, opts)...)
+			readTokens = append(readTokens, corpus.Tokenize(body, drop)...)
 		}
 	}
 	for _, d := range drafts {
-		readTokens = append(readTokens, corpus.Tokenize(d.Body, opts)...)
+		readTokens = append(readTokens, corpus.Tokenize(d.Body, drop)...)
 	}
 	return ComputeTFIDF(readTokens, allTokens)
 }

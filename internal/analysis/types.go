@@ -52,10 +52,6 @@ type Access struct {
 // Duration returns tlast − t0 (Figure 1's metric).
 func (a Access) Duration() time.Duration { return a.Last.Sub(a.First) }
 
-// Anonymous reports whether the access had no usable geolocation —
-// what Google attributed to Tor exits and open proxies (§4.5).
-func (a Access) Anonymous() bool { return !a.HasPoint }
-
 // ActionKind labels observed mailbox actions (from notifications).
 type ActionKind string
 

@@ -80,14 +80,15 @@ type Notifier interface {
 	Notify(n Notification)
 }
 
+// heartbeatInterval is the liveness cadence; the paper's scripts send
+// one a day.
+const heartbeatInterval = 24 * time.Hour
+
 // Options configures one installed script.
 type Options struct {
 	// ScanInterval is the mailbox diff cadence; the paper scans every
 	// 10 minutes. Zero selects 10 minutes.
 	ScanInterval time.Duration
-	// HeartbeatInterval is the liveness cadence; the paper sends one a
-	// day. Zero selects 24 hours.
-	HeartbeatInterval time.Duration
 	// QuotaScans, when positive, delivers a quota notice into the
 	// account inbox after this many scans have run. The paper's two
 	// quota notices arrived because the scripts used "too much
@@ -98,9 +99,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.ScanInterval <= 0 {
 		o.ScanInterval = 10 * time.Minute
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 24 * time.Hour
 	}
 	return o
 }
@@ -180,7 +178,7 @@ func (r *Runtime) Install(account string, opts Options) error {
 	sc.mark, sc.stopScan = r.wheel.OnMark(sc.opts.ScanInterval, "appscript-scan", func(now time.Time) {
 		r.scan(sc, now)
 	})
-	sc.stopBeat = r.wheel.Every(sc.opts.HeartbeatInterval, "appscript-heartbeat", func(now time.Time) {
+	sc.stopBeat = r.wheel.Every(heartbeatInterval, "appscript-heartbeat", func(now time.Time) {
 		r.heartbeat(sc, now)
 	})
 	version, err := r.svc.AttachMark(account, sc.mark)

@@ -48,7 +48,7 @@ func (r *refRuntime) Install(account string, opts Options) error {
 	}
 	sc := &refScript{account: account, opts: opts.withDefaults(), lastSnap: snap}
 	sc.stopScan = r.wheel.Every(sc.opts.ScanInterval, "ref-scan", func(now time.Time) { r.scan(sc, now) })
-	sc.stopBeat = r.wheel.Every(sc.opts.HeartbeatInterval, "ref-heartbeat", func(now time.Time) {
+	sc.stopBeat = r.wheel.Every(heartbeatInterval, "ref-heartbeat", func(now time.Time) {
 		r.sink.Notify(Notification{Time: now, Account: sc.account, Kind: NoteHeartbeat})
 	})
 	r.scripts[account] = sc
@@ -93,10 +93,9 @@ const (
 	refWindow   = 3 * 24 * time.Hour
 )
 
-// refOptions is every install's configuration in the activity script:
-// a heartbeat short enough to fire between reinstalls.
+// refOptions is every install's configuration in the activity script.
 func refOptions(quota int) Options {
-	return Options{HeartbeatInterval: 6 * time.Hour, QuotaScans: quota}
+	return Options{QuotaScans: quota}
 }
 
 func refAddress(i int) string { return fmt.Sprintf("h%d@honeymail.example", i) }

@@ -31,8 +31,6 @@ const arenaBlock = 1 << 14
 // lock that guards the columns it feeds (the webmail Service lock).
 type Arena struct {
 	block []byte
-	// Bytes counts total packed bytes, for introspection/tests.
-	bytes int
 }
 
 // Copy returns a stable copy of s backed by arena memory.
@@ -46,7 +44,6 @@ func arenaCopy[T string | []byte](a *Arena, s T) string {
 	if len(s) == 0 {
 		return ""
 	}
-	a.bytes += len(s)
 	if len(s) > arenaBlock/4 {
 		// Oversized strings get their own allocation; packing them
 		// would waste most of a fresh block.
@@ -62,9 +59,6 @@ func arenaCopy[T string | []byte](a *Arena, s T) string {
 	b := a.block[off : off+len(s) : off+len(s)]
 	return unsafe.String(&b[0], len(b))
 }
-
-// Bytes reports the total string bytes the arena has packed.
-func (a *Arena) Bytes() int { return a.bytes }
 
 // Interner deduplicates strings drawn from a low-cardinality set
 // (user agents, city/country names, IPs) into arena-backed canonical
@@ -95,6 +89,3 @@ func (in *Interner) Intern(s string) string {
 // unique-by-construction strings (cookies) where a map probe per row
 // would never hit.
 func (in *Interner) Copy(s string) string { return in.arena.Copy(s) }
-
-// Unique reports how many distinct strings the interner holds.
-func (in *Interner) Unique() int { return len(in.canon) }

@@ -15,9 +15,6 @@ func TestArenaCopy(t *testing.T) {
 	if got := a.Copy(""); got != "" {
 		t.Fatalf("Copy(\"\") = %q", got)
 	}
-	if a.Bytes() != 0 {
-		t.Fatalf("empty copy counted %d bytes", a.Bytes())
-	}
 
 	src := []byte("mutable source")
 	first := a.Copy(string(src))
@@ -35,13 +32,6 @@ func TestArenaCopy(t *testing.T) {
 		if copies[i] != want[i] {
 			t.Fatalf("copy %d drifted to %q", i, copies[i])
 		}
-	}
-	total := len("mutable source")
-	for _, s := range want {
-		total += len(s)
-	}
-	if a.Bytes() != total {
-		t.Fatalf("Bytes() = %d, want %d", a.Bytes(), total)
 	}
 }
 
@@ -69,8 +59,14 @@ func TestInternerDedups(t *testing.T) {
 		t.Fatalf("Intern(\"\") = %q", got)
 	}
 	ua := in.Intern("Mozilla/5.0 (X11; Linux x86_64)")
+	cities := make([]string, 100)
 	for i := 0; i < 1000; i++ {
-		in.Intern(fmt.Sprintf("city-%d", i%100))
+		c := in.Intern(fmt.Sprintf("city-%d", i%100))
+		if i < len(cities) {
+			cities[i] = c
+		} else if unsafeStringData(c) != unsafeStringData(cities[i%100]) {
+			t.Fatalf("city-%d interned to a second copy", i%100)
+		}
 	}
 	again := in.Intern("Mozilla/5.0 (X11; " + "Linux x86_64)")
 	if ua != again {
@@ -80,9 +76,6 @@ func TestInternerDedups(t *testing.T) {
 	// intern must return the same arena bytes, allocating nothing.
 	if unsafeStringData(ua) != unsafeStringData(again) {
 		t.Fatal("re-interning an equal string produced a second copy")
-	}
-	if in.Unique() != 1+100 {
-		t.Fatalf("Unique() = %d, want 101", in.Unique())
 	}
 }
 
@@ -116,8 +109,8 @@ func TestInternerCopyNoDedup(t *testing.T) {
 	if unsafeStringData(c1) == unsafeStringData(c2) {
 		t.Fatal("Copy deduplicated; cookies must not pay a map probe")
 	}
-	if in.Unique() != 0 {
-		t.Fatalf("Copy populated the canonical map: Unique() = %d", in.Unique())
+	if p := unsafeStringData(in.Intern("cookie-abc123")); p == unsafeStringData(c1) || p == unsafeStringData(c2) {
+		t.Fatal("Copy populated the canonical map")
 	}
 }
 

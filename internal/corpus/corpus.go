@@ -398,23 +398,16 @@ var businessTemplates = []template{
 	},
 }
 
-// GeneratorConfig parameterises a Generator.
-type GeneratorConfig struct {
-	// Company is the fictitious company name substituted everywhere,
-	// as the paper replaced "Enron" (§3.2).
-	Company string
-	// Domain is the corporate mail domain for non-honey correspondents.
-	Domain string
-}
-
-// DefaultConfig returns the configuration used in the experiments.
-func DefaultConfig() GeneratorConfig {
-	return GeneratorConfig{Company: "Solenix Energy", Domain: "solenix-energy.example"}
-}
+// company is the fictitious company name substituted everywhere, as
+// the paper replaced "Enron" (§3.2); companyDomain is its mail domain
+// for non-honey correspondents.
+const (
+	company       = "Solenix Energy"
+	companyDomain = "solenix-energy.example"
+)
 
 // Generator produces mailboxes for honey personas.
 type Generator struct {
-	cfg      GeneratorConfig
 	src      *rng.Source
 	weights  []float64
 	contacts []Persona
@@ -429,46 +422,30 @@ type Generator struct {
 // NewGenerator builds a Generator with a pool of corporate contacts
 // that recur across mailboxes (distinct Enron correspondents were
 // mapped to consistent fictional identities in the paper).
-func NewGenerator(src *rng.Source, cfg GeneratorConfig) *Generator {
-	if cfg.Company == "" || cfg.Domain == "" {
-		cfg = DefaultConfig()
-	}
+func NewGenerator(src *rng.Source) *Generator {
 	w := make([]float64, len(businessTemplates))
 	for i, t := range businessTemplates {
 		w[i] = t.weight
 	}
 	return &Generator{
-		cfg:      cfg,
 		src:      src,
 		weights:  w,
-		contacts: NewPersonas(src.Fork(), 40, cfg.Domain),
+		contacts: NewPersonas(src.Fork(), 40, companyDomain),
 	}
 }
 
-// Company returns the fictitious company name in use.
-func (g *Generator) Company() string { return g.cfg.Company }
-
-// Mailbox generates n messages addressed to (or sent by) owner with
-// dates uniformly spread over [start, end), newest last. Roughly a
-// fifth of the messages are sent by the owner, the rest received —
-// enough of both for the honey account's folders to look lived-in.
-func (g *Generator) Mailbox(owner Persona, n int, start, end time.Time) []Message {
-	if n <= 0 {
-		return nil
-	}
-	return g.MailboxAppend(nil, owner, n, start, end)
-}
-
-// MailboxAppend is Mailbox appending into dst — setup loops pass a
-// recycled buffer (dst[:0]) so seeding a fleet allocates one Message
-// slice per worker, not one per account. Draw order is identical to
-// Mailbox.
+// MailboxAppend appends to dst n messages addressed to (or sent by)
+// owner with dates uniformly spread over [start, end), newest last.
+// Roughly a fifth of the messages are sent by the owner, the rest
+// received — enough of both for the honey account's folders to look
+// lived-in. Setup loops pass a recycled buffer (dst[:0]) so seeding a
+// fleet allocates one Message slice per worker, not one per account.
 func (g *Generator) MailboxAppend(dst []Message, owner Persona, n int, start, end time.Time) []Message {
 	if n <= 0 {
 		return dst
 	}
 	if !end.After(start) {
-		panic("corpus: Mailbox requires end after start")
+		panic("corpus: MailboxAppend requires end after start")
 	}
 	span := end.Sub(start)
 	// Deterministic, sorted offsets keep mailbox order chronological.
@@ -488,14 +465,14 @@ func (g *Generator) MailboxAppend(dst []Message, owner Persona, n int, start, en
 	return dst
 }
 
-// Split returns a generator sharing this one's configuration,
-// template weights and corporate-contact pool but drawing from src
-// with private scratch buffers and its own text arena — one per setup
-// worker, so parallel mailbox generation shares the contact
-// identities without sharing any mutable state. src may be nil when
-// the caller Reseeds before the first use.
+// Split returns a generator sharing this one's template weights and
+// corporate-contact pool but drawing from src with private scratch
+// buffers and its own text arena — one per setup worker, so parallel
+// mailbox generation shares the contact identities without sharing
+// any mutable state. src may be nil when the caller Reseeds before the
+// first use.
 func (g *Generator) Split(src *rng.Source) *Generator {
-	return &Generator{cfg: g.cfg, src: src, weights: g.weights, contacts: g.contacts}
+	return &Generator{src: src, weights: g.weights, contacts: g.contacts}
 }
 
 // Reseed redirects the generator's draws to src. The parallel setup
@@ -619,7 +596,7 @@ func (g *Generator) render(owner, peer Persona, date time.Time) Message {
 	g.scratch = append(g.scratch, ", "...)
 	g.scratch = append(g.scratch, from.Department...)
 	g.scratch = append(g.scratch, '\n')
-	g.scratch = append(g.scratch, g.cfg.Company...)
+	g.scratch = append(g.scratch, company...)
 	g.scratch = append(g.scratch, '\n')
 	return Message{
 		From:    from.Email,
@@ -642,7 +619,7 @@ func (g *Generator) fill(dst []byte, segs []segment, owner, peer Persona) []byte
 		case segOwner:
 			dst = append(dst, owner.First...)
 		case segCompany:
-			dst = append(dst, g.cfg.Company...)
+			dst = append(dst, company...)
 		case segDepartment:
 			dst = appendLower(dst, owner.Department)
 		case segFill:

@@ -15,7 +15,7 @@ var (
 )
 
 func newGen(seed int64) *Generator {
-	return NewGenerator(rng.New(seed), DefaultConfig())
+	return NewGenerator(rng.New(seed))
 }
 
 func TestNewPersonasDistinctEmails(t *testing.T) {
@@ -51,7 +51,7 @@ func TestPersonaHelpers(t *testing.T) {
 func TestMailboxBasics(t *testing.T) {
 	g := newGen(2)
 	owner := NewPersonas(rng.New(3), 1, "honeymail.example")[0]
-	msgs := g.Mailbox(owner, 50, winStart, winEnd)
+	msgs := g.MailboxAppend(nil, owner, 50, winStart, winEnd)
 	if len(msgs) != 50 {
 		t.Fatalf("got %d messages", len(msgs))
 	}
@@ -77,7 +77,7 @@ func TestMailboxBasics(t *testing.T) {
 func TestMailboxMixesSentAndReceived(t *testing.T) {
 	g := newGen(4)
 	owner := NewPersonas(rng.New(5), 1, "honeymail.example")[0]
-	msgs := g.Mailbox(owner, 200, winStart, winEnd)
+	msgs := g.MailboxAppend(nil, owner, 200, winStart, winEnd)
 	sent := 0
 	for _, m := range msgs {
 		if m.From == owner.Email {
@@ -92,13 +92,13 @@ func TestMailboxMixesSentAndReceived(t *testing.T) {
 func TestMailboxCompanySubstitution(t *testing.T) {
 	g := newGen(6)
 	owner := NewPersonas(rng.New(7), 1, "honeymail.example")[0]
-	msgs := g.Mailbox(owner, 30, winStart, winEnd)
+	msgs := g.MailboxAppend(nil, owner, 30, winStart, winEnd)
 	found := false
 	for _, m := range msgs {
 		if strings.Contains(m.Body, "Enron") {
 			t.Fatal("original company name leaked into corpus")
 		}
-		if strings.Contains(m.Body, g.Company()) {
+		if strings.Contains(m.Body, company) {
 			found = true
 		}
 	}
@@ -109,8 +109,8 @@ func TestMailboxCompanySubstitution(t *testing.T) {
 
 func TestMailboxDeterministicBySeed(t *testing.T) {
 	owner := NewPersonas(rng.New(8), 1, "honeymail.example")[0]
-	a := newGen(42).Mailbox(owner, 20, winStart, winEnd)
-	b := newGen(42).Mailbox(owner, 20, winStart, winEnd)
+	a := newGen(42).MailboxAppend(nil, owner, 20, winStart, winEnd)
+	b := newGen(42).MailboxAppend(nil, owner, 20, winStart, winEnd)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at message %d", i)
@@ -121,7 +121,7 @@ func TestMailboxDeterministicBySeed(t *testing.T) {
 func TestMailboxValidation(t *testing.T) {
 	g := newGen(9)
 	owner := NewPersonas(rng.New(10), 1, "honeymail.example")[0]
-	if got := g.Mailbox(owner, 0, winStart, winEnd); got != nil {
+	if got := g.MailboxAppend(nil, owner, 0, winStart, winEnd); got != nil {
 		t.Fatal("n=0 should produce nil")
 	}
 	defer func() {
@@ -129,7 +129,7 @@ func TestMailboxValidation(t *testing.T) {
 			t.Fatal("end<=start did not panic")
 		}
 	}()
-	g.Mailbox(owner, 1, winEnd, winStart)
+	g.MailboxAppend(nil, owner, 1, winEnd, winStart)
 }
 
 func TestCorpusVocabularyProfile(t *testing.T) {
@@ -138,9 +138,9 @@ func TestCorpusVocabularyProfile(t *testing.T) {
 	g := newGen(11)
 	owner := NewPersonas(rng.New(12), 1, "honeymail.example")[0]
 	var tokens []string
-	for _, m := range g.Mailbox(owner, 300, winStart, winEnd) {
-		tokens = append(tokens, Tokenize(m.Subject, DefaultTokenizeOptions())...)
-		tokens = append(tokens, Tokenize(m.Body, DefaultTokenizeOptions())...)
+	for _, m := range g.MailboxAppend(nil, owner, 300, winStart, winEnd) {
+		tokens = append(tokens, Tokenize(m.Subject, nil)...)
+		tokens = append(tokens, Tokenize(m.Body, nil)...)
 	}
 	counts := TermCounts(tokens)
 	for _, w := range []string{"transfer", "please", "original", "company", "would", "energy", "information", "about", "email", "power"} {
@@ -154,7 +154,7 @@ func TestCorpusVocabularyProfile(t *testing.T) {
 }
 
 func TestTokenizeMinLength(t *testing.T) {
-	toks := Tokenize("The quick brown foxes jumped over lazy dogs", DefaultTokenizeOptions())
+	toks := Tokenize("The quick brown foxes jumped over lazy dogs", nil)
 	for _, tok := range toks {
 		if len(tok) < 5 {
 			t.Fatalf("token %q shorter than 5 chars survived", tok)
@@ -170,7 +170,7 @@ func TestTokenizeMinLength(t *testing.T) {
 }
 
 func TestTokenizeLowercasesAndSplits(t *testing.T) {
-	toks := Tokenize("Transfer,TRANSFER;transfer!", TokenizeOptions{MinLength: 1})
+	toks := Tokenize("Transfer,TRANSFER;transfer!", nil)
 	if len(toks) != 3 {
 		t.Fatalf("tokens = %v", toks)
 	}
@@ -182,29 +182,16 @@ func TestTokenizeLowercasesAndSplits(t *testing.T) {
 }
 
 func TestTokenizeHeaderWordFilter(t *testing.T) {
-	toks := Tokenize("delivered charset payment", DefaultTokenizeOptions())
+	toks := Tokenize("delivered charset payment", nil)
 	if len(toks) != 1 || toks[0] != "payment" {
 		t.Fatalf("header filter failed: %v", toks)
-	}
-	kept := Tokenize("delivered charset payment", TokenizeOptions{MinLength: 5, KeepHeaderWords: true})
-	if len(kept) != 3 {
-		t.Fatalf("KeepHeaderWords failed: %v", kept)
 	}
 }
 
 func TestTokenizeDropWords(t *testing.T) {
-	opts := DefaultTokenizeOptions()
-	opts.DropWords = map[string]bool{"secret": true}
-	toks := Tokenize("secret payment secret", opts)
+	toks := Tokenize("secret payment secret", map[string]bool{"secret": true})
 	if len(toks) != 1 || toks[0] != "payment" {
 		t.Fatalf("DropWords failed: %v", toks)
-	}
-}
-
-func TestTokenizeZeroMinLength(t *testing.T) {
-	toks := Tokenize("a bc", TokenizeOptions{})
-	if len(toks) != 2 {
-		t.Fatalf("MinLength<=0 should default to 1: %v", toks)
 	}
 }
 
@@ -218,9 +205,8 @@ func TestTermCounts(t *testing.T) {
 // Property: tokens never contain separators or uppercase letters and
 // always respect the minimum length.
 func TestPropertyTokenizeInvariants(t *testing.T) {
-	opts := DefaultTokenizeOptions()
 	f := func(text string) bool {
-		for _, tok := range Tokenize(text, opts) {
+		for _, tok := range Tokenize(text, nil) {
 			if len([]rune(tok)) < 5 {
 				return false
 			}
@@ -241,10 +227,9 @@ func TestPropertyTokenizeInvariants(t *testing.T) {
 // Property: tokenizing a concatenation with a separator equals the
 // concatenation of tokenizations.
 func TestPropertyTokenizeConcat(t *testing.T) {
-	opts := DefaultTokenizeOptions()
 	f := func(a, b string) bool {
-		joint := Tokenize(a+" "+b, opts)
-		parts := append(Tokenize(a, opts), Tokenize(b, opts)...)
+		joint := Tokenize(a+" "+b, nil)
+		parts := append(Tokenize(a, nil), Tokenize(b, nil)...)
 		if len(joint) != len(parts) {
 			return false
 		}
@@ -263,13 +248,13 @@ func TestPropertyTokenizeConcat(t *testing.T) {
 // TestMailboxAppendReusesScratch guards the setup hot path's
 // allocation discipline: a generator whose message buffer and offset
 // scratch are warm must allocate strictly less per mailbox than a
-// cold Mailbox call, and the reused path must stay byte-identical to
+// cold generator filling a nil slice, and the reused path must stay byte-identical to
 // the allocating one.
 func TestMailboxAppendReusesScratch(t *testing.T) {
 	owner := NewPersonas(rng.New(8), 1, "honeymail.example")[0]
 	const n = 25
 
-	fresh := newGen(42).Mailbox(owner, n, winStart, winEnd)
+	fresh := newGen(42).MailboxAppend(nil, owner, n, winStart, winEnd)
 	warmGen := newGen(42)
 	var msgs []Message
 	msgs = warmGen.MailboxAppend(msgs[:0], owner, n, winStart, winEnd)
@@ -283,14 +268,14 @@ func TestMailboxAppendReusesScratch(t *testing.T) {
 	}
 
 	coldAllocs := testing.AllocsPerRun(20, func() {
-		newGen(42).Mailbox(owner, n, winStart, winEnd)
+		newGen(42).MailboxAppend(nil, owner, n, winStart, winEnd)
 	})
 	warmAllocs := testing.AllocsPerRun(20, func() {
 		warmGen.Reseed(rng.New(42))
 		msgs = warmGen.MailboxAppend(msgs[:0], owner, n, winStart, winEnd)
 	})
 	if warmAllocs >= coldAllocs {
-		t.Fatalf("warm MailboxAppend allocates %.0f objects, cold Mailbox %.0f — scratch reuse lost",
+		t.Fatalf("warm MailboxAppend allocates %.0f objects, cold %.0f — scratch reuse lost",
 			warmAllocs, coldAllocs)
 	}
 }
@@ -300,10 +285,10 @@ func TestMailboxAppendReusesScratch(t *testing.T) {
 // parent's draws exactly.
 func TestGeneratorSplitShares(t *testing.T) {
 	owner := NewPersonas(rng.New(8), 1, "honeymail.example")[0]
-	a := newGen(7).Mailbox(owner, 10, winStart, winEnd)
+	a := newGen(7).MailboxAppend(nil, owner, 10, winStart, winEnd)
 	parent := newGen(7)
 	w := parent.Split(parent.src)
-	b := w.Mailbox(owner, 10, winStart, winEnd)
+	b := w.MailboxAppend(nil, owner, 10, winStart, winEnd)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("split generator diverged at message %d", i)

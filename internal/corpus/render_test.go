@@ -46,7 +46,7 @@ func (g *Generator) renderReference(owner, peer Persona, date time.Time) Message
 		b = append(b, "\n\n"...)
 	}
 	b = append(b, "Regards,\n"...)
-	b = append(b, from.First+" "+from.Last+"\n"+from.Title+", "+from.Department+"\n"+g.cfg.Company+"\n"...)
+	b = append(b, from.First+" "+from.Last+"\n"+from.Title+", "+from.Department+"\n"+company+"\n"...)
 	return Message{From: from.Email, To: to.Email, Subject: subject, Body: string(b), Date: date}
 }
 
@@ -70,7 +70,7 @@ func (g *Generator) fillTo(b []byte, s string, owner, peer Persona) []byte {
 		case "owner":
 			b = append(b, owner.First...)
 		case "company":
-			b = append(b, g.cfg.Company...)
+			b = append(b, company...)
 		case "department_topic":
 			b = append(b, strings.ToLower(owner.Department)...)
 		default:
@@ -99,7 +99,7 @@ func sameMailbox(t *testing.T, label string, got, want []Message) {
 // TestCompiledRenderMatchesOracle: for many seeds, mailboxes rendered
 // from the compiled templates are byte-identical to the interpreted
 // renderer's and leave the stream at the same position, both through
-// Mailbox and through a Split generator reseeded per mailbox, the way
+// MailboxAppend and through a Split generator reseeded per mailbox, the way
 // the parallel set-up drives it.
 func TestCompiledRenderMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
@@ -107,7 +107,7 @@ func TestCompiledRenderMatchesOracle(t *testing.T) {
 		g, ref := newGen(seed), newGen(seed)
 		for k, owner := range owners {
 			n := 1 + int(seed)%7 + 40*k
-			got := g.Mailbox(owner, n, winStart, winEnd)
+			got := g.MailboxAppend(nil, owner, n, winStart, winEnd)
 			want := ref.mailboxReference(owner, n, winStart, winEnd)
 			sameMailbox(t, "Mailbox", got, want)
 			if g.src.Pos() != ref.src.Pos() {

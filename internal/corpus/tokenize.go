@@ -5,27 +5,9 @@ import (
 	"unicode"
 )
 
-// TokenizeOptions controls the preprocessing applied before TF-IDF,
-// mirroring §4.6 of the paper: words shorter than MinLength are
-// dropped, known header-related words are removed, and caller-supplied
-// handles (honey email local parts) and signalling tokens injected by
-// the monitoring infrastructure are filtered out.
-type TokenizeOptions struct {
-	// MinLength drops tokens shorter than this many characters. The
-	// paper filters out all words of fewer than 5 characters.
-	MinLength int
-	// DropWords removes extra exact tokens (lowercased) beyond the
-	// built-in header word list — honey handles, monitor markers.
-	DropWords map[string]bool
-	// KeepHeaderWords disables the built-in header-word filter; the
-	// experiments never set this, but tests exercise it.
-	KeepHeaderWords bool
-}
-
-// DefaultTokenizeOptions returns the paper's preprocessing settings.
-func DefaultTokenizeOptions() TokenizeOptions {
-	return TokenizeOptions{MinLength: 5}
-}
+// minTokenLength is §4.6's length filter: the paper drops all words of
+// fewer than 5 characters before TF-IDF.
+const minTokenLength = 5
 
 // headerWords are mail-transport artifacts that would otherwise
 // dominate TF-IDF on raw messages; the paper removes "all known
@@ -38,13 +20,13 @@ var headerWords = map[string]bool{
 	"localhost": true, "unsubscribe": true,
 }
 
-// Tokenize splits text into lowercase word tokens under the given
-// options. Tokens keep internal apostrophes/hyphens stripped; anything
-// that is not a letter or digit separates tokens.
-func Tokenize(text string, opts TokenizeOptions) []string {
-	if opts.MinLength <= 0 {
-		opts.MinLength = 1
-	}
+// Tokenize splits text into lowercase word tokens and applies the
+// preprocessing of §4.6: tokens shorter than minTokenLength, known
+// header-related words and the exact (lowercased) tokens in drop —
+// honey handles, monitor markers — are removed. Tokens keep internal
+// apostrophes/hyphens stripped; anything that is not a letter or digit
+// separates tokens.
+func Tokenize(text string, drop map[string]bool) []string {
 	var out []string
 	var b strings.Builder
 	flush := func() {
@@ -53,13 +35,7 @@ func Tokenize(text string, opts TokenizeOptions) []string {
 		}
 		tok := b.String()
 		b.Reset()
-		if len([]rune(tok)) < opts.MinLength {
-			return
-		}
-		if !opts.KeepHeaderWords && headerWords[tok] {
-			return
-		}
-		if opts.DropWords != nil && opts.DropWords[tok] {
+		if len([]rune(tok)) < minTokenLength || headerWords[tok] || drop[tok] {
 			return
 		}
 		out = append(out, tok)

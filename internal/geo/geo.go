@@ -94,22 +94,6 @@ func HaversineKm(a, b Point) float64 {
 	return earthRadiusKm * c
 }
 
-// Midpoint returns the coordinate average of the given points, the
-// same construction the paper uses to derive Pontiac from its
-// advertised Midwestern cities. It panics on empty input.
-func Midpoint(points []Point) Point {
-	if len(points) == 0 {
-		panic("geo: Midpoint of no points")
-	}
-	var lat, lon float64
-	for _, p := range points {
-		lat += p.Lat
-		lon += p.Lon
-	}
-	n := float64(len(points))
-	return Point{Lat: lat / n, Lon: lon / n}
-}
-
 // MedianDistanceKm computes the median great-circle distance from mid
 // to each point: the radius of the circles drawn in Figure 5. It
 // panics on empty input.
@@ -137,23 +121,20 @@ func DistancesKm(points []Point, mid Point) []float64 {
 	return out
 }
 
-// Gazetteer is an immutable collection of cities with region and
-// country indexes.
+// Gazetteer is an immutable collection of cities with a region index.
 type Gazetteer struct {
-	cities    []City
-	byRegion  map[Region][]City
-	byCountry map[string][]City
-	byName    map[string]City
+	cities   []City
+	byRegion map[Region][]City
+	byName   map[string]City
 }
 
 // NewGazetteer builds a gazetteer over the given cities. Duplicate
 // names are rejected so lookups stay unambiguous.
 func NewGazetteer(cities []City) (*Gazetteer, error) {
 	g := &Gazetteer{
-		cities:    make([]City, len(cities)),
-		byRegion:  make(map[Region][]City),
-		byCountry: make(map[string][]City),
-		byName:    make(map[string]City, len(cities)),
+		cities:   make([]City, len(cities)),
+		byRegion: make(map[Region][]City),
+		byName:   make(map[string]City, len(cities)),
 	}
 	copy(g.cities, cities)
 	for _, c := range g.cities {
@@ -162,7 +143,6 @@ func NewGazetteer(cities []City) (*Gazetteer, error) {
 		}
 		g.byName[c.Name] = c
 		g.byRegion[c.Region] = append(g.byRegion[c.Region], c)
-		g.byCountry[c.Country] = append(g.byCountry[c.Country], c)
 	}
 	return g, nil
 }
@@ -187,29 +167,10 @@ func (g *Gazetteer) Cities() []City {
 // must not mutate).
 func (g *Gazetteer) InRegion(r Region) []City { return g.byRegion[r] }
 
-// InRegions returns the concatenation of several regions' cities.
-func (g *Gazetteer) InRegions(rs ...Region) []City {
-	var out []City
-	for _, r := range rs {
-		out = append(out, g.byRegion[r]...)
-	}
-	return out
-}
-
 // Lookup finds a city by name.
 func (g *Gazetteer) Lookup(name string) (City, bool) {
 	c, ok := g.byName[name]
 	return c, ok
-}
-
-// Countries returns the sorted set of distinct countries present.
-func (g *Gazetteer) Countries() []string {
-	out := make([]string, 0, len(g.byCountry))
-	for c := range g.byCountry {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // worldCities is the built-in gazetteer. Coordinates are approximate

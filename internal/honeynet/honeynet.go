@@ -380,7 +380,7 @@ func (e *Experiment) Setup() error {
 func (e *Experiment) setupLegacy(n int, locale corpus.Locale) error {
 	setupSrc := e.src // legacy layout: setup shares the root stream
 	personas := corpus.NewPersonasLocale(setupSrc.ForkNamed("personas"), n, locale)
-	gen := corpus.NewGenerator(setupSrc.ForkNamed("corpus"), corpus.DefaultConfig())
+	gen := corpus.NewGenerator(setupSrc.ForkNamed("corpus"))
 
 	var l loader
 	idx := 0
@@ -419,7 +419,7 @@ func (e *Experiment) setupParallel(n int, locale corpus.Locale) error {
 	setupRoot := rng.New(e.cfg.SetupSeed)
 	// The recurring corporate-contact pool is shared by every mailbox;
 	// it draws once, here, from its own named substream of the root.
-	gen := corpus.NewGenerator(setupRoot.ForkNamed("corpus"), corpus.DefaultConfig())
+	gen := corpus.NewGenerator(setupRoot.ForkNamed("corpus"))
 
 	// Pass 1 (parallel): per-account streams, personas and passwords.
 	// ForkShard only reads the root's seed, so the chunks share

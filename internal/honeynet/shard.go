@@ -182,7 +182,7 @@ func newBlock(idx, total int, spec GroupSpec, sh *shard, root *rng.Source, cfg C
 		Cookies:     b.jar,
 		Populations: cfg.Populations,
 	})
-	b.sandbox = malnet.NewSandbox(malnet.SandboxConfig{}, sh.sched, func(ex malnet.Exfiltration) {
+	b.sandbox = malnet.NewSandbox(sh.sched, func(ex malnet.Exfiltration) {
 		if sh.c3 != nil {
 			// Malware-channel ingestion: the credential crosses the C&C
 			// wire at exfiltration — that is when a sinkhole-operating

@@ -305,27 +305,18 @@ func sitesAreDefault(sites []*outlets.Site) bool {
 	return true
 }
 
-// Resume reconstructs an experiment from a snapshot alone, ready for
-// Leak and Run. It refuses snapshots whose configuration depended on
-// custom outlet catalogues, attacker populations or locales — those
-// are code-backed structures the snapshot cannot carry, so the caller
-// must rebuild them and use ResumeWith (the scenario layer does).
-func Resume(st *snapshot.State) (*Experiment, error) {
-	if st.Config.CustomSites || st.Config.CustomPopulations || st.Config.CustomLocale {
-		return nil, fmt.Errorf("honeynet: snapshot was taken with a custom outlet catalogue, attacker calibration or locale; rebuild that config and use ResumeWith")
-	}
-	cfg, err := ConfigFromSnapshot(st)
-	if err != nil {
-		return nil, err
-	}
-	return ResumeWith(st, cfg)
-}
-
 // ConfigFromSnapshot rebuilds the runnable core configuration a
 // snapshot records. Callers may override the post-fork fields (Seed,
 // Duration, Shards, defender knobs) before passing the result to
-// ResumeWith; setup-relevant fields are pinned by the fingerprint.
+// ResumeWith; setup-relevant fields are pinned by the fingerprint. It
+// refuses snapshots whose configuration depended on custom outlet
+// catalogues, attacker populations or locales — those are code-backed
+// structures the snapshot cannot carry, so the caller must rebuild
+// that config and pass it to ResumeWith (the scenario layer does).
 func ConfigFromSnapshot(st *snapshot.State) (Config, error) {
+	if st.Config.CustomSites || st.Config.CustomPopulations || st.Config.CustomLocale {
+		return Config{}, fmt.Errorf("honeynet: snapshot was taken with a custom outlet catalogue, attacker calibration or locale; rebuild that config and pass it to ResumeWith (the scenario matrix's warm starts do)")
+	}
 	cfg := Config{
 		Seed:               st.Config.Seed,
 		SetupSeed:          st.Config.SetupSeed,

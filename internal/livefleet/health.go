@@ -80,9 +80,9 @@ func (r *Router) noteDialFailure(shard int) {
 	st := &r.health[shard]
 	st.mu.Lock()
 	if st.backoff <= 0 {
-		st.backoff = r.cfg.DialBackoff
+		st.backoff = r.backoff
 	} else {
-		st.backoff = min(st.backoff*2, r.cfg.DialBackoffMax)
+		st.backoff = min(st.backoff*2, r.backoffMax)
 	}
 	st.nextDialAt = time.Now().Add(jitterBackoff(st.backoff))
 	st.mu.Unlock()

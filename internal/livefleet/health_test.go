@@ -91,8 +91,7 @@ func TestRouterStalePooledConnRetriesFreshDial(t *testing.T) {
 	path := buildTestSnapshot(t, 4)
 	sh := newRestartableShard(t, path, 0, 1)
 	router, err := NewRouter(RouterConfig{
-		Shards:   []string{sh.addr},
-		PoolSize: 4,
+		Shards: []string{sh.addr},
 		// Prober off: the stale connection must still be in the pool
 		// when the second login checks it out.
 		HealthInterval: -1,
@@ -174,12 +173,11 @@ func TestRouterDialBackoffGatesTrialDials(t *testing.T) {
 	router, err := NewRouter(RouterConfig{
 		Shards:         []string{sh.addr},
 		HealthInterval: -1, // dial outcomes alone drive the state
-		DialBackoff:    500 * time.Millisecond,
-		DialBackoffMax: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	router.backoff, router.backoffMax = 500*time.Millisecond, 2*time.Second
 	raddr, err := router.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -247,12 +245,11 @@ func TestRouterHealthProberFailover(t *testing.T) {
 		Shards:         []string{sh.addr},
 		HealthInterval: 25 * time.Millisecond,
 		HealthTimeout:  500 * time.Millisecond,
-		DialBackoff:    25 * time.Millisecond,
-		DialBackoffMax: 250 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	router.backoff, router.backoffMax = 25*time.Millisecond, 250*time.Millisecond
 	raddr, err := router.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -313,12 +310,11 @@ func TestLoadgenTolerateUnavailable(t *testing.T) {
 		Shards:         []string{addr0, sh1.addr},
 		HealthInterval: 25 * time.Millisecond,
 		HealthTimeout:  500 * time.Millisecond,
-		DialBackoff:    25 * time.Millisecond,
-		DialBackoffMax: 250 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	router.backoff, router.backoffMax = 25*time.Millisecond, 250*time.Millisecond
 	raddr, err := router.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

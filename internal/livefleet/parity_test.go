@@ -293,12 +293,11 @@ func TestParityFailoverChaos(t *testing.T) {
 		Shards:         []string{addr0, sh1.addr},
 		HealthInterval: 25 * time.Millisecond,
 		HealthTimeout:  500 * time.Millisecond,
-		DialBackoff:    25 * time.Millisecond,
-		DialBackoffMax: 250 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	router.backoff, router.backoffMax = 25*time.Millisecond, 250*time.Millisecond
 	raddr, err := router.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -14,26 +14,32 @@ import (
 	"repro/internal/wire"
 )
 
+// The router's pool and backoff limits. poolSize caps the spare
+// pre-established connections kept per shard: a session checkout that
+// finds the pool empty dials, and a failed login returns its connection
+// to the pool. maxInFlight bounds requests being proxied concurrently
+// across all clients, the router's backpressure valve: excess requests
+// queue in their connection's goroutine instead of piling onto the
+// shards. writeTimeout is the slow-client guard: a client that cannot
+// absorb its response within it is dropped rather than allowed to pin a
+// backend connection. dialTimeout bounds backend dials. dialBackoff and
+// dialBackoffMax shape the reconnect trickle for a down shard: dials are
+// admitted one per window, with the window doubling (jittered) from
+// dialBackoff up to dialBackoffMax until a dial succeeds.
+const (
+	poolSize       = 8
+	maxInFlight    = 1024
+	writeTimeout   = 10 * time.Second
+	dialTimeout    = 5 * time.Second
+	dialBackoff    = 100 * time.Millisecond
+	dialBackoffMax = 5 * time.Second
+)
+
 // RouterConfig parameterises a Router.
 type RouterConfig struct {
 	// Shards lists the backend webmaild addresses; index i serves
 	// partition i of len(Shards). Required.
 	Shards []string
-	// PoolSize caps the spare pre-established connections kept per
-	// shard (default 8). A session checkout that finds the pool empty
-	// dials; a failed login returns its connection to the pool.
-	PoolSize int
-	// MaxInFlight bounds requests being proxied concurrently across
-	// all clients (default 1024) — the router's backpressure valve:
-	// excess requests queue in their connection's goroutine instead of
-	// piling onto the shards.
-	MaxInFlight int
-	// WriteTimeout is the slow-client guard: a client that cannot
-	// absorb its response within this window is dropped rather than
-	// allowed to pin a backend connection (default 10s).
-	WriteTimeout time.Duration
-	// DialTimeout bounds backend dials (default 5s).
-	DialTimeout time.Duration
 	// HealthInterval is the per-shard health prober cadence: each tick
 	// dials the shard and completes one ping round trip under
 	// HealthTimeout, flipping the shard up or down accordingly. 0
@@ -42,41 +48,17 @@ type RouterConfig struct {
 	HealthInterval time.Duration
 	// HealthTimeout bounds one health probe, dial included (default 1s).
 	HealthTimeout time.Duration
-	// DialBackoff and DialBackoffMax shape the reconnect trickle for a
-	// down shard: dials are admitted one per window, with the window
-	// doubling (jittered) from DialBackoff up to DialBackoffMax until
-	// a dial succeeds. Defaults 100ms and 5s.
-	DialBackoff    time.Duration
-	DialBackoffMax time.Duration
 }
 
 func (c *RouterConfig) fill() error {
 	if len(c.Shards) == 0 {
 		return fmt.Errorf("livefleet: router needs at least one shard")
 	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 8
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 1024
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = time.Second
 	}
 	if c.HealthTimeout <= 0 {
 		c.HealthTimeout = time.Second
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = 100 * time.Millisecond
-	}
-	if c.DialBackoffMax <= 0 {
-		c.DialBackoffMax = 5 * time.Second
 	}
 	return nil
 }
@@ -106,6 +88,9 @@ type Router struct {
 	sem    chan struct{}
 	health []shardHealth
 	srv    *wire.Server
+	// backoff and backoffMax are the first and the largest reconnect
+	// window; NewRouter sets dialBackoff and dialBackoffMax.
+	backoff, backoffMax time.Duration
 
 	// stopProbes ends the per-shard health probers; closed exactly
 	// once by whichever of Close/Drain runs first.
@@ -122,13 +107,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		cfg:        cfg,
 		pools:      make([]chan *backendConn, len(cfg.Shards)),
-		sem:        make(chan struct{}, cfg.MaxInFlight),
+		sem:        make(chan struct{}, maxInFlight),
 		health:     make([]shardHealth, len(cfg.Shards)),
+		backoff:    dialBackoff,
+		backoffMax: dialBackoffMax,
 		stopProbes: make(chan struct{}),
 	}
 	r.srv = wire.NewServer("livefleet", r.serve)
 	for i := range r.pools {
-		r.pools[i] = make(chan *backendConn, cfg.PoolSize)
+		r.pools[i] = make(chan *backendConn, poolSize)
 	}
 	return r, nil
 }
@@ -178,7 +165,7 @@ func (r *Router) dial(shard int) (*backendConn, error) {
 		return nil, errShardDown
 	}
 	st.dials.Inc()
-	c, err := net.DialTimeout("tcp", r.cfg.Shards[shard], r.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", r.cfg.Shards[shard], dialTimeout)
 	if err != nil {
 		r.noteDialFailure(shard)
 		return nil, err
@@ -238,7 +225,7 @@ func (r *Router) localError(c *wire.Conn, msg string) bool {
 
 // relay writes one response frame under the slow-client deadline.
 func (r *Router) relay(c *wire.Conn, frame []byte) bool {
-	c.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
+	c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := c.Write(frame)
 	c.SetWriteDeadline(time.Time{})
 	return err == nil

@@ -31,7 +31,7 @@ func fleetFixture(t *testing.T, accounts, parts int) (string, []Credential) {
 		}
 		t.Cleanup(func() { srv.Close() })
 	}
-	router, err := NewRouter(RouterConfig{Shards: addrs, PoolSize: 4, MaxInFlight: 64})
+	router, err := NewRouter(RouterConfig{Shards: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ package malnet
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -101,70 +100,18 @@ type Exfiltration struct {
 // botmaster model).
 type ExfilHandler func(e Exfiltration)
 
-// CnC is a command-and-control server collecting stolen form data for
-// one malware family/operator.
-type CnC struct {
-	mu    sync.Mutex
-	seen  []Exfiltration
-	alive bool
-}
-
-// NewCnC returns a C&C server; dead servers swallow nothing.
-func NewCnC(alive bool) *CnC { return &CnC{alive: alive} }
-
-// Receive stores an exfiltrated credential; returns false if the
-// server is dead (sample talks into the void).
-func (c *CnC) Receive(e Exfiltration) bool {
-	if !c.alive {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seen = append(c.seen, e)
-	return true
-}
-
-// Stolen returns a copy of everything the server collected.
-func (c *CnC) Stolen() []Exfiltration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Exfiltration, len(c.seen))
-	copy(out, c.seen)
-	return out
-}
-
-// SandboxConfig bounds the sandbox per prudent-practice guidance.
-type SandboxConfig struct {
-	// VMLifetime destroys each VM this long after creation. Zero
-	// selects 30 minutes.
-	VMLifetime time.Duration
-	// LoginDelay is the timeout between infecting the VM and typing
-	// the credential (letting the malware hook the browser first).
-	// Zero selects 5 minutes.
-	LoginDelay time.Duration
-	// ExfilDelay is how long the malware takes to upload captured form
-	// data to its C&C. Zero selects 2 minutes.
-	ExfilDelay time.Duration
-	// BandwidthKbps caps the VM's network interface (DoS prevention);
-	// recorded for audit, not a behaviour knob in the simulation.
-	BandwidthKbps int
-}
-
-func (c SandboxConfig) withDefaults() SandboxConfig {
-	if c.VMLifetime <= 0 {
-		c.VMLifetime = 30 * time.Minute
-	}
-	if c.LoginDelay <= 0 {
-		c.LoginDelay = 5 * time.Minute
-	}
-	if c.ExfilDelay <= 0 {
-		c.ExfilDelay = 2 * time.Minute
-	}
-	if c.BandwidthKbps <= 0 {
-		c.BandwidthKbps = 256
-	}
-	return c
-}
+// Prudent-practice bounds on every sandbox VM. A VM is destroyed
+// vmLifetime after creation. The credential is typed loginDelay after
+// infection, letting the malware hook the browser first, and the
+// malware uploads it to its C&C exfilDelay later. bandwidthKbps caps
+// the VM's network interface against DoS; it is recorded for audit and
+// moves no behaviour in the simulation.
+const (
+	vmLifetime    = 30 * time.Minute
+	loginDelay    = 5 * time.Minute
+	exfilDelay    = 2 * time.Minute
+	bandwidthKbps = 256
+)
 
 // VMState tracks a virtual machine's lifecycle.
 type VMState int
@@ -204,82 +151,46 @@ type VM struct {
 
 // Sandbox drives the infect→login→exfiltrate→destroy cycle.
 type Sandbox struct {
-	cfg     SandboxConfig
 	sched   *simtime.Scheduler
-	cncs    map[string]*CnC // per sample ID
 	handler ExfilHandler
 
 	mu     sync.Mutex
 	nextID int
-	vms    []*VM
-	exfils []Exfiltration
 }
 
 // NewSandbox builds a sandbox. handler receives every successful
-// exfiltration (in addition to the per-sample C&C store).
-func NewSandbox(cfg SandboxConfig, sched *simtime.Scheduler, handler ExfilHandler) *Sandbox {
+// exfiltration.
+func NewSandbox(sched *simtime.Scheduler, handler ExfilHandler) *Sandbox {
 	if sched == nil {
 		panic("malnet: NewSandbox requires a scheduler")
 	}
-	return &Sandbox{
-		cfg:     cfg.withDefaults(),
-		sched:   sched,
-		cncs:    make(map[string]*CnC),
-		handler: handler,
-	}
+	return &Sandbox{sched: sched, handler: handler}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (sb *Sandbox) Config() SandboxConfig { return sb.cfg }
-
 // RunVM schedules one full VM cycle for the given sample/credential:
-// create now, infect immediately, log in after LoginDelay (exposing
-// the credential to the malware), exfiltrate ExfilDelay later if the
-// sample's C&C is alive, destroy at VMLifetime. It returns the VM
+// create and infect now, log in after loginDelay (exposing the
+// credential to the malware), exfiltrate exfilDelay later if the
+// sample's C&C is alive, destroy at vmLifetime. It returns the VM
 // handle for inspection.
 func (sb *Sandbox) RunVM(sample Sample, cred Credential) *VM {
 	sb.mu.Lock()
 	sb.nextID++
-	vm := &VM{ID: sb.nextID, Sample: sample, Credential: cred, State: VMCreated, CreatedAt: sb.sched.Now()}
-	sb.vms = append(sb.vms, vm)
-	cnc, ok := sb.cncs[sample.ID]
-	if !ok {
-		cnc = NewCnC(sample.C2Alive)
-		sb.cncs[sample.ID] = cnc
-	}
+	// Infection is immediate on boot.
+	vm := &VM{ID: sb.nextID, Sample: sample, Credential: cred, State: VMInfected, CreatedAt: sb.sched.Now()}
 	sb.mu.Unlock()
 
-	// Infection is immediate on boot.
-	sb.setState(vm, VMInfected)
-
-	sb.sched.After(sb.cfg.LoginDelay, "vm-login", func(now time.Time) {
+	sb.sched.After(loginDelay, "vm-login", func(time.Time) {
 		sb.mu.Lock()
-		dead := vm.State == VMDestroyed
+		vm.State = VMLoggedIn
 		sb.mu.Unlock()
-		if dead {
-			return
-		}
-		sb.setState(vm, VMLoggedIn)
-		sb.sched.After(sb.cfg.ExfilDelay, "vm-exfil", func(now time.Time) {
-			sb.mu.Lock()
-			dead := vm.State == VMDestroyed
-			sb.mu.Unlock()
-			if dead {
-				return
-			}
-			e := Exfiltration{Sample: sample, Credential: cred, At: now}
-			if cnc.Receive(e) {
-				sb.mu.Lock()
-				sb.exfils = append(sb.exfils, e)
-				handler := sb.handler
-				sb.mu.Unlock()
-				if handler != nil {
-					handler(e)
-				}
+		sb.sched.After(exfilDelay, "vm-exfil", func(now time.Time) {
+			// A sample whose C&C is dead talks into the void.
+			if sample.C2Alive && sb.handler != nil {
+				sb.handler(Exfiltration{Sample: sample, Credential: cred, At: now})
 			}
 		})
 	})
-	sb.sched.After(sb.cfg.VMLifetime, "vm-destroy", func(now time.Time) {
+	sb.sched.After(vmLifetime, "vm-destroy", func(now time.Time) {
 		sb.mu.Lock()
 		vm.State = VMDestroyed
 		vm.KilledAt = now
@@ -291,59 +202,16 @@ func (sb *Sandbox) RunVM(sample Sample, cred Credential) *VM {
 // RunCampaign feeds each credential to one live sample in round-robin
 // order, one VM per credential, staggered by the VM lifetime (a new VM
 // is created as the previous one is torn down, as in the paper's
-// rolling setup). It returns the VMs created.
-func (sb *Sandbox) RunCampaign(samples []Sample, creds []Credential) []*VM {
+// rolling setup).
+func (sb *Sandbox) RunCampaign(samples []Sample, creds []Credential) {
 	live := SelectLive(samples)
-	if len(live) == 0 || len(creds) == 0 {
-		return nil
+	if len(live) == 0 {
+		return
 	}
-	out := make([]*VM, 0, len(creds))
 	for i, cred := range creds {
-		sample := live[i%len(live)]
-		i := i
-		cred := cred
-		sb.sched.After(time.Duration(i)*sb.cfg.VMLifetime, "vm-cycle", func(time.Time) {
-			vm := sb.RunVM(sample, cred)
-			sb.mu.Lock()
-			out = append(out, vm)
-			sb.mu.Unlock()
+		sample, cred := live[i%len(live)], cred
+		sb.sched.After(time.Duration(i)*vmLifetime, "vm-cycle", func(time.Time) {
+			sb.RunVM(sample, cred)
 		})
 	}
-	return out
-}
-
-// setState transitions a VM unless destroyed.
-func (sb *Sandbox) setState(vm *VM, s VMState) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if vm.State != VMDestroyed {
-		vm.State = s
-	}
-}
-
-// Exfiltrations returns all successful exfiltrations, ordered by time.
-func (sb *Sandbox) Exfiltrations() []Exfiltration {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	out := make([]Exfiltration, len(sb.exfils))
-	copy(out, sb.exfils)
-	sort.Slice(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out
-}
-
-// VMs returns the VM handles created so far.
-func (sb *Sandbox) VMs() []*VM {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	out := make([]*VM, len(sb.vms))
-	copy(out, sb.vms)
-	return out
-}
-
-// CnCFor returns the C&C store of one sample.
-func (sb *Sandbox) CnCFor(sampleID string) (*CnC, bool) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	c, ok := sb.cncs[sampleID]
-	return c, ok
 }

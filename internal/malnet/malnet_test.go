@@ -51,7 +51,7 @@ func TestVMCycleExfiltratesToLiveC2(t *testing.T) {
 	sched := newSched()
 	var mu sync.Mutex
 	var got []Exfiltration
-	sb := NewSandbox(SandboxConfig{}, sched, func(e Exfiltration) {
+	sb := NewSandbox(sched, func(e Exfiltration) {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, e)
@@ -69,41 +69,20 @@ func TestVMCycleExfiltratesToLiveC2(t *testing.T) {
 	if len(got) != 1 || got[0].Credential != cred {
 		t.Fatalf("exfils = %+v", got)
 	}
-	// Exfil happens LoginDelay+ExfilDelay after boot (5m + 2m defaults).
+	// Exfil happens loginDelay+exfilDelay after boot (5m + 2m).
 	if want := epoch.Add(7 * time.Minute); !got[0].At.Equal(want) {
 		t.Fatalf("exfil at %v, want %v", got[0].At, want)
-	}
-	cnc, ok := sb.CnCFor("zeus-1")
-	if !ok || len(cnc.Stolen()) != 1 {
-		t.Fatal("C&C store missing the exfiltration")
 	}
 }
 
 func TestDeadC2SwallowsNothing(t *testing.T) {
 	sched := newSched()
 	called := false
-	sb := NewSandbox(SandboxConfig{}, sched, func(Exfiltration) { called = true })
+	sb := NewSandbox(sched, func(Exfiltration) { called = true })
 	sb.RunVM(Sample{ID: "zeus-dead", Family: FamilyZeus, C2Alive: false}, Credential{Account: "h@x", Password: "p"})
 	sched.RunFor(time.Hour)
 	if called {
 		t.Fatal("dead C&C delivered an exfiltration")
-	}
-	if got := len(sb.Exfiltrations()); got != 0 {
-		t.Fatalf("exfils = %d", got)
-	}
-}
-
-func TestVMDestroyedBeforeLoginCapturesNothing(t *testing.T) {
-	sched := newSched()
-	called := false
-	// Lifetime shorter than the login delay: the VM dies before the
-	// credential is ever typed.
-	sb := NewSandbox(SandboxConfig{VMLifetime: 2 * time.Minute, LoginDelay: 5 * time.Minute}, sched,
-		func(Exfiltration) { called = true })
-	sb.RunVM(Sample{ID: "z", C2Alive: true}, Credential{Account: "h@x", Password: "p"})
-	sched.RunFor(time.Hour)
-	if called {
-		t.Fatal("destroyed VM still exfiltrated")
 	}
 }
 
@@ -111,12 +90,11 @@ func TestRunCampaignRoundRobinOverLiveSamples(t *testing.T) {
 	sched := newSched()
 	var mu sync.Mutex
 	var got []Exfiltration
-	sb := NewSandbox(SandboxConfig{VMLifetime: 10 * time.Minute, LoginDelay: time.Minute, ExfilDelay: time.Minute}, sched,
-		func(e Exfiltration) {
-			mu.Lock()
-			defer mu.Unlock()
-			got = append(got, e)
-		})
+	sb := NewSandbox(sched, func(e Exfiltration) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, e)
+	})
 	samples := []Sample{
 		{ID: "zeus-1", Family: FamilyZeus, C2Alive: true},
 		{ID: "dead-1", Family: FamilyZeus, C2Alive: false},
@@ -129,64 +107,68 @@ func TestRunCampaignRoundRobinOverLiveSamples(t *testing.T) {
 	sb.RunCampaign(samples, creds)
 	sched.RunFor(24 * time.Hour)
 	// All 6 credentials reach a C&C: dead samples are filtered out by
-	// the pre-test, so only live ones are used.
+	// the pre-test, so only live ones are used, in turn.
 	if len(got) != 6 {
 		t.Fatalf("exfils = %d, want 6", len(got))
 	}
-	bySample := map[string]int{}
-	for _, e := range got {
-		bySample[e.Sample.ID]++
-	}
-	if bySample["dead-1"] != 0 {
-		t.Fatal("dead sample used in campaign")
-	}
-	if bySample["zeus-1"] != 3 || bySample["core-1"] != 3 {
-		t.Fatalf("round robin mix = %v", bySample)
-	}
-	// Staggered: one VM per lifetime window.
-	vms := sb.VMs()
-	if len(vms) != 6 {
-		t.Fatalf("vms = %d", len(vms))
-	}
-	for i := 1; i < len(vms); i++ {
-		if gap := vms[i].CreatedAt.Sub(vms[i-1].CreatedAt); gap != 10*time.Minute {
-			t.Fatalf("vm stagger = %v, want 10m", gap)
+	for i, e := range got {
+		if want := []string{"zeus-1", "core-1"}[i%2]; e.Sample.ID != want || e.Credential != creds[i] {
+			t.Fatalf("exfil %d = %s from %s, want %s from %s", i, e.Credential.Account, e.Sample.ID, creds[i].Account, want)
+		}
+		// Staggered: one VM per lifetime window.
+		if want := epoch.Add(time.Duration(i)*vmLifetime + 7*time.Minute); !e.At.Equal(want) {
+			t.Fatalf("exfil %d at %v, want %v", i, e.At, want)
 		}
 	}
 }
 
 func TestRunCampaignNoLiveSamples(t *testing.T) {
 	sched := newSched()
-	sb := NewSandbox(SandboxConfig{}, sched, nil)
-	if vms := sb.RunCampaign([]Sample{{ID: "dead", C2Alive: false}}, []Credential{{Account: "a@x"}}); vms != nil {
-		t.Fatal("campaign with no live samples should be nil")
+	sb := NewSandbox(sched, func(Exfiltration) { t.Fatal("exfiltration without a live sample") })
+	sb.RunCampaign([]Sample{{ID: "dead", C2Alive: false}}, []Credential{{Account: "a@x"}})
+	if n := sched.Len(); n != 0 {
+		t.Fatalf("campaign with no live samples scheduled %d events", n)
 	}
 }
 
+// TestConfigDefaultsAndPrudentPractices: every VM runs under the
+// prudent-practice bounds (§3.2): the credential is typed 5 minutes
+// after infection, and the VM is destroyed 30 minutes after creation.
 func TestConfigDefaultsAndPrudentPractices(t *testing.T) {
-	sb := NewSandbox(SandboxConfig{}, newSched(), nil)
-	cfg := sb.Config()
-	if cfg.VMLifetime != 30*time.Minute || cfg.LoginDelay != 5*time.Minute || cfg.ExfilDelay != 2*time.Minute {
-		t.Fatalf("defaults = %+v", cfg)
+	sched := newSched()
+	sb := NewSandbox(sched, nil)
+	vm := sb.RunVM(Sample{ID: "z", C2Alive: true}, Credential{Account: "h@x", Password: "p"})
+	for _, step := range []struct {
+		at   time.Duration
+		want VMState
+	}{
+		{4 * time.Minute, VMInfected},
+		{5 * time.Minute, VMLoggedIn},
+		{29 * time.Minute, VMLoggedIn},
+		{30 * time.Minute, VMDestroyed},
+	} {
+		sched.RunUntil(epoch.Add(step.at))
+		if vm.State != step.want {
+			t.Fatalf("state at %v = %v, want %v", step.at, vm.State, step.want)
+		}
 	}
-	if cfg.BandwidthKbps <= 0 {
-		t.Fatal("bandwidth cap must default on (prudent practices)")
+	if want := epoch.Add(30 * time.Minute); !vm.KilledAt.Equal(want) {
+		t.Fatalf("vm killed at %v, want %v", vm.KilledAt, want)
 	}
 }
 
 func TestExfiltrationsSortedByTime(t *testing.T) {
 	sched := newSched()
-	sb := NewSandbox(SandboxConfig{VMLifetime: 10 * time.Minute, LoginDelay: time.Minute, ExfilDelay: time.Minute}, sched, nil)
-	samples := []Sample{{ID: "s", C2Alive: true}}
-	sb.RunCampaign(samples, []Credential{{Account: "a@x"}, {Account: "b@x"}, {Account: "c@x"}})
+	var got []Exfiltration
+	sb := NewSandbox(sched, func(e Exfiltration) { got = append(got, e) })
+	sb.RunCampaign([]Sample{{ID: "s", C2Alive: true}}, []Credential{{Account: "a@x"}, {Account: "b@x"}, {Account: "c@x"}})
 	sched.RunFor(2 * time.Hour)
-	ex := sb.Exfiltrations()
-	if len(ex) != 3 {
-		t.Fatalf("exfils = %d", len(ex))
+	if len(got) != 3 {
+		t.Fatalf("exfils = %d", len(got))
 	}
-	for i := 1; i < len(ex); i++ {
-		if ex[i].At.Before(ex[i-1].At) {
-			t.Fatal("exfiltrations not sorted")
+	for i := 1; i < len(got); i++ {
+		if got[i].At.Before(got[i-1].At) {
+			t.Fatal("exfiltrations not delivered in time order")
 		}
 	}
 }

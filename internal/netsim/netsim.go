@@ -400,13 +400,6 @@ func (b *Blacklist) LookupString(ip string) (reason string, listed bool) {
 	return b.Lookup(addr)
 }
 
-// Len returns the number of listed addresses.
-func (b *Blacklist) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.listed)
-}
-
 // CookieJar issues per-browser cookie identifiers. Google identifies
 // each access to an account with a cookie identifier (§4.3); our
 // webmail service does the same, and attacker sessions hold one

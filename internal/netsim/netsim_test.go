@@ -151,9 +151,6 @@ func TestBlacklist(t *testing.T) {
 	if !listed || reason != "XBL/botnet" {
 		t.Fatalf("Lookup = %q,%v", reason, listed)
 	}
-	if bl.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", bl.Len())
-	}
 }
 
 func TestCookieJarUniqueAndStableFormat(t *testing.T) {

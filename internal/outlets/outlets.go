@@ -129,8 +129,6 @@ type Outlet struct {
 	sink  Sink
 
 	mu        sync.Mutex
-	posts     int
-	pickups   int
 	inquiries []Inquiry
 }
 
@@ -161,9 +159,6 @@ func (o *Outlet) Post(creds []Credential, handler PickupHandler) int {
 	}
 	now := o.sched.Now()
 	total := 0
-	o.mu.Lock()
-	o.posts++
-	o.mu.Unlock()
 	for _, cred := range creds {
 		n := o.src.Poisson(o.site.MeanPickups)
 		at := now.Add(time.Duration(o.site.PickupDelayDays * float64(24*time.Hour)))
@@ -172,9 +167,6 @@ func (o *Outlet) Post(creds []Credential, handler PickupHandler) int {
 			at = at.Add(time.Duration(gap))
 			p := Pickup{Site: o.site, Credential: cred, PostedAt: now, At: at}
 			o.sched.At(at, "pickup:"+o.site.Name, func(time.Time) {
-				o.mu.Lock()
-				o.pickups++
-				o.mu.Unlock()
 				if o.sink != nil {
 					o.sink(p.Credential, o.site.Name, p.At)
 				}
@@ -208,13 +200,6 @@ func (o *Outlet) Inquiries() []Inquiry {
 	out := make([]Inquiry, len(o.inquiries))
 	copy(out, o.inquiries)
 	return out
-}
-
-// Stats reports post/pickup counters.
-func (o *Outlet) Stats() (posts, pickups int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.posts, o.pickups
 }
 
 // Registry holds the configured outlets by name.

@@ -7,14 +7,13 @@
 // reproduces an entire seven-month run bit-for-bit. Source wraps
 // math/rand with the distribution samplers the paper's workloads need
 // (exponential inter-arrival times, log-normal session lengths,
-// Zipf-like word/choice popularity, categorical mixtures).
+// categorical mixtures).
 package rng
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Source is a deterministic random source. It is not safe for
@@ -29,7 +28,7 @@ type Source struct {
 
 // countedSource wraps the underlying math/rand source and counts how
 // many raw 64-bit draws have been consumed. Every sampler on Source —
-// Float64, NormFloat64, Zipf, Shuffle — bottoms out in Int63/Uint64
+// Float64, NormFloat64, Shuffle — bottoms out in Int63/Uint64
 // calls on this source, and for math/rand's generator both consume
 // exactly one generator step. The stream position is therefore the
 // pair (seed, n), which is what lets the snapshot engine serialize a
@@ -176,32 +175,6 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
 }
 
-// Pareto samples a Pareto distribution with scale xm and shape alpha.
-// Used for the far tail of distances and revisit gaps.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("rng: Pareto requires positive parameters")
-	}
-	u := s.r.Float64()
-	for u == 0 {
-		u = s.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Zipf returns a sampler over [0, n) with Zipf exponent sexp >= 1.
-// Word popularity in the synthetic corpus and outlet popularity both
-// follow Zipf's law.
-func (s *Source) Zipf(sexp float64, n int) *rand.Zipf {
-	if n <= 0 {
-		panic("rng: Zipf requires n > 0")
-	}
-	if sexp <= 1 {
-		sexp = 1.0001
-	}
-	return rand.NewZipf(s.r, sexp, 1, uint64(n-1))
-}
-
 // Perm returns a random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 
@@ -298,30 +271,4 @@ func (s *Source) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Quantile inverts an empirical set of values: it sorts a copy and
-// returns the q-quantile via linear interpolation. Convenience used by
-// calibration tests.
-func Quantile(values []float64, q float64) float64 {
-	if len(values) == 0 {
-		panic("rng: Quantile of empty slice")
-	}
-	v := make([]float64, len(values))
-	copy(v, values)
-	sort.Float64s(v)
-	if q <= 0 {
-		return v[0]
-	}
-	if q >= 1 {
-		return v[len(v)-1]
-	}
-	pos := q * float64(len(v)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return v[lo]
-	}
-	frac := pos - float64(lo)
-	return v[lo]*(1-frac) + v[hi]*frac
 }

@@ -39,15 +39,6 @@ func (ss *ShardSet) Fired() uint64 {
 	return n
 }
 
-// Pending sums the events still queued across all shards.
-func (ss *ShardSet) Pending() int {
-	n := 0
-	for _, s := range ss.scheds {
-		n += s.Len()
-	}
-	return n
-}
-
 // WorkerPool is a counted budget of simulation workers shared by any
 // number of ShardSets. The scenario matrix engine hands one pool to
 // every concurrently running scenario so the whole matrix never

@@ -254,14 +254,3 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 func (s *Scheduler) RunFor(d time.Duration) int {
 	return s.RunUntil(s.clock.Now().Add(d))
 }
-
-// Drain executes every pending event regardless of timestamp, up to
-// the given maximum (a safety valve against self-perpetuating
-// schedules such as Every loops). It returns the number executed.
-func (s *Scheduler) Drain(max int) int {
-	n := 0
-	for n < max && s.Step() {
-		n++
-	}
-	return n
-}

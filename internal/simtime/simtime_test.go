@@ -153,15 +153,6 @@ func TestPastDueEventObservesCurrentTime(t *testing.T) {
 	}
 }
 
-func TestDrainCap(t *testing.T) {
-	s := NewScheduler(NewClock(t0))
-	s.Every(time.Minute, "forever", func(time.Time) {})
-	n := s.Drain(25)
-	if n != 25 {
-		t.Fatalf("Drain executed %d, want capped 25", n)
-	}
-}
-
 func TestFiredCounter(t *testing.T) {
 	s := NewScheduler(NewClock(t0))
 	for i := 0; i < 7; i++ {

@@ -159,9 +159,6 @@ func NewTriggerWheel(sched *Scheduler) *TriggerWheel {
 	return &TriggerWheel{sched: sched, buckets: make(map[wheelKey]*wheelBucket)}
 }
 
-// Scheduler returns the scheduler the wheel batches onto.
-func (w *TriggerWheel) Scheduler() *Scheduler { return w.sched }
-
 // Buckets returns the number of live (interval, phase) groups — the
 // number of scheduler event chains the wheel is paying for.
 func (w *TriggerWheel) Buckets() int {

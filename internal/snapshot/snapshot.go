@@ -8,7 +8,7 @@
 // of every shard's scheduler, trigger wheel and monitor cursor — as
 // pure data. Pending scheduler events carry closures and cannot cross
 // a process boundary, so the scheduler/wheel/cursor sections are
-// stored as verifiable descriptors: honeynet.Resume re-arms the
+// stored as verifiable descriptors: honeynet.ResumeWith re-arms the
 // triggers by replaying the instrumentation sequence and then checks
 // the rebuilt state against these descriptors, erroring on any drift
 // instead of silently diverging. Save → load → run-to-deadline is
@@ -70,13 +70,13 @@ type State struct {
 // Config is the serializable core of honeynet.Config. Sites, attacker
 // populations and locale pools are code-backed structures that only
 // shape the post-fork phases, so they are not stored — only flagged,
-// so a bare Resume on a snapshot that depended on them can refuse
-// instead of silently substituting defaults.
+// so honeynet.ConfigFromSnapshot can refuse a snapshot that depended
+// on them instead of silently substituting defaults.
 type Config struct {
 	Seed        int64
 	SetupSeed   int64  // 0: setup drew from the root stream (legacy layout)
 	SetupLayout int    // honeynet.SetupLayout* constant the setup ran under
-	Fingerprint uint64 // hash of the setup-relevant fields; Resume must match
+	Fingerprint uint64 // hash of the setup-relevant fields; ResumeWith must match
 
 	StartNS          int64
 	DurationNS       int64

@@ -240,9 +240,6 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // decoder; copy it if the decoder outlives its use.
 func (d *Decoder) Meta() *State { return &d.meta }
 
-// Accounts returns the number of accounts the snapshot declares.
-func (d *Decoder) Accounts() int { return d.total }
-
 // Next decodes the next account into *a. After the last account it
 // verifies the trailer checksum and that the input ends, then returns
 // io.EOF; any corruption, truncation or non-canonical framing is an

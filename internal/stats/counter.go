@@ -40,8 +40,5 @@ func (h *Highwater) Enter() {
 // Exit lowers the level by one.
 func (h *Highwater) Exit() { h.level.Add(-1) }
 
-// Level returns the current level.
-func (h *Highwater) Level() int64 { return h.level.Load() }
-
 // High returns the maximum level ever observed.
 func (h *Highwater) High() int64 { return h.high.Load() }

@@ -34,20 +34,23 @@ func TestHighwaterTracksMax(t *testing.T) {
 	h.Enter()
 	h.Enter()
 	h.Enter()
-	if h.Level() != 3 || h.High() != 3 {
-		t.Fatalf("level %d high %d, want 3 3", h.Level(), h.High())
+	if h.High() != 3 {
+		t.Fatalf("high %d, want 3", h.High())
 	}
 	h.Exit()
 	h.Exit()
-	if h.Level() != 1 {
-		t.Fatalf("level %d, want 1", h.Level())
-	}
 	if h.High() != 3 {
 		t.Fatalf("high fell to %d", h.High())
 	}
 	h.Enter()
 	if h.High() != 3 {
 		t.Fatalf("high %d after re-enter below peak, want 3", h.High())
+	}
+	// The level is back at 2, so two more entries set a new peak.
+	h.Enter()
+	h.Enter()
+	if h.High() != 4 {
+		t.Fatalf("high %d after climbing past the peak, want 4", h.High())
 	}
 }
 
@@ -68,10 +71,15 @@ func TestHighwaterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Level() != 0 {
-		t.Fatalf("level %d after balanced enter/exit", h.Level())
-	}
 	if high := h.High(); high < 1 || high > workers {
 		t.Fatalf("high %d outside [1,%d]", high, workers)
+	}
+	// Balanced enter/exit left the level at 0, so workers+1 entries
+	// set the mark to exactly workers+1.
+	for i := 0; i <= workers; i++ {
+		h.Enter()
+	}
+	if high := h.High(); high != workers+1 {
+		t.Fatalf("high %d after %d entries from a balanced level, want %d", high, workers+1, workers+1)
 	}
 }

@@ -19,7 +19,6 @@ import (
 type LatencyHist struct {
 	counts [histNBuckets]int64
 	total  int64
-	sum    int64
 	max    int64
 	min    int64 // valid only when total > 0
 }
@@ -75,7 +74,6 @@ func (h *LatencyHist) Record(d time.Duration) {
 		h.max = v
 	}
 	h.total++
-	h.sum += v
 }
 
 // Merge folds o into h. Bucket counts add exactly, so quantiles of the
@@ -96,7 +94,6 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 		h.max = o.max
 	}
 	h.total += o.total
-	h.sum += o.sum
 }
 
 // Count returns the number of recorded observations.
@@ -110,26 +107,10 @@ func (h *LatencyHist) Max() time.Duration {
 	return time.Duration(h.max)
 }
 
-// Min returns the exact smallest recorded value (0 when empty).
-func (h *LatencyHist) Min() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
-}
-
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *LatencyHist) Mean() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.total)
-}
-
 // Quantile returns the q-quantile by rank over the bucketed counts:
 // the bucket upper bound holding the ceil(q*n)-th smallest sample,
-// clamped to the exact observed extremes so Quantile(0) == Min and
-// Quantile(1) == Max. q outside [0,1] clamps; an empty histogram
+// clamped to the exact observed extremes so Quantile(0) is the
+// smallest sample and Quantile(1) == Max. q outside [0,1] clamps; an empty histogram
 // reports 0. Monotone in q by construction (cumulative rank walk).
 func (h *LatencyHist) Quantile(q float64) time.Duration {
 	if h.total == 0 {

@@ -13,8 +13,8 @@ import (
 // request must merge and render cleanly.
 func TestLatencyHistEmpty(t *testing.T) {
 	var h LatencyHist
-	if h.Count() != 0 || h.Max() != 0 || h.Min() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty hist not all-zero: count=%d max=%v min=%v mean=%v", h.Count(), h.Max(), h.Min(), h.Mean())
+	if h.Count() != 0 || h.Max() != 0 {
+		t.Fatalf("empty hist not all-zero: count=%d max=%v", h.Count(), h.Max())
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := h.Quantile(q); got != 0 {
@@ -29,13 +29,13 @@ func TestLatencyHistEmpty(t *testing.T) {
 }
 
 // TestLatencyHistOneSample: every quantile of a single observation is
-// that observation (extreme clamping), and min == max == mean.
+// that observation (extreme clamping), and so is the max.
 func TestLatencyHistOneSample(t *testing.T) {
 	var h LatencyHist
 	h.Record(1234567 * time.Nanosecond)
 	want := 1234567 * time.Nanosecond
-	if h.Count() != 1 || h.Min() != want || h.Max() != want || h.Mean() != want {
-		t.Fatalf("one-sample summary wrong: count=%d min=%v max=%v mean=%v", h.Count(), h.Min(), h.Max(), h.Mean())
+	if h.Count() != 1 || h.Max() != want {
+		t.Fatalf("one-sample summary wrong: count=%d max=%v", h.Count(), h.Max())
 	}
 	for _, q := range []float64{0, 0.001, 0.5, 0.99, 1, 2} {
 		if got := h.Quantile(q); got != want {
@@ -46,7 +46,7 @@ func TestLatencyHistOneSample(t *testing.T) {
 
 // TestLatencyHistQuantileMonotonic: for any sample, q1 <= q2 implies
 // Quantile(q1) <= Quantile(q2), and all quantiles stay inside
-// [Min, Max].
+// [Quantile(0), Max].
 func TestLatencyHistQuantileMonotonic(t *testing.T) {
 	src := rng.New(7)
 	var h LatencyHist
@@ -62,8 +62,8 @@ func TestLatencyHistQuantileMonotonic(t *testing.T) {
 		if cur < prev {
 			t.Fatalf("Quantile(%g) = %v < previous %v", q, cur, prev)
 		}
-		if cur < h.Min() || cur > h.Max() {
-			t.Fatalf("Quantile(%g) = %v outside [%v, %v]", q, cur, h.Min(), h.Max())
+		if cur < h.Quantile(0) || cur > h.Max() {
+			t.Fatalf("Quantile(%g) = %v outside [%v, %v]", q, cur, h.Quantile(0), h.Max())
 		}
 		prev = cur
 	}
@@ -102,11 +102,9 @@ func TestLatencyHistMergeMatchesSingle(t *testing.T) {
 	for i := range parts {
 		merged.Merge(&parts[i])
 	}
-	if merged.Count() != whole.Count() || merged.Min() != whole.Min() ||
-		merged.Max() != whole.Max() || merged.Mean() != whole.Mean() {
-		t.Fatalf("merged summary diverges: merged count=%d min=%v max=%v mean=%v, whole count=%d min=%v max=%v mean=%v",
-			merged.Count(), merged.Min(), merged.Max(), merged.Mean(),
-			whole.Count(), whole.Min(), whole.Max(), whole.Mean())
+	if merged.Count() != whole.Count() || merged.Max() != whole.Max() {
+		t.Fatalf("merged summary diverges: merged count=%d max=%v, whole count=%d max=%v",
+			merged.Count(), merged.Max(), whole.Count(), whole.Max())
 	}
 	for q := 0.0; q <= 1.0; q += 0.0005 {
 		if m, w := merged.Quantile(q), whole.Quantile(q); m != w {
@@ -120,8 +118,8 @@ func TestLatencyHistMergeMatchesSingle(t *testing.T) {
 func TestLatencyHistNegativeClamps(t *testing.T) {
 	var h LatencyHist
 	h.Record(-5 * time.Second)
-	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("negative record: count=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
+	if h.Count() != 1 || h.Quantile(0) != 0 || h.Max() != 0 {
+		t.Fatalf("negative record: count=%d min=%v max=%v", h.Count(), h.Quantile(0), h.Max())
 	}
 }
 

@@ -151,7 +151,7 @@ func TestRestoreMatchesSeed(t *testing.T) {
 	const addr = "ada.lee@honeymail.example"
 	owner := corpus.Persona{First: "Ada", Last: "Lee", Email: addr, Title: "Trader", Department: "Trading"}
 	end := time.Date(2015, 6, 25, 0, 0, 0, 0, time.UTC)
-	mailbox := corpus.NewGenerator(rng.New(3), corpus.DefaultConfig()).Mailbox(owner, 90, end.Add(-180*24*time.Hour), end)
+	mailbox := corpus.NewGenerator(rng.New(3)).MailboxAppend(nil, owner, 90, end.Add(-180*24*time.Hour), end)
 
 	seeded := exportTestService(t)
 	if err := seeded.CreateAccount(addr, "pw", owner.FullName()); err != nil {

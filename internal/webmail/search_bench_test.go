@@ -24,8 +24,8 @@ func corpusMailbox(b *testing.B) (*webmail.Session, []corpus.Message) {
 	svc := webmail.NewService(webmail.Config{Clock: clock})
 	src := rng.New(42)
 	owner := corpus.NewPersonas(src.ForkNamed("personas"), 1, "honeymail.example")[0]
-	gen := corpus.NewGenerator(src.ForkNamed("corpus"), corpus.DefaultConfig())
-	msgs := gen.Mailbox(owner, 90, start.Add(-180*24*time.Hour), start)
+	gen := corpus.NewGenerator(src.ForkNamed("corpus"))
+	msgs := gen.MailboxAppend(nil, owner, 90, start.Add(-180*24*time.Hour), start)
 	if err := svc.CreateAccount(owner.Email, "pw", owner.FullName()); err != nil {
 		b.Fatal(err)
 	}

@@ -568,7 +568,9 @@ func TestListNBoundsToNewest(t *testing.T) {
 // TestTouchMatchesList: a visit that touches the session leaves the
 // account exactly as one that lists the inbox and drops the listing —
 // the same activity rows, change counters and journal — and fails the
-// same way for an expired session and a suspended account.
+// same way for an expired session and a suspended account. So does a
+// visit that reads the activity page, and the page the session reads
+// is the service's, across several logins and a password change.
 func TestTouchMatchesList(t *testing.T) {
 	const addr = "alice@honeymail.example"
 	type state struct {
@@ -613,6 +615,16 @@ func TestTouchMatchesList(t *testing.T) {
 		return err
 	})
 	touch := run((*Session).Touch)
+	activity := run(func(se *Session) error {
+		page, err := se.ActivityPage()
+		if err != nil {
+			return err
+		}
+		if want, _ := se.svc.ActivityPage(addr); !reflect.DeepEqual(page, want) {
+			t.Errorf("session page %+v, service page %+v", page, want)
+		}
+		return nil
+	})
 	want := []error{nil, nil, nil, ErrSessionExpired, nil, ErrSuspended}
 	for i, st := range touch {
 		if !errors.Is(st.err, want[i]) {
@@ -621,6 +633,9 @@ func TestTouchMatchesList(t *testing.T) {
 	}
 	if !reflect.DeepEqual(list, touch) {
 		t.Fatalf("Touch diverged from List:\nlist  %+v\ntouch %+v", list, touch)
+	}
+	if !reflect.DeepEqual(list, activity) {
+		t.Fatalf("ActivityPage diverged from List:\nlist     %+v\nactivity %+v", list, activity)
 	}
 	if !touch[1].page[0].Last.After(touch[0].page[0].Last) {
 		t.Fatalf("Touch left tlast at %v", touch[1].page[0].Last)

@@ -18,9 +18,6 @@ type Session struct {
 	passwordAt int // password generation at login time
 }
 
-// Account returns the mailbox address the session is bound to.
-func (se *Session) Account() string { return se.acct.address }
-
 // Cookie returns the browser cookie identifier of this session.
 func (se *Session) Cookie() string { return se.cookie }
 
@@ -258,16 +255,16 @@ func (se *Session) ChangePassword(newPassword string) error {
 	return nil
 }
 
-// ActivityPage returns the account's access rows; this is what the
-// monitoring scraper reads after logging in (§3.1).
+// ActivityPage returns the account's access rows in page order; this
+// is what the monitoring scraper reads after logging in (§3.1). Only
+// Login adds or restamps a row, and it stamps each with a rev of at
+// least 1, so ActivitySince from cursor 0 visits the whole page.
 func (se *Session) ActivityPage() ([]Access, error) {
-	se.svc.mu.Lock()
-	_, err := se.touch()
-	se.svc.mu.Unlock()
-	if err != nil {
+	var page []Access
+	if _, err := se.ActivitySince(0, func(a Access) { page = append(page, a) }); err != nil {
 		return nil, err
 	}
-	return se.svc.ActivityPage(se.acct.address)
+	return page, nil
 }
 
 // ActivitySince streams the activity rows that changed since the

@@ -218,8 +218,12 @@ func TestSnapshotBoundary(t *testing.T) {
 		t.Fatal("ResumeWith accepted a diverged seed under the legacy stream layout")
 	}
 
-	// Plain Resume round trip still works and runs.
-	resumed, err := honeynet.Resume(st)
+	// The config the snapshot records resumes and runs.
+	restored, err := honeynet.ConfigFromSnapshot(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := honeynet.ResumeWith(st, restored)
 	if err != nil {
 		t.Fatal(err)
 	}
